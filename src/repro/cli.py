@@ -355,6 +355,38 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(ValueError):
+    """A bad flag value: ``main`` reports it in one line and exits 2."""
+
+
+def _comma_list(flag: str, raw: str, cast=str) -> List:
+    """Parse a comma-separated flag value, casting each item."""
+    try:
+        return [cast(value) for value in raw.split(",") if value]
+    except ValueError:
+        raise _UsageError(
+            f"{flag} expects comma-separated {cast.__name__} values, "
+            f"got {raw!r}"
+        ) from None
+
+
+def _rows_out(args: argparse.Namespace, rows: List[Dict]) -> str:
+    """Result rows as canonical JSONL, also written to ``--out`` when
+    given (atomically; an unwritable path is a usage error)."""
+    from repro.experiments.sweep import rows_to_jsonl
+
+    jsonl = rows_to_jsonl(rows)
+    if args.out:
+        from repro.ioutil import atomic_write_text
+
+        try:
+            atomic_write_text(args.out, jsonl)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out!r}: {exc}") from None
+        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    return jsonl
+
+
 def _exec_policy(args: argparse.Namespace):
     """Supervision policy from ``--task-timeout``/``--task-retries``.
 
@@ -407,22 +439,23 @@ def _maybe_print_metrics(args: argparse.Namespace) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro import prepare_video
-    from repro.experiments.runner import ExperimentConfig, compare
+    from repro.core.spec import ScenarioSpec
+    from repro.experiments.runner import compare
 
     prepared = prepare_video(args.video)
-    base = ExperimentConfig(
-        video=args.video,
-        trace=args.trace,
-        buffer_segments=args.buffer,
-        repetitions=args.reps,
-        seed=args.seed,
-    )
     variants = {
-        "BOLA/QUIC": {"abr": "bola", "partially_reliable": False},
-        "BETA/QUIC": {"abr": "beta", "partially_reliable": False},
-        "VOXEL": {"abr": "abr_star", "partially_reliable": True},
+        "BOLA/QUIC": {"abr": "bola", "reliability": "quic"},
+        "BETA/QUIC": {"abr": "beta", "reliability": "quic"},
+        "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
     }
     try:
+        base = ScenarioSpec(
+            video=args.video,
+            trace=args.trace,
+            buffer_segments=args.buffer,
+            repetitions=args.reps,
+            seed=args.seed,
+        )
         summaries = compare(
             base, variants, prepared=prepared, workers=args.workers
         )
@@ -461,22 +494,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiclient(args: argparse.Namespace) -> int:
-    from repro.experiments.multiclient import ClientSpec, run_multiclient
+    from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
 
-    # Mixed fleet: cycle ABR x transport flavour so any --clients count
-    # exercises contention between heterogeneous sessions.
-    cycle = [
-        ("abr_star", True),
-        ("bola", True),
-        ("abr_star", False),
-        ("bola", False),
-    ]
+    # Mixed fleet: cycle the default ABR x transport-flavour mix so any
+    # --clients count exercises contention between heterogeneous
+    # sessions.
     specs = [
-        ClientSpec(
-            abr=cycle[i % len(cycle)][0],
+        DEFAULT_SPECS[i % len(DEFAULT_SPECS)].with_(
             video=args.video,
-            partially_reliable=cycle[i % len(cycle)][1],
             buffer_segments=args.buffer,
+            trace=args.trace,
+            seed=args.seed,
+            queue_packets=args.queue,
+            backend=args.backend,
         )
         for i in range(args.clients)
     ]
@@ -501,15 +531,11 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
         fleet = FleetAttributor()
         observers = [rollup.feed, fleet.feed]
 
-    result = run_multiclient(
-        specs,
-        trace=args.trace,
-        seed=args.seed,
-        queue_packets=args.queue,
-        backend=args.backend,
-        tracer=tracer,
-        observers=observers,
-    )
+    try:
+        result = run_multiclient(specs, tracer=tracer, observers=observers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.trace_out:
         from repro.ioutil import atomic_output
@@ -564,15 +590,17 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+    from dataclasses import replace
     from time import perf_counter
 
     from repro.experiments.fleet import (
         DEFAULT_GROUPS,
-        ClientGroup,
         FleetSpec,
         format_fleet_report,
         run_fleet,
     )
+    from repro.obs import spans
 
     try:
         if args.spec:
@@ -583,12 +611,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             spec = FleetSpec.from_json(text)
         else:
             groups = tuple(
-                ClientGroup(
-                    abr=group.abr,
-                    video=args.video,
-                    partially_reliable=group.partially_reliable,
-                    buffer_segments=args.buffer,
-                )
+                replace(group, video=args.video, buffer_segments=args.buffer)
                 for group in DEFAULT_GROUPS
             )
             spec = FleetSpec(
@@ -606,30 +629,19 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"error: invalid fleet spec: {exc}", file=sys.stderr)
         return 2
 
-    profiler = prev = None
-    if args.profile:
-        from repro.obs import spans
-
-        profiler = spans.SpanProfiler()
-        prev = spans.install(profiler)
     start = perf_counter()
-    try:
-        result = run_fleet(
-            spec, workers=args.workers,
-            policy=_exec_policy(args),
-            checkpoint_dir=args.resume,
-            strict=False,
-        )
-    except ValueError as exc:
-        # Bad worker count or a checkpoint dir from a different run.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if profiler is not None:
-            profiler.finalize()
-            from repro.obs import spans
-
-            spans.install(prev)
+    with (spans.profiled() if args.profile else nullcontext()) as profiler:
+        try:
+            result = run_fleet(
+                spec, workers=args.workers,
+                policy=_exec_policy(args),
+                checkpoint_dir=args.resume,
+                strict=False,
+            )
+        except ValueError as exc:
+            # Bad worker count or a checkpoint dir from a different run.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     wall_s = perf_counter() - start
     resumed = f", {result.resumed} shard(s) from checkpoint" \
         if result.resumed else ""
@@ -879,7 +891,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SweepSpec,
         dry_run_rows,
         parse_rows_jsonl,
-        rows_to_jsonl,
         run_sweep,
         validate_rows,
     )
@@ -917,18 +928,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
     else:
         grid: Dict[str, List] = {}
-
-        def axis(field: str, raw: Optional[str], cast=str) -> None:
+        for field, flag, raw, cast in (
+            ("video", "--videos", args.videos, str),
+            ("abr", "--abrs", args.abrs, str),
+            ("trace", "--traces", args.traces, str),
+            ("buffer_segments", "--buffers", args.buffers, int),
+            ("reliability", "--reliability", args.reliability, str),
+            ("backend", "--backends", args.backends, str),
+            ("seed", "--seeds", args.seeds, int),
+        ):
             if raw:
-                grid[field] = [cast(v) for v in raw.split(",") if v]
-
-        axis("video", args.videos)
-        axis("abr", args.abrs)
-        axis("trace", args.traces)
-        axis("buffer_segments", args.buffers, int)
-        axis("reliability", args.reliability)
-        axis("backend", args.backends)
-        axis("seed", args.seeds, int)
+                grid[field] = _comma_list(flag, raw, cast)
         if not grid:
             print("error: provide --spec FILE or at least one grid flag "
                   "(--videos/--abrs/--traces/--buffers/--reliability/"
@@ -952,17 +962,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    jsonl = rows_to_jsonl(rows)
-    if args.out:
-        from repro.ioutil import atomic_write_text
-
-        try:
-            atomic_write_text(args.out, jsonl)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    jsonl = _rows_out(args, rows)
     if args.json or not args.out:
         if args.dry_run and not args.json:
             print(f"{len(rows)} scenarios:")
@@ -976,7 +976,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.experiments.chaos import (
         CHAOS_PROFILES,
-        chaos_rows_to_jsonl,
         format_chaos_report,
         run_chaos,
     )
@@ -994,8 +993,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     profiles = None
     if args.profiles:
-        profiles = [p for p in args.profiles.split(",") if p]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+        profiles = _comma_list("--profiles", args.profiles)
+    seeds = _comma_list("--seeds", args.seeds, int)
     base: Dict = {}
     if args.video:
         base["video"] = args.video
@@ -1021,17 +1020,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    jsonl = chaos_rows_to_jsonl(rows)
-    if args.out:
-        from repro.ioutil import atomic_write_text
-
-        try:
-            atomic_write_text(args.out, jsonl)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    jsonl = _rows_out(args, rows)
     if args.json:
         print(jsonl, end="")
     else:
@@ -1080,6 +1069,11 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     ``--workers`` must be a positive integer (exit 2 otherwise) and is
     capped at the task count — extra workers would only idle.
     """
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes across tasks (shards or cells); the "
+        "output is byte-identical to --workers 1",
+    )
     parser.add_argument(
         "--resume", default=None, metavar="DIR",
         help="checkpoint spool directory: completed tasks are written "
@@ -1351,11 +1345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--shards", type=int, default=8,
                          help="cells; each gets its own kernel, "
                          "bottleneck, and trace weather")
-    p_fleet.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across shards (the fleet report and "
-        "hash are byte-identical to --workers 1)",
-    )
     p_fleet.add_argument("--trace", default="verizon",
                          help="per-shard bottleneck trace (seeded "
                          "seed+shard)")
@@ -1428,11 +1417,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated trace seeds")
     p_sweep.add_argument("--reps", type=int, default=3,
                          help="repetitions per cell (grid-flag mode)")
-    p_sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across cells (results are "
-        "byte-identical to --workers 1)",
-    )
     p_sweep.add_argument("--out", default=None, metavar="PATH",
                          help="write JSONL rows to this file")
     p_sweep.add_argument(
@@ -1476,11 +1460,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-request deadline (default 3.0)")
     p_faults.add_argument("--retry-budget", type=int, default=None,
                           help="retries per segment (default 3)")
-    p_faults.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across cells (results are "
-        "byte-identical to --workers 1)",
-    )
     p_faults.add_argument("--out", default=None, metavar="PATH",
                           help="write JSONL rows to this file")
     p_faults.add_argument(
@@ -1539,6 +1518,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         enable_profiling(True)
     try:
         return _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyError as exc:
         # Catalog lookups (videos, ABRs, traces) raise KeyError with a
         # one-line "unknown X; known: ..." message.

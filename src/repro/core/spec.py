@@ -19,8 +19,11 @@ Construction paths:
 * ``ScenarioSpec(video="bbb", abr="bola", ...)`` in code,
 * :meth:`ScenarioSpec.from_dict` / :meth:`from_json` for sweep files
   (unknown keys are rejected with a clear error),
-* :meth:`~repro.experiments.runner.ExperimentConfig.to_scenario` for
-  the legacy experiment-config API.
+* :meth:`ScenarioSpec.with_` for variants of a base scenario (the
+  runner's ``compare``, sweep cells, fleet clients).
+
+It is the only scenario type: the runner, sweeps, chaos cells and
+multi-client shards all take specs.
 
 The :class:`~repro.core.build.StackBuilder` turns a spec into a ready
 :class:`~repro.player.session.StreamingSession`.

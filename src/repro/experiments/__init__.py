@@ -1,4 +1,9 @@
-"""Experiment harness: runner, per-figure reproductions, user survey."""
+"""Experiment harness: runner, per-figure reproductions, user survey.
+
+Every experiment is described by a :class:`~repro.core.spec.ScenarioSpec`
+(a fleet by a :class:`FleetSpec` of them), and every fan-out goes
+through :func:`execute`.
+"""
 
 from repro.experiments.execution import (
     EXIT_DEGRADED,
@@ -23,17 +28,14 @@ from repro.experiments.fleet import (
     run_fleet,
 )
 from repro.experiments.multiclient import (
-    ClientSpec,
     MulticlientResult,
     Shard,
     build_shard,
     run_multiclient,
 )
 from repro.experiments.runner import (
-    ExperimentConfig,
     TrialSummary,
     compare,
-    fork_map,
     run_single,
     run_trials,
 )
@@ -56,7 +58,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "ClientGroup",
-    "ClientSpec",
     "ExecutionError",
     "ExecutionInterrupted",
     "ExecutionPolicy",
@@ -66,7 +67,6 @@ __all__ = [
     "execute",
     "install_worker_fault",
     "supervised_map",
-    "ExperimentConfig",
     "FleetResult",
     "FleetSpec",
     "MulticlientResult",
@@ -75,7 +75,6 @@ __all__ = [
     "build_shard",
     "compare",
     "expand_population",
-    "fork_map",
     "format_fleet_report",
     "run_fleet",
     "run_multiclient",

@@ -1,12 +1,15 @@
 """Crash-tolerant task execution: supervised fork pool + checkpoints.
 
-Every fan-out engine (``run_trials``, ``run_sweep``, ``run_chaos``,
-``run_fleet``) fans independent tasks out over fork()ed workers and
-folds the results back in task order.  A bare ``ProcessPoolExecutor``
-makes that fragile: one segfaulted, OOM-killed, or hung worker aborts
-the whole campaign with an opaque ``BrokenProcessPool``, and nothing
-completed so far survives a Ctrl-C.  This module is the resilient
-execution layer underneath all of them:
+Every fan-out engine (``run_trials``; ``_run_cells``, under ``run_sweep``
+and ``run_chaos``; ``run_fleet``) fans independent tasks out over
+fork()ed workers and folds the results back in task order.  A bare
+``ProcessPoolExecutor`` makes that fragile: one segfaulted, OOM-killed,
+or hung worker aborts the whole campaign with an opaque
+``BrokenProcessPool``, and nothing completed so far survives a Ctrl-C.
+This module is the resilient execution layer underneath all of them.
+Each engine hands :func:`execute` a worker closure that carries its
+inputs: the pool forks once per task attempt, so the child reads them
+from the fork's memory snapshot.  The layer provides:
 
 * :func:`execute` / :func:`supervised_map` — a supervised pool with
   one fork()ed process per task (at most ``workers`` concurrent):

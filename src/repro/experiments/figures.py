@@ -12,12 +12,12 @@ are equally usable from tests, benchmarks, and the examples.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import ExperimentConfig, TrialSummary, run_trials
+from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.experiments.runner import run_trials
 from repro.network.traces import (
     constant_trace,
     riiser_3g_corpus,
@@ -259,13 +259,13 @@ def fig3_fig4_vanilla_quicstar(
             for trace in traces:
                 for buffer_segments in buffers:
                     for partially_reliable in (False, True):
-                        config = ExperimentConfig(
+                        spec = ScenarioSpec(
                             video=video, abr=abr, trace=trace,
                             buffer_segments=buffer_segments,
-                            partially_reliable=partially_reliable,
+                            reliability=reliability_mode(partially_reliable),
                             repetitions=repetitions,
                         )
-                        summary = run_trials(config, prepared=prepared)
+                        summary = run_trials(spec, prepared=prepared)
                         rows.append(
                             {
                                 "video": video,
@@ -293,14 +293,14 @@ def fig5_cross_traffic_vanilla(
         for abr in abrs:
             for buffer_segments in buffers:
                 for partially_reliable in (False, True):
-                    config = ExperimentConfig(
+                    spec = ScenarioSpec(
                         video=video, abr=abr, trace="constant:20",
                         buffer_segments=buffer_segments,
-                        partially_reliable=partially_reliable,
+                        reliability=reliability_mode(partially_reliable),
                         repetitions=repetitions,
                         cross_traffic_mbps=cross_mbps,
                     )
-                    summary = run_trials(config, prepared=prepared)
+                    summary = run_trials(spec, prepared=prepared)
                     rows.append(
                         {
                             "video": video,
@@ -328,11 +328,11 @@ def _abr_variants(trace: str, tuned_voxel: bool = True) -> Dict[str, Dict]:
         else {}
     )
     return {
-        "BOLA": {"abr": "bola", "partially_reliable": False},
-        "BETA": {"abr": "beta", "partially_reliable": False},
+        "BOLA": {"abr": "bola", "reliability": "quic"},
+        "BETA": {"abr": "beta", "reliability": "quic"},
         "VOXEL": {
             "abr": "abr_star",
-            "partially_reliable": True,
+            "reliability": "quic*",
             "abr_kwargs": voxel_kwargs,
         },
     }
@@ -353,13 +353,13 @@ def fig6_bufratio(
             prepared = get_prepared(video)
             for buffer_segments in buffers:
                 for label, overrides in variants.items():
-                    config = ExperimentConfig(
+                    spec = ScenarioSpec(
                         video=video, trace=trace,
                         buffer_segments=buffer_segments,
                         repetitions=repetitions,
                         **{k: v for k, v in overrides.items()},
                     )
-                    summary = run_trials(config, prepared=prepared)
+                    summary = run_trials(spec, prepared=prepared)
                     rows.append(
                         {
                             "video": video,
@@ -389,10 +389,10 @@ def fig7_metric_agnostic(
     metric_objects = {"ssim": SSIM, "vmaf": VMAF, "psnr": PSNR}
     for buffer_segments in buffers:
         bola = run_trials(
-            ExperimentConfig(
+            ScenarioSpec(
                 video=video, abr="bola", trace=trace,
                 buffer_segments=buffer_segments,
-                partially_reliable=False, repetitions=repetitions,
+                reliability="quic", repetitions=repetitions,
             ),
             prepared=prepared,
         )
@@ -401,7 +401,7 @@ def fig7_metric_agnostic(
         )
         for metric_name, metric in metric_objects.items():
             summary = run_trials(
-                ExperimentConfig(
+                ScenarioSpec(
                     video=video, abr="abr_star", trace=trace,
                     buffer_segments=buffer_segments, repetitions=repetitions,
                     abr_kwargs={"metric": metric},
@@ -441,7 +441,7 @@ def fig7d_data_skipped(
         prepared = get_prepared(video)
         for buffer_segments in buffers:
             summary = run_trials(
-                ExperimentConfig(
+                ScenarioSpec(
                     video=video, abr="abr_star", trace=trace,
                     buffer_segments=buffer_segments, repetitions=repetitions,
                 ),
@@ -472,12 +472,12 @@ def fig8_bitrates(
                 for label, overrides in _abr_variants(trace).items():
                     if label == "BETA":
                         continue
-                    config = ExperimentConfig(
+                    spec = ScenarioSpec(
                         video=video, trace=trace,
                         buffer_segments=buffer_segments,
                         repetitions=repetitions, **overrides,
                     )
-                    summary = run_trials(config, prepared=prepared)
+                    summary = run_trials(spec, prepared=prepared)
                     rows.append(
                         {
                             "video": video,
@@ -509,7 +509,7 @@ def fig9_ssim_cdfs(
             trace, tuned_voxel=tuned_voxel
         ).items():
             summary = run_trials(
-                ExperimentConfig(
+                ScenarioSpec(
                     video=video, trace=trace,
                     buffer_segments=buffer_segments,
                     repetitions=repetitions, **overrides,
@@ -542,16 +542,16 @@ def fig10_components(
     for label, (abr, partially_reliable, kwargs) in systems.items():
         sessions = []
         for trace in corpus:
-            config = ExperimentConfig(
+            spec = ScenarioSpec(
                 video=video, abr=abr,
                 buffer_segments=buffer_segments,
-                partially_reliable=partially_reliable,
+                reliability=reliability_mode(partially_reliable),
                 repetitions=1, abr_kwargs=kwargs,
             )
             from repro.experiments.runner import run_single
 
             sessions.append(
-                run_single(config, prepared=prepared, trace=trace)
+                run_single(spec, prepared=prepared, trace=trace)
             )
         buf_ratios = [s.buf_ratio for s in sessions]
         ssims = [s.mean_ssim for s in sessions]
@@ -584,15 +584,15 @@ def fig11_synthetic(
             "BOLA": ("bola", False),
             "VOXEL": ("abr_star", True),
         }.items():
-            config = ExperimentConfig(
+            spec = ScenarioSpec(
                 video=video, abr=abr, buffer_segments=buffer_segments,
-                partially_reliable=partially_reliable,
+                reliability=reliability_mode(partially_reliable),
                 repetitions=repetitions,
             )
             from repro.experiments.runner import run_single
 
             sessions = [
-                run_single(config, shift_s=i * 7.0, prepared=prepared,
+                run_single(spec, shift_s=i * 7.0, prepared=prepared,
                            trace=trace)
                 for i in range(repetitions)
             ]
@@ -624,11 +624,11 @@ def fig11d_fig13_wild(
         prepared = get_prepared(video)
         for buffer_segments in buffers:
             for label, overrides in {
-                "BOLA": {"abr": "bola", "partially_reliable": False},
-                "VOXEL": {"abr": "abr_star", "partially_reliable": True},
+                "BOLA": {"abr": "bola", "reliability": "quic"},
+                "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
             }.items():
                 summary = run_trials(
-                    ExperimentConfig(
+                    ScenarioSpec(
                         video=video, trace="wild",
                         buffer_segments=buffer_segments,
                         repetitions=repetitions, **overrides,
@@ -664,11 +664,11 @@ def fig12_cross_traffic(
         prepared = get_prepared(video)
         for buffer_segments in buffers:
             for label, overrides in {
-                "BOLA": {"abr": "bola", "partially_reliable": False},
-                "VOXEL": {"abr": "abr_star", "partially_reliable": True},
+                "BOLA": {"abr": "bola", "reliability": "quic"},
+                "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
             }.items():
                 summary = run_trials(
-                    ExperimentConfig(
+                    ScenarioSpec(
                         video=video, trace="constant:20",
                         buffer_segments=buffer_segments,
                         repetitions=repetitions,
@@ -706,11 +706,11 @@ def fig16_long_queue(
             prepared = get_prepared(video)
             for buffer_segments in buffers:
                 for label, overrides in {
-                    "BOLA": {"abr": "bola", "partially_reliable": False},
-                    "VOXEL": {"abr": "abr_star", "partially_reliable": True},
+                    "BOLA": {"abr": "bola", "reliability": "quic"},
+                    "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
                 }.items():
                     summary = run_trials(
-                        ExperimentConfig(
+                        ScenarioSpec(
                             video=video, trace=trace,
                             buffer_segments=buffer_segments,
                             queue_packets=queue_packets,
@@ -751,11 +751,12 @@ def fig18cd_reliability_ablation(
                     ("VOXEL rel", True),
                 ):
                     summary = run_trials(
-                        ExperimentConfig(
+                        ScenarioSpec(
                             video=video, abr="abr_star", trace=trace,
                             buffer_segments=buffer_segments,
-                            partially_reliable=True,
-                            force_reliable_payload=force_reliable,
+                            reliability=reliability_mode(
+                                True, force_reliable
+                            ),
                             repetitions=repetitions,
                         ),
                         prepared=prepared,
@@ -787,7 +788,7 @@ def selective_retransmission_residual(
     rows = []
     for buffer_segments in buffers:
         summary = run_trials(
-            ExperimentConfig(
+            ScenarioSpec(
                 video=video, abr="abr_star", trace=trace,
                 buffer_segments=buffer_segments, repetitions=repetitions,
             ),

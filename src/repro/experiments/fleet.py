@@ -37,20 +37,22 @@ is folded in shard order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.experiments.execution import (
     CheckpointStore,
     ExecutionError,
     ExecutionPolicy,
     execute,
 )
-from repro.experiments.multiclient import ClientSpec, run_multiclient
-from repro.network.traces import get_trace
+from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
 from repro.obs import spans
 from repro.obs.attribution import FleetAttributor, format_attribution
 from repro.obs.metrics import scoped_registry
@@ -64,10 +66,10 @@ FLEET_REPORT_VERSION = 1
 class ClientGroup:
     """One weighted slice of a fleet population.
 
-    A group is the declarative form of a
-    :class:`~repro.experiments.multiclient.ClientSpec` plus a sampling
-    ``weight``: client *i* of the fleet draws its group from the
-    weight distribution at the point ``sha256(seed, i)`` lands, so the
+    A group is the per-client part of a
+    :class:`~repro.core.spec.ScenarioSpec` plus a sampling ``weight``:
+    client *i* of the fleet draws its group from the weight
+    distribution at the point ``sha256(seed, i)`` lands, so the
     realized mix approximates the weights and is a pure function of
     the spec.
     """
@@ -90,11 +92,12 @@ class ClientGroup:
         flavour = "Q*" if self.partially_reliable else "Q"
         return f"{self.abr}/{flavour}/{self.video}/buf{self.buffer_segments}"
 
-    def to_client_spec(self) -> ClientSpec:
-        return ClientSpec(
+    def to_scenario(self, network: ScenarioSpec) -> ScenarioSpec:
+        """This group's client on ``network`` (a shard's shared fields)."""
+        return network.with_(
             abr=self.abr,
             video=self.video,
-            partially_reliable=self.partially_reliable,
+            reliability=reliability_mode(self.partially_reliable),
             buffer_segments=self.buffer_segments,
         )
 
@@ -113,13 +116,16 @@ class ClientGroup:
         return cls(**data)
 
 
-#: The default mixed fleet: both ABRs, both transport flavours, equal
-#: weight (the multiclient default cycle, expressed as a population).
-DEFAULT_GROUPS = (
-    ClientGroup(abr="abr_star", partially_reliable=True),
-    ClientGroup(abr="bola", partially_reliable=True),
-    ClientGroup(abr="abr_star", partially_reliable=False),
-    ClientGroup(abr="bola", partially_reliable=False),
+#: The default mixed fleet: the multiclient default mix (both ABRs,
+#: both transport flavours) as a population of equal weight.
+DEFAULT_GROUPS = tuple(
+    ClientGroup(
+        abr=spec.abr,
+        video=spec.video,
+        partially_reliable=spec.partially_reliable,
+        buffer_segments=spec.buffer_segments,
+    )
+    for spec in DEFAULT_SPECS
 )
 
 
@@ -272,10 +278,27 @@ def group_assignment(spec: FleetSpec) -> List[int]:
     return out
 
 
-def expand_population(spec: FleetSpec) -> List[ClientSpec]:
-    """The full fleet population as concrete per-client specs."""
+def shard_network(spec: FleetSpec, shard: int) -> ScenarioSpec:
+    """The fields every client of one shard shares: the fleet's network
+    with the shard's own trace weather (seeded ``seed + shard``)."""
+    return ScenarioSpec(
+        trace=spec.trace,
+        seed=spec.seed + shard,
+        backend=spec.backend,
+        queue_packets=spec.queue_packets,
+        base_rtt=spec.base_rtt,
+        faults=spec.faults,
+        request_timeout_s=spec.request_timeout_s,
+        retry_budget=spec.retry_budget,
+        retry_backoff_s=spec.retry_backoff_s,
+    )
+
+
+def expand_population(spec: FleetSpec) -> List[ScenarioSpec]:
+    """The full fleet population: the scenario each client streams."""
     return [
-        spec.groups[g].to_client_spec() for g in group_assignment(spec)
+        spec.groups[g].to_scenario(shard_network(spec, i % spec.shards))
+        for i, g in enumerate(group_assignment(spec))
     ]
 
 
@@ -306,15 +329,6 @@ def fleet_session_id(spec: FleetSpec, index: int, group: ClientGroup) -> str:
 # ---------------------------------------------------------------------------
 # The per-shard executor.
 # ---------------------------------------------------------------------------
-#: Fork-inherited worker inputs (the runner's _PARALLEL_* pattern):
-#: children snapshot these at pool creation, so a worker's inputs are
-#: identical to an in-process call.
-_FLEET_SPEC: Optional[FleetSpec] = None
-_FLEET_PREPARED: Optional[Dict[str, PreparedVideo]] = None
-_FLEET_PROFILE: bool = False
-_FLEET_ROWS: bool = False
-
-
 def _run_shard(
     spec: FleetSpec,
     shard: int,
@@ -325,7 +339,7 @@ def _run_shard(
     indices = shard_clients(spec, shard)
     assignment = group_assignment(spec)
     groups = [spec.groups[assignment[i]] for i in indices]
-    client_specs = [group.to_client_spec() for group in groups]
+    network = shard_network(spec, shard)
     session_ids = [
         fleet_session_id(spec, i, group)
         for i, group in zip(indices, groups)
@@ -335,17 +349,8 @@ def _run_shard(
     )
     attributor = FleetAttributor()
     result = run_multiclient(
-        client_specs,
-        trace=get_trace(spec.trace, seed=spec.seed + shard),
-        seed=spec.seed + shard,
-        queue_packets=spec.queue_packets,
-        base_rtt=spec.base_rtt,
-        backend=spec.backend,
+        [group.to_scenario(network) for group in groups],
         prepared_map=prepared_map,
-        faults=spec.faults,
-        request_timeout_s=spec.request_timeout_s,
-        retry_budget=spec.retry_budget,
-        retry_backoff_s=spec.retry_backoff_s,
         observers=[rollup.feed, attributor.feed],
         session_ids=session_ids,
     )
@@ -367,8 +372,8 @@ def _run_shard(
         stats["rate_sum"] += client.throughput_mbps
     out = {
         "shard": shard,
-        "clients": len(client_specs),
-        "trace_seed": spec.seed + shard,
+        "clients": len(groups),
+        "trace_seed": network.seed,
         "jain": result.jain_index,
         # Jain sufficient statistics: (n, sum r, sum r^2) merge across
         # shards without retaining per-client rates in the parent.
@@ -386,25 +391,23 @@ def _run_shard(
     return out
 
 
-def _shard_worker(shard: int) -> Dict:
-    """Process-pool entry point for one shard.
+def _shard_worker(
+    spec: FleetSpec,
+    prepared_map: Optional[Dict[str, PreparedVideo]],
+    keep_rows: bool,
+    profile: bool,
+    shard: int,
+) -> Dict:
+    """Pool entry point for one shard (bound to its inputs by partial).
 
     Runs inside a throwaway metrics scope so serial and forked
     execution leave the parent's process-wide registry in the same
-    state; under ``--profile`` the shard records its own span tree,
+    state; under ``profile`` the shard records its own span tree,
     returned for the parent's in-order fold.
     """
-    spec = _FLEET_SPEC
-    profile = _FLEET_PROFILE
-    prof = spans.SpanProfiler() if profile else None
-    prev = spans.install(prof) if profile else None
-    try:
+    with (spans.profiled() if profile else nullcontext()) as prof:
         with scoped_registry(merge=False):
-            out = _run_shard(spec, shard, _FLEET_PREPARED, _FLEET_ROWS)
-    finally:
-        if profile:
-            prof.finalize()
-            spans.install(prev)
+            out = _run_shard(spec, shard, prepared_map, keep_rows)
     if profile:
         out["spans"] = prof.to_dict()
     return out
@@ -521,11 +524,11 @@ def run_fleet(
             :attr:`FleetResult.degraded`, and the partial statistics
             remain valid for the shards that completed.
 
-    An ambient span profiler (``spans.install``) means "profile every
-    shard": each shard records its own tree and the parent folds them
-    in shard order, byte-identical at any worker count.
+    An ambient span profiler (:func:`~repro.obs.spans.profiled`) means
+    "profile every shard": each shard records its own tree and the
+    parent folds them in shard order, byte-identical at any worker
+    count.
     """
-    global _FLEET_SPEC, _FLEET_PREPARED, _FLEET_PROFILE, _FLEET_ROWS
     parent_prof = spans.current()
     profile = parent_prof is not None
     # Pre-warm every catalog video the population needs: forked workers
@@ -550,24 +553,16 @@ def run_fleet(
             tasks=spec.shards,
         )
 
-    _FLEET_SPEC = spec
-    _FLEET_PREPARED = prepared_map
-    _FLEET_PROFILE = profile
-    _FLEET_ROWS = keep_rows
-    try:
-        outcome = execute(
-            _shard_worker,
-            list(range(spec.shards)),
-            workers=workers,
-            policy=policy,
-            labels=[f"shard {i}" for i in range(spec.shards)],
-            checkpoint=checkpoint,
-        )
-    finally:
-        _FLEET_SPEC = None
-        _FLEET_PREPARED = None
-        _FLEET_PROFILE = False
-        _FLEET_ROWS = False
+    outcome = execute(
+        functools.partial(
+            _shard_worker, spec, prepared_map, keep_rows, profile
+        ),
+        list(range(spec.shards)),
+        workers=workers,
+        policy=policy,
+        labels=[f"shard {i}" for i in range(spec.shards)],
+        checkpoint=checkpoint,
+    )
     if strict and outcome.failures:
         raise ExecutionError(outcome.failures, total=spec.shards)
 

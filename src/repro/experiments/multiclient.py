@@ -21,39 +21,32 @@ event carrying the shared link's lifetime counters, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.build import StackBuilder
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.network.events import SimKernel
 from repro.network.linkmodels import LINK_MODELS
-from repro.network.traces import NetworkTrace, get_trace
+from repro.network.traces import NetworkTrace
 from repro.obs import events as ev
 from repro.player.metrics import SessionMetrics
 from repro.player.session import StreamingSession
 from repro.prep.prepare import PreparedVideo
 
 
-@dataclass
-class ClientSpec:
-    """One client of a multi-client run."""
+def client_label(spec: ScenarioSpec, index: Optional[int] = None) -> str:
+    """A client's row tag: ABR and transport flavour.
 
-    abr: str = "bola"
-    video: str = "bbb"
-    partially_reliable: bool = True  # QUIC* (True) vs plain QUIC (False)
-    buffer_segments: int = 3
-    abr_kwargs: Dict = field(default_factory=dict)
-
-    def label(self, index: Optional[int] = None) -> str:
-        """Human-readable tag; pass the client index to disambiguate
-        clients that share an ABR and transport flavour (table rows
-        would otherwise collide — session ids stay unchanged)."""
-        flavour = "Q*" if self.partially_reliable else "Q"
-        base = f"{self.abr}/{flavour}"
-        return base if index is None else f"{base}#{index}"
+    Pass the client index to disambiguate clients that share an ABR and
+    flavour (table rows would otherwise collide — session ids stay
+    unchanged).
+    """
+    flavour = "Q*" if spec.partially_reliable else "Q"
+    base = f"{spec.abr}/{flavour}"
+    return base if index is None else f"{base}#{index}"
 
 
 @dataclass
@@ -61,7 +54,7 @@ class ClientOutcome:
     """One client's results."""
 
     session_id: str
-    spec: ClientSpec
+    spec: ScenarioSpec
     metrics: SessionMetrics
 
     @property
@@ -98,7 +91,7 @@ class MulticlientResult:
             m = client.metrics
             out.append({
                 "session_id": client.session_id,
-                "label": client.spec.label(i),
+                "label": client_label(client.spec, i),
                 "video": client.spec.video,
                 "mean_ssim": m.mean_ssim,
                 "bitrate_kbps": m.avg_bitrate_kbps,
@@ -110,21 +103,58 @@ class MulticlientResult:
         return out
 
 
-#: The mixed 4-client default: both ABRs, both transport flavours.
+#: The mixed 4-client default: both ABRs, both transport flavours, on
+#: the spec defaults' network (bbb over verizon, seed 0).
 DEFAULT_SPECS = (
-    ClientSpec(abr="abr_star", partially_reliable=True),
-    ClientSpec(abr="bola", partially_reliable=True),
-    ClientSpec(abr="abr_star", partially_reliable=False),
-    ClientSpec(abr="bola", partially_reliable=False),
+    ScenarioSpec(abr="abr_star", reliability="quic*"),
+    ScenarioSpec(abr="bola", reliability="quic*"),
+    ScenarioSpec(abr="abr_star", reliability="quic"),
+    ScenarioSpec(abr="bola", reliability="quic"),
+)
+
+#: Spec fields every client of one shard must agree on: they describe
+#: the one bottleneck (trace weather, queue, RTT, backend, cross
+#: traffic), its fault plan, and the resilience policy that plan is
+#: built for.
+SHARED_FIELDS = (
+    "trace", "seed", "trace_kwargs", "trace_shift_s", "cross_traffic_mbps",
+    "link_mbps_under_cross", "backend", "queue_packets", "base_rtt",
+    "faults", "request_timeout_s", "retry_budget", "retry_backoff_s",
 )
 
 
-def default_session_ids(specs: Sequence[ClientSpec]) -> List[str]:
+def default_session_ids(specs: Sequence[ScenarioSpec]) -> List[str]:
     """The historical per-client session ids: index, ABR, flavour."""
     return [
         f"c{i}-{spec.abr}-{'Qstar' if spec.partially_reliable else 'Q'}"
         for i, spec in enumerate(specs)
     ]
+
+
+def _shared_network(specs: Sequence[ScenarioSpec]) -> ScenarioSpec:
+    """The first client's spec, once every client agrees with it on
+    :data:`SHARED_FIELDS` (``ValueError`` naming the field otherwise).
+
+    Cross traffic is rejected: the clients contend with each other on
+    the shared bottleneck, which carries no separate cross demand.
+    """
+    if not specs:
+        raise ValueError("a multi-client run needs at least one client")
+    first = specs[0]
+    for name in SHARED_FIELDS:
+        value = getattr(first, name)
+        for spec in specs[1:]:
+            if getattr(spec, name) != value:
+                raise ValueError(
+                    f"clients of one shard must share {name}: "
+                    f"{value!r} vs {getattr(spec, name)!r}"
+                )
+    if first.cross_traffic_mbps is not None:
+        raise ValueError(
+            "multi-client runs do not model cross traffic: got "
+            f"cross_traffic_mbps={first.cross_traffic_mbps!r}"
+        )
+    return first
 
 
 @dataclass
@@ -140,7 +170,7 @@ class Shard:
     kernel: SimKernel
     sessions: List[StreamingSession]
     session_ids: List[str]
-    specs: List[ClientSpec]
+    specs: List[ScenarioSpec]
     trace_name: str
     backend: str
     link: Optional[object] = None
@@ -178,10 +208,11 @@ class Shard:
         return [w.value for w in waiters]
 
 
-def _run_fault_plan(specs, trace, seed, faults, prepared_map):
+def _run_fault_plan(specs, trace, prepared_map):
     """Run-level fault plan over the longest client's playback window
     (mirrors StackBuilder.fault_plan); None when no faults configured."""
-    if not faults:
+    network = specs[0]
+    if not network.faults:
         return None
     from repro.faults import FaultSpec, build_plan
     from repro.prep.prepare import get_prepared
@@ -195,39 +226,46 @@ def _run_fault_plan(specs, trace, seed, faults, prepared_map):
         trace.duration, max(_duration(s.video) for s in specs)
     )
     return build_plan(
-        FaultSpec.from_dict(faults), horizon=horizon, scenario_seed=seed
+        FaultSpec.from_dict(network.faults), horizon=horizon,
+        scenario_seed=network.seed,
     )
 
 
 def build_shard(
-    specs: Sequence[ClientSpec],
-    trace: NetworkTrace,
+    specs: Sequence[ScenarioSpec],
+    network_trace: Optional[NetworkTrace] = None,
     *,
-    trace_name: str = "custom",
-    seed: int = 0,
-    queue_packets: int = 32,
-    base_rtt: float = 0.060,
-    backend: str = "round",
     tracer=None,
     prepared_map: Optional[Dict[str, PreparedVideo]] = None,
-    faults: Optional[Dict] = None,
-    request_timeout_s: Optional[float] = None,
-    retry_budget: int = 3,
-    retry_backoff_s: float = 0.5,
     session_ids: Optional[Sequence[str]] = None,
 ) -> Shard:
     """Assemble one shared-substrate cell: kernel, bottleneck, sessions.
 
-    This is the substrate assembly historically inlined in
-    :func:`run_multiclient`, extracted so the fleet executor can build
-    many cells — each with its own kernel, trace weather, and fault
-    plan — from one code path.  ``session_ids`` overrides the default
-    ``c{i}-...`` ids (fleet shards need globally unique ids so the
-    hash-keyed rollup sampling stays a pure function of the id).
+    One :class:`~repro.core.spec.ScenarioSpec` per client.  The clients
+    share one bottleneck, so they must agree on :data:`SHARED_FIELDS`;
+    its capacity is the specs' trace, resolved as
+    :meth:`~repro.core.build.StackBuilder.resolve_trace` does (name,
+    seed, kwargs, shift).  An explicit ``network_trace`` replaces it
+    as is; the specs must then name it (``trace`` equal to the
+    object's ``name``), so every stamped ``spec_hash`` and the
+    reported ``trace_name`` describe the link that ran.  The fleet
+    executor builds many cells — each with its own kernel, trace
+    weather, and fault plan — through this one code path.
+    ``session_ids`` overrides the default ``c{i}-...`` ids (fleet
+    shards need globally unique ids so the hash-keyed rollup sampling
+    stays a pure function of the id).
     """
-    if not specs:
-        raise ValueError("a multi-client run needs at least one client")
-    run_plan = _run_fault_plan(specs, trace, seed, faults, prepared_map)
+    network = _shared_network(specs)
+    if network_trace is None:
+        trace = StackBuilder(network).resolve_trace()
+    elif network_trace.name != network.trace:
+        raise ValueError(
+            f"clients name trace {network.trace!r} but the explicit "
+            f"network_trace is {network_trace.name!r}"
+        )
+    else:
+        trace = network_trace
+    run_plan = _run_fault_plan(specs, trace, prepared_map)
     if run_plan is not None:
         from repro.faults import FaultedTrace
 
@@ -236,21 +274,22 @@ def build_shard(
     kernel = SimKernel()
     shared_link = None
     shared_router = None
+    backend = network.backend
     # The shared bottleneck all clients contend for, from the link-model
     # registry: the round backend shares one fluid BottleneckLink, the
     # packet backend one droptail router on the kernel's event loop.
     if backend == "round":
         shared_link = LINK_MODELS.get("droptail")(
             trace,
-            queue_packets=queue_packets,
-            base_rtt=base_rtt,
+            queue_packets=network.queue_packets,
+            base_rtt=network.base_rtt,
         )
         if run_plan is not None:
             shared_link.fault_plan = run_plan
     elif backend == "packet":
         shared_router = LINK_MODELS.get("packet-router")(
-            kernel, trace, queue_packets=queue_packets,
-            propagation_s=base_rtt / 2.0,
+            kernel, trace, queue_packets=network.queue_packets,
+            propagation_s=network.base_rtt / 2.0,
         )
         if run_plan is not None:
             shared_router.fault_plan = run_plan
@@ -264,41 +303,24 @@ def build_shard(
             f"{len(session_ids)} session ids for {len(specs)} clients"
         )
 
-    sessions: List[StreamingSession] = []
-    for spec, session_id in zip(specs, session_ids):
-        scenario = ScenarioSpec(
-            video=spec.video,
-            abr=spec.abr,
-            abr_kwargs=dict(spec.abr_kwargs),
-            trace=trace_name,
-            seed=seed,
-            reliability=reliability_mode(spec.partially_reliable),
-            buffer_segments=spec.buffer_segments,
-            queue_packets=queue_packets,
-            base_rtt=base_rtt,
-            backend=backend,
-            faults=faults,
-            request_timeout_s=request_timeout_s,
-            retry_budget=retry_budget,
-            retry_backoff_s=retry_backoff_s,
+    sessions: List[StreamingSession] = [
+        StackBuilder(spec, prepared_map=prepared_map).build(
+            network_trace=trace,
+            link=shared_link,
+            tracer=tracer,
+            clock=kernel.clock,
+            session_id=session_id,
+            scheduler=kernel if backend == "packet" else None,
+            router=shared_router,
         )
-        sessions.append(
-            StackBuilder(scenario, prepared_map=prepared_map).build(
-                network_trace=trace,
-                link=shared_link,
-                tracer=tracer,
-                clock=kernel.clock,
-                session_id=session_id,
-                scheduler=kernel if backend == "packet" else None,
-                router=shared_router,
-            )
-        )
+        for spec, session_id in zip(specs, session_ids)
+    ]
     return Shard(
         kernel=kernel,
         sessions=sessions,
         session_ids=list(session_ids),
         specs=list(specs),
-        trace_name=trace_name,
+        trace_name=network.trace,
         backend=backend,
         link=shared_link,
         router=shared_router,
@@ -307,43 +329,30 @@ def build_shard(
 
 
 def run_multiclient(
-    specs: Sequence[ClientSpec] = DEFAULT_SPECS,
-    trace: Union[str, NetworkTrace] = "verizon",
-    seed: int = 0,
-    queue_packets: int = 32,
-    base_rtt: float = 0.060,
-    backend: str = "round",
+    specs: Sequence[ScenarioSpec] = DEFAULT_SPECS,
+    network_trace: Optional[NetworkTrace] = None,
     tracer=None,
     prepared_map: Optional[Dict[str, PreparedVideo]] = None,
-    faults: Optional[Dict] = None,
-    request_timeout_s: Optional[float] = None,
-    retry_budget: int = 3,
-    retry_backoff_s: float = 0.5,
     observers: Optional[Sequence] = None,
     session_ids: Optional[Sequence[str]] = None,
 ) -> MulticlientResult:
     """Run N concurrent streaming sessions on one shared bottleneck.
 
     Args:
-        specs: one :class:`ClientSpec` per client (>= 1).
-        trace: bottleneck capacity trace (name or instance).  All
-            clients contend for this one link.
-        seed: trace seed; the whole run is a pure function of
-            (specs, trace, seed) — same inputs, byte-identical traces.
-        queue_packets: shared droptail queue size.
-        base_rtt: propagation RTT of the shared path.
-        backend: ``"round"`` (shared :class:`BottleneckLink`) or
-            ``"packet"`` (shared :class:`PacketRouter`, much slower).
+        specs: one :class:`~repro.core.spec.ScenarioSpec` per client
+            (>= 1).  Per-client fields (video, ABR, reliability,
+            buffer, ...) may differ; the :data:`SHARED_FIELDS` describe
+            the one bottleneck and must agree.  The whole run is a pure
+            function of the specs — same inputs, byte-identical traces.
+            Substrate faults (blackouts, loss, latency) hit the shared
+            bottleneck once — every client feels the same weather —
+            while resets/deadlines act per connection.
+        network_trace: explicit capacity trace replacing the specs'
+            resolved one (all clients contend for this one link); the
+            specs' ``trace`` must equal its ``name``.
         tracer: optional shared tracer; events are tagged per session.
         prepared_map: video name -> PreparedVideo, for videos outside
             the catalog (fixtures, benchmarks).
-        faults: run-level :class:`~repro.faults.spec.FaultSpec` dict;
-            substrate faults (blackouts, loss, latency) hit the shared
-            bottleneck once — every client feels the same weather —
-            while resets/deadlines act per connection.
-        request_timeout_s / retry_budget / retry_backoff_s: every
-            client's resilience policy (see
-            :class:`~repro.player.session.SessionConfig`).
         observers: trace-event callbacks (fleet rollups, attributors,
             auditors).  Attached to ``tracer`` when one is given;
             otherwise a buffer-less
@@ -362,33 +371,18 @@ def run_multiclient(
             tracer = StreamingTracer()
         for observer in observers:
             tracer.add_observer(observer)
-    if isinstance(trace, str):
-        trace_name = trace
-        trace = get_trace(trace, seed=seed)
-    else:
-        trace_name = getattr(trace, "name", "custom")
-
     shard = build_shard(
         specs,
-        trace,
-        trace_name=trace_name,
-        seed=seed,
-        queue_packets=queue_packets,
-        base_rtt=base_rtt,
-        backend=backend,
+        network_trace,
         tracer=tracer,
         prepared_map=prepared_map,
-        faults=faults,
-        request_timeout_s=request_timeout_s,
-        retry_budget=retry_budget,
-        retry_backoff_s=retry_backoff_s,
         session_ids=session_ids,
     )
     metrics = shard.run()
     clients = [
         ClientOutcome(session_id=sid, spec=spec, metrics=m)
-        for sid, spec, m in zip(shard.session_ids, specs, metrics)
+        for sid, spec, m in zip(shard.session_ids, shard.specs, metrics)
     ]
     return MulticlientResult(
-        clients=clients, trace_name=trace_name, backend=backend
+        clients=clients, trace_name=shard.trace_name, backend=shard.backend
     )

@@ -1,15 +1,17 @@
 """Experiment runner (§5, "Experiments").
 
-An *experiment* streams one video under a fixed configuration — ABR
-algorithm, buffer size, video, network trace, transport flavour — and is
-repeated (30 times in the paper) with the trace linearly shifted by
+An *experiment* streams one video under a fixed
+:class:`~repro.core.spec.ScenarioSpec` — ABR algorithm, buffer size,
+video, network trace, transport flavour — and is repeated
+(``repetitions``; 30 in the paper) with the trace linearly shifted by
 ``d/reps`` seconds per repetition to probe the interaction between
 throughput variations and VBR segment-size variations.  Aggregates follow
 the paper: 90th percentile and standard error of bufRatio, means of
 average bitrates, CDFs of per-segment scores.
 
 Repetitions are independent simulations, so :func:`run_trials` can fan
-them out over worker processes (``workers=K``).  Parallel execution is
+them out over worker processes (``workers=K``) through
+:func:`~repro.experiments.execution.execute`.  Parallel execution is
 *deterministic*: each repetition runs inside its own metrics scope (in
 both modes) and the parent folds the per-repetition registries back in
 repetition order, so aggregates, metrics dumps, and traces are
@@ -18,93 +20,34 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
 import copy
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.build import StackBuilder
+from repro.core.spec import ScenarioSpec
 from repro.experiments.execution import (
     ExecutionError,
     execute,
     validate_workers,
 )
-from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.network.traces import NetworkTrace, get_trace
 from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry, get_registry, scoped_registry
-from repro.obs.profiling import enable_profiling, profiling_enabled, timed
+from repro.obs.profiling import timed
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
 from repro.prep.prepare import PreparedVideo, get_prepared
 
 
 @dataclass
-class ExperimentConfig:
-    """One cell of the paper's evaluation matrix.
-
-    The historical imperative twin of :class:`ScenarioSpec`;
-    :meth:`to_scenario` converts losslessly, and every runner entry
-    point accepts either form.
-    """
-
-    video: str = "bbb"
-    abr: str = "bola"
-    trace: str = "verizon"
-    buffer_segments: int = 3
-    partially_reliable: bool = True
-    repetitions: int = 30
-    seed: int = 0
-    cross_traffic_mbps: Optional[float] = None
-    link_mbps_under_cross: float = 20.0
-    queue_packets: Optional[int] = 32
-    force_reliable_payload: bool = False
-    selective_retransmission: bool = True
-    abr_kwargs: Dict = field(default_factory=dict)
-
-    def label(self) -> str:
-        pr = "Q*" if self.partially_reliable else "Q"
-        return f"{self.video}/{self.abr}/{pr}/{self.trace}/buf{self.buffer_segments}"
-
-    def to_scenario(self, shift_s: float = 0.0) -> ScenarioSpec:
-        """The equivalent declarative spec (``shift_s`` = trace shift)."""
-        return ScenarioSpec(
-            video=self.video,
-            abr=self.abr,
-            abr_kwargs=dict(self.abr_kwargs),
-            trace=self.trace,
-            seed=self.seed,
-            trace_shift_s=shift_s,
-            cross_traffic_mbps=self.cross_traffic_mbps,
-            link_mbps_under_cross=self.link_mbps_under_cross,
-            reliability=reliability_mode(
-                self.partially_reliable, self.force_reliable_payload
-            ),
-            buffer_segments=self.buffer_segments,
-            queue_packets=self.queue_packets,
-            selective_retransmission=self.selective_retransmission,
-            repetitions=self.repetitions,
-        )
-
-
-def _as_scenario(config, shift_s: float = 0.0) -> ScenarioSpec:
-    """Normalize an ExperimentConfig or ScenarioSpec to a shifted spec."""
-    if isinstance(config, ScenarioSpec):
-        if shift_s:
-            return config.with_(
-                trace_shift_s=config.trace_shift_s + shift_s
-            )
-        return config
-    return config.to_scenario(shift_s=shift_s)
-
-
-@dataclass
 class TrialSummary:
     """Aggregate of the repetitions of one experiment."""
 
-    config: ExperimentConfig
+    config: ScenarioSpec
     sessions: List[SessionMetrics]
     # Metrics-registry dump scoped to this trial's sessions only (no
     # bleed-over from earlier trials in the process); None when the
@@ -156,27 +99,27 @@ class TrialSummary:
         }
 
 
-def _resolve_trace(config) -> NetworkTrace:
-    """The unshifted capacity trace of a config or spec (duck-typed)."""
-    if config.cross_traffic_mbps is not None:
-        return get_trace(f"constant:{config.link_mbps_under_cross}")
-    return get_trace(config.trace, seed=config.seed)
+def _resolve_trace(spec: ScenarioSpec) -> NetworkTrace:
+    """The unshifted capacity trace of a spec."""
+    if spec.cross_traffic_mbps is not None:
+        return get_trace(f"constant:{spec.link_mbps_under_cross}")
+    return get_trace(spec.trace, seed=spec.seed)
 
 
 def run_single(
-    config,
+    spec: ScenarioSpec,
     shift_s: float = 0.0,
     prepared: Optional[PreparedVideo] = None,
     trace: Optional[NetworkTrace] = None,
     tracer=None,
 ) -> SessionMetrics:
-    """Run one streaming session for the configuration.
+    """Run one streaming session of ``spec``, its trace shifted by ``shift_s``.
 
-    ``config`` is an :class:`ExperimentConfig` or a
-    :class:`~repro.core.spec.ScenarioSpec`; either way the stack is
-    assembled by the :class:`~repro.core.build.StackBuilder`.
+    The stack is assembled by the :class:`~repro.core.build.StackBuilder`;
+    an explicit ``trace`` replaces the spec's named one.
     """
-    spec = _as_scenario(config, shift_s=shift_s)
+    if shift_s:
+        spec = spec.with_(trace_shift_s=spec.trace_shift_s + shift_s)
     get_registry().counter(
         "experiments.sessions", abr=spec.abr, trace=spec.trace
     ).inc()
@@ -190,7 +133,7 @@ def run_single(
 
 
 def _rep_session(
-    config,
+    spec: ScenarioSpec,
     shift_s: float,
     prepared: PreparedVideo,
     trace: NetworkTrace,
@@ -210,11 +153,9 @@ def _rep_session(
     buffer-less :class:`StreamingTracer`, so fleet rollups cost no
     per-event history.
     """
-    prof = spans.SpanProfiler() if profile else None
-    prev = spans.install(prof) if profile else None
-    try:
-        # Install the profiler before building tracer + stack: hot
-        # components capture it at construction.
+    # The profiler is installed before the tracer and the stack are
+    # built: hot components capture it at construction.
+    with (spans.profiled() if profile else nullcontext()) as prof:
         if collect_trace:
             tracer = Tracer(observers=observers)
         elif observers:
@@ -223,28 +164,11 @@ def _rep_session(
             tracer = None
         with scoped_registry(merge=False) as registry:
             metrics = run_single(
-                config, shift_s=shift_s, prepared=prepared, trace=trace,
+                spec, shift_s=shift_s, prepared=prepared, trace=trace,
                 tracer=tracer,
             )
-    finally:
-        if profile:
-            prof.finalize()
-            spans.install(prev)
     jsonl = tracer.to_jsonl() if collect_trace else None
     return metrics, registry, jsonl, (prof.to_dict() if profile else None)
-
-
-#: Prepared video handed to fork()ed workers via inheritance: non-catalog
-#: videos (test fixtures, benchmarks) cannot be re-prepared by name in
-#: the child, and pickling a PreparedVideo per task would dwarf the
-#: simulation itself.
-_PARALLEL_PREPARED: Optional[PreparedVideo] = None
-
-#: Mergeable observer algebra handed to fork()ed workers the same way:
-#: ``(state_object, bound_method_name_or_None)`` per observer.  Workers
-#: deep-copy the objects (fork-snapshot state), feed their repetition,
-#: and ship ``to_dict()`` states back for the parent to fold.
-_PARALLEL_OBSERVERS: Optional[List[Tuple[object, Optional[str]]]] = None
 
 
 def _observer_algebra(
@@ -270,86 +194,8 @@ def _observer_algebra(
     return None
 
 
-def _trial_worker(
-    task: Tuple[ExperimentConfig, float, bool, bool, bool],
-) -> Tuple[SessionMetrics, MetricsRegistry, Optional[str], Optional[Dict],
-           Optional[List[Dict]]]:
-    """Process-pool entry point for one repetition.
-
-    The task tuple carries the parent's profiling state explicitly:
-    fork() snapshots module globals at *pool creation*, so a flag
-    flipped after the pool warmed up (or a ``forkserver``/``spawn``
-    context someday) would silently strip ``--profile`` from every
-    worker.  Re-applying it per task makes propagation unconditional.
-
-    Mergeable observers ride the ``_PARALLEL_OBSERVERS`` global: the
-    worker deep-copies each state object (isolating this repetition
-    from its siblings), rebuilds the bound callback on the copy, and
-    returns the serialized states for the parent's in-order fold.
-    """
-    config, shift_s, collect_trace, timers, profile = task
-    enable_profiling(timers)
-    prepared = _PARALLEL_PREPARED
-    if prepared is None or prepared.video.name != config.video:
-        prepared = get_prepared(config.video)
-    trace = _resolve_trace(config)
-    observers = None
-    algebra = None
-    if _PARALLEL_OBSERVERS:
-        algebra = [copy.deepcopy(obj) for obj, _ in _PARALLEL_OBSERVERS]
-        observers = [
-            obj if attr is None else getattr(obj, attr)
-            for obj, (_, attr) in zip(algebra, _PARALLEL_OBSERVERS)
-        ]
-    metrics, registry, jsonl, prof_state = _rep_session(
-        config, shift_s, prepared, trace, collect_trace, observers,
-        profile=profile,
-    )
-    states = (
-        [obj.to_dict() for obj in algebra] if algebra is not None else None
-    )
-    return metrics, registry, jsonl, prof_state, states
-
-
-def fork_map(
-    worker,
-    tasks: Sequence,
-    workers: int,
-    labels: Optional[Sequence[str]] = None,
-) -> List:
-    """Fan ``tasks`` out over fork()ed workers, results in task order.
-
-    fork() children inherit the parent's memory snapshot (prepared-video
-    caches, module globals), so inputs are identical to an in-process
-    run; mapping preserves order, so folding results is deterministic.
-    With ``workers=1`` the tasks run serially in-process through the
-    same worker function — the degenerate case every caller's
-    byte-identity claim is anchored to.  ``workers`` must be a positive
-    integer; the effective pool size is capped at ``len(tasks)`` (extra
-    workers would only idle — the cap is visible in
-    :attr:`~repro.experiments.execution.MapOutcome.effective_workers`
-    for callers that go through :func:`execute` directly).
-
-    Execution is supervised (see :mod:`repro.experiments.execution`):
-    crashed, hung, or corrupted workers are retried and, if they keep
-    failing, the error names the failing task by label instead of
-    raising ``BrokenProcessPool``.  Shared machinery of
-    :func:`run_trials`, the sweep/chaos engines, and the fleet
-    executor; engines that need checkpoints or graceful degradation
-    call :func:`~repro.experiments.execution.execute` themselves.
-    """
-    outcome = execute(worker, tasks, workers=workers, labels=labels)
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, total=len(outcome.results))
-    return outcome.results
-
-
-#: Back-compat alias (pre-fleet name).
-_fork_map = fork_map
-
-
 def run_trials(
-    config,
+    spec: ScenarioSpec,
     prepared: Optional[PreparedVideo] = None,
     workers: int = 1,
     collect_traces: bool = False,
@@ -358,8 +204,8 @@ def run_trials(
     """Run all repetitions with per-repetition trace shifting.
 
     Args:
-        config: the experiment cell (:class:`ExperimentConfig` or
-            :class:`~repro.core.spec.ScenarioSpec`).
+        spec: the experiment cell; ``spec.repetitions`` sessions run,
+            the trace shifted by ``d/reps`` seconds per repetition.
         prepared: pre-analyzed video (looked up by name if omitted).
         workers: worker processes; ``1`` runs serially in-process.  Any
             K produces byte-identical summaries (sessions, metrics dump,
@@ -380,9 +226,8 @@ def run_trials(
             Plain callables without the algebra still require
             ``workers=1``.
     """
-    global _PARALLEL_PREPARED, _PARALLEL_OBSERVERS
     workers = validate_workers(workers)
-    parallel_algebra: Optional[List[Tuple[object, Optional[str]]]] = None
+    algebra: Optional[List[Tuple[object, Optional[str]]]] = None
     if observers and workers > 1:
         resolved = [_observer_algebra(observer) for observer in observers]
         if any(entry is None for entry in resolved):
@@ -398,11 +243,11 @@ def run_trials(
                 "merge/to_dict/from_dict to fold across workers; "
                 f"non-mergeable: {', '.join(bad)}"
             )
-        parallel_algebra = resolved
+        algebra = resolved
     if prepared is None:
-        prepared = get_prepared(config.video)
-    trace = _resolve_trace(config)
-    reps = max(config.repetitions, 1)
+        prepared = get_prepared(spec.video)
+    trace = _resolve_trace(spec)
+    reps = spec.repetitions
     shift_step = trace.duration / reps
     shifts = [i * shift_step for i in range(reps)]
 
@@ -413,37 +258,36 @@ def run_trials(
     parent_prof = spans.current()
     profile = parent_prof is not None
 
+    def repetition(shift: float):
+        if algebra is None:
+            return (*_rep_session(spec, shift, prepared, trace,
+                                  collect_traces, observers, profile),
+                    None)
+        # A forked repetition feeds private copies of the observer
+        # state and ships the serialized states back for the fold.
+        states = [copy.deepcopy(obj) for obj, _ in algebra]
+        callbacks = [
+            obj if attr is None else getattr(obj, attr)
+            for obj, (_, attr) in zip(states, algebra)
+        ]
+        outcome = _rep_session(spec, shift, prepared, trace,
+                               collect_traces, callbacks, profile)
+        return (*outcome, [obj.to_dict() for obj in states])
+
     # Each trial runs inside its own registry scope so its metrics dump
     # reflects only these sessions; the scope merges back into the
     # parent on exit, keeping process-wide totals intact.
     with scoped_registry() as registry:
         if workers == 1:
-            outcomes = [
-                (*_rep_session(config, shift, prepared, trace,
-                               collect_traces, observers, profile=profile),
-                 None)
-                for shift in shifts
-            ]
+            outcomes = [repetition(shift) for shift in shifts]
         else:
-            # fork() workers inherit the prepared video (and any other
-            # process state) by memory snapshot — cheap, and identical
-            # inputs to the serial path.
-            _PARALLEL_PREPARED = prepared
-            _PARALLEL_OBSERVERS = parallel_algebra
-            try:
-                outcomes = fork_map(
-                    _trial_worker,
-                    [
-                        (config, shift, collect_traces,
-                         profiling_enabled(), profile)
-                        for shift in shifts
-                    ],
-                    workers,
-                    labels=[f"repetition {i}" for i in range(reps)],
-                )
-            finally:
-                _PARALLEL_PREPARED = None
-                _PARALLEL_OBSERVERS = None
+            outcome = execute(
+                repetition, shifts, workers=workers,
+                labels=[f"repetition {i}" for i in range(reps)],
+            )
+            if outcome.failures:
+                raise ExecutionError(outcome.failures, total=reps)
+            outcomes = outcome.results
         sessions = []
         traces: List[str] = []
         for metrics, rep_registry, jsonl, prof_state, states in outcomes:
@@ -451,16 +295,16 @@ def run_trials(
             registry.merge(rep_registry)
             if jsonl is not None:
                 traces.append(jsonl)
-            if prof_state is not None and parent_prof is not None:
+            if prof_state is not None:
                 parent_prof.merge_dict(prof_state)
-            if states and parallel_algebra:
+            if states is not None:
                 # Fold each repetition's observer state into the
                 # caller's live objects, in repetition order.
-                for (obj, _attr), state in zip(parallel_algebra, states):
+                for (obj, _attr), state in zip(algebra, states):
                     obj.merge(type(obj).from_dict(state))
         metrics_dump = registry.dump()
     return TrialSummary(
-        config=config,
+        config=spec,
         sessions=sessions,
         metrics=metrics_dump,
         traces=traces if collect_traces else None,
@@ -468,17 +312,19 @@ def run_trials(
 
 
 def compare(
-    base: ExperimentConfig,
+    base: ScenarioSpec,
     variants: Dict[str, Dict],
     prepared: Optional[PreparedVideo] = None,
     workers: int = 1,
 ) -> Dict[str, TrialSummary]:
-    """Run several variants of a base configuration.
+    """Run several variants of a base scenario.
 
-    ``variants`` maps a label to field overrides of the base config.
+    ``variants`` maps a label to field overrides of ``base``
+    (:meth:`~repro.core.spec.ScenarioSpec.with_`).
     """
-    out: Dict[str, TrialSummary] = {}
-    for label, overrides in variants.items():
-        config = replace(base, **overrides)
-        out[label] = run_trials(config, prepared=prepared, workers=workers)
-    return out
+    return {
+        label: run_trials(
+            base.with_(**overrides), prepared=prepared, workers=workers
+        )
+        for label, overrides in variants.items()
+    }

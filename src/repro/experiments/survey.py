@@ -159,7 +159,8 @@ def fig14_survey(
     throughput as low as 0.3 Mbps", §5.3), streamed once with VOXEL and
     once with BOLA over plain QUIC.
     """
-    from repro.experiments.runner import ExperimentConfig, run_single
+    from repro.core.spec import ScenarioSpec
+    from repro.experiments.runner import run_single
     from repro.network.traces import riiser_3g_corpus
     from repro.prep.prepare import get_prepared
 
@@ -167,7 +168,7 @@ def fig14_survey(
     traces = riiser_3g_corpus(count=clips, seed=seed)
     voxel_sessions = [
         run_single(
-            ExperimentConfig(
+            ScenarioSpec(
                 video=video, abr="abr_star",
                 buffer_segments=buffer_segments, repetitions=1,
             ),
@@ -177,8 +178,8 @@ def fig14_survey(
     ]
     bola_sessions = [
         run_single(
-            ExperimentConfig(
-                video=video, abr="bola", partially_reliable=False,
+            ScenarioSpec(
+                video=video, abr="bola", reliability="quic",
                 buffer_segments=buffer_segments, repetitions=1,
             ),
             prepared=prepared, trace=trace,

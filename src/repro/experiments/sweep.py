@@ -6,10 +6,11 @@ describes such a grid declaratively (base field overrides, per-field
 value lists, plus explicit extra scenarios), :meth:`SweepSpec.expand`
 turns it into concrete :class:`~repro.core.spec.ScenarioSpec` cells
 (deduplicated by content hash), and :func:`run_sweep` executes every
-cell through the experiment runner — fanned out over fork() workers by
-the same machinery :func:`~repro.experiments.runner.run_trials` uses,
-with results folded in grid order so any worker count produces
-byte-identical output.
+cell through the experiment runner.  :func:`_run_cells` is the cell
+engine underneath — validation, checkpoints, rollups, profiling and
+the fan-out over :func:`~repro.experiments.execution.execute` — shared
+with the chaos sweep, with results folded in grid order so any worker
+count produces byte-identical output.
 
 Each scenario yields one JSONL row keyed by the spec's stable content
 hash — the same hash the session stamps into its trace header
@@ -30,8 +31,9 @@ import hashlib
 import itertools
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
@@ -41,12 +43,11 @@ from repro.experiments.execution import (
     ExecutionPolicy,
     execute,
 )
-from repro.experiments.runner import TrialSummary, run_trials
+from repro.experiments.runner import run_trials
 from repro.obs import spans as _spans
 from repro.obs.attribution import FleetAttributor
 from repro.obs.ledger import build_ledger
 from repro.obs.metrics import scoped_registry
-from repro.obs.profiling import enable_profiling, profiling_enabled
 from repro.obs.rollup import TraceRollup
 from repro.prep.prepare import PreparedVideo, get_prepared
 
@@ -144,85 +145,27 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-#: Prepared videos for fork()ed sweep workers, inherited via the fork
-#: memory snapshot: non-catalog videos (test fixtures) cannot be
-#: re-prepared by name in a child process.
-_SWEEP_PREPARED_MAP: Optional[Dict[str, PreparedVideo]] = None
-
-#: ``(sample_rate, sample_seed)`` when the sweep collects streaming
-#: rollups; inherited by fork()ed workers like the prepared map.  The
-#: sampling decision is a pure hash of the session identity, so any
-#: worker partitioning rolls up the same sessions.
-_SWEEP_ROLLUP: Optional[Tuple[float, int]] = None
-
-#: ``(profile, timers)`` snapshot for workers.  fork() freezes module
-#: globals at pool creation, so each worker re-applies the timer flag
-#: explicitly and decides from ``profile`` whether to build a per-cell
-#: span profiler (satellite: ``--profile`` must not be a silent no-op
-#: at ``workers>1``).
-_SWEEP_PROFILE: Optional[Tuple[bool, bool]] = None
-
-
-def _scenario_row(spec: ScenarioSpec, summary: TrialSummary) -> Dict:
-    """One JSONL result row, keyed by the spec's content hash."""
+def _identity(spec: ScenarioSpec) -> Dict:
+    """The keys that name a sweep row's cell."""
     return {
         "spec_hash": spec.spec_hash(),
         "label": spec.label(),
         "spec": spec.to_dict(),
-        "summary": dict(
-            summary.row(), repetitions=len(summary.sessions)
-        ),
     }
 
 
-def _sweep_worker(spec: ScenarioSpec) -> Dict:
-    """Run one cell: all its repetitions, in an isolated metrics scope.
-
-    Both the serial and the forked path run exactly this function, so
-    any worker count computes identical rows (the scope also keeps
-    sweep cells from polluting the process-wide metrics registry, just
-    as a fork()ed child's registry dies with the child).
-    """
-    profile, timers = (
-        _SWEEP_PROFILE
-        if _SWEEP_PROFILE is not None
-        else (False, profiling_enabled())
+def _trials_cell(
+    spec: ScenarioSpec,
+    prepared: Optional[PreparedVideo],
+    observers: List,
+) -> Dict:
+    """A sweep cell's body: all its repetitions, summarized."""
+    summary = run_trials(
+        spec, prepared=prepared, workers=1, observers=observers
     )
-    enable_profiling(timers)
-    prepared = None
-    if _SWEEP_PREPARED_MAP is not None:
-        prepared = _SWEEP_PREPARED_MAP.get(spec.video)
-    rollup = fleet = observers = None
-    if _SWEEP_ROLLUP is not None:
-        rate, seed = _SWEEP_ROLLUP
-        rollup = TraceRollup(sample_rate=rate, sample_seed=seed)
-        fleet = FleetAttributor()
-        observers = [rollup.feed, fleet.feed]
-    # Install the cell profiler before any component is built: spans
-    # capture their profiler at construction time.
-    prof = _spans.SpanProfiler() if profile else None
-    prev = _spans.install(prof) if profile else None
-    t0 = time.perf_counter()
-    try:
-        with scoped_registry(merge=False):
-            summary = run_trials(
-                spec, prepared=prepared, workers=1, observers=observers
-            )
-    finally:
-        if profile:
-            prof.finalize()
-            _spans.install(prev)
-    wall_s = time.perf_counter() - t0
-    row = _scenario_row(spec, summary)
-    if rollup is not None:
-        row["rollup"] = rollup.to_dict()
-        row["attribution"] = fleet.combined().to_dict()
-    if profile:
-        row["ledger"] = build_ledger(
-            prof, wall_s, label=spec.label(),
-            spec_hash=spec.spec_hash(), meta=False,
-        )
-    return row
+    return {
+        "summary": dict(summary.row(), repetitions=len(summary.sessions))
+    }
 
 
 def sweep_run_key(
@@ -251,17 +194,105 @@ def sweep_run_key(
     return f"{kind}:{digest.hexdigest()[:16]}"
 
 
-def _degraded_row(spec: ScenarioSpec, failure) -> Dict:
-    """The row of a cell that exhausted its retry budget."""
-    return {
-        "spec_hash": spec.spec_hash(),
-        "label": spec.label(),
-        "spec": spec.to_dict(),
-        "degraded": {
-            "attempts": failure.attempts,
-            "causes": list(failure.causes),
-        },
-    }
+def _run_cells(
+    specs: Sequence[ScenarioSpec],
+    body: Callable[[ScenarioSpec, Optional[PreparedVideo], List], Dict],
+    *,
+    kind: str,
+    identities: Sequence[Dict],
+    labels: Sequence[str],
+    workers: int = 1,
+    prepared_map: Optional[Dict[str, PreparedVideo]] = None,
+    rollup: bool = False,
+    sample_rate: float = 1.0,
+    sample_seed: int = 0,
+    profile: bool = False,
+    policy: Optional[ExecutionPolicy] = None,
+    checkpoint_dir: Optional[str] = None,
+    strict: bool = True,
+) -> List[Dict]:
+    """The cell engine under :func:`run_sweep` and the chaos sweep.
+
+    Validates every cell and pre-warms the catalog videos, then runs
+    ``body(spec, prepared, observers)`` per cell through
+    :func:`~repro.experiments.execution.execute`, each cell in an
+    isolated metrics scope (as a forked child's registry dies with the
+    child), so any worker count computes identical rows.  A row is the
+    cell's ``identities`` entry plus the body's keys, plus ``rollup``
+    and ``attribution`` (a streaming rollup and causal attributor
+    handed to the body as ``observers``) under ``rollup`` and a
+    ``ledger`` under ``profile``.  ``kind`` names the checkpoint spool
+    (:func:`sweep_run_key`); ``labels`` name the cells in failures.
+    A cell that exhausts its retry budget raises under ``strict`` and
+    otherwise yields its identity plus a ``degraded`` block.
+    """
+    specs = list(specs)
+    for spec in specs:
+        StackBuilder(spec, prepared_map=prepared_map).validate()
+    # Pre-warm the catalog cache so fork()ed workers inherit every
+    # prepared video by memory snapshot instead of re-preparing.
+    for video in dict.fromkeys(spec.video for spec in specs):
+        if prepared_map is None or video not in prepared_map:
+            get_prepared(video)
+    checkpoint = None
+    if checkpoint_dir is not None:
+        checkpoint = CheckpointStore(
+            checkpoint_dir,
+            run_key=sweep_run_key(
+                specs, rollup=rollup, sample_rate=sample_rate,
+                sample_seed=sample_seed, profile=profile, kind=kind,
+            ),
+            tasks=len(specs),
+        )
+
+    def cell(index: int) -> Dict:
+        spec = specs[index]
+        prepared = (prepared_map or {}).get(spec.video)
+        observers: List = []
+        if rollup:
+            trace_rollup = TraceRollup(
+                sample_rate=sample_rate, sample_seed=sample_seed
+            )
+            fleet = FleetAttributor()
+            observers = [trace_rollup.feed, fleet.feed]
+        t0 = time.perf_counter()
+        # The cell profiler is installed before the body builds any
+        # component: spans capture their profiler at construction.
+        with (_spans.profiled() if profile else nullcontext()) as prof:
+            with scoped_registry(merge=False):
+                result = body(spec, prepared, observers)
+        wall_s = time.perf_counter() - t0
+        row = dict(identities[index], **result)
+        if rollup:
+            row["rollup"] = trace_rollup.to_dict()
+            row["attribution"] = fleet.combined().to_dict()
+        if profile:
+            row["ledger"] = build_ledger(
+                prof, wall_s, label=spec.label(),
+                spec_hash=spec.spec_hash(), meta=False,
+            )
+        return row
+
+    outcome = execute(
+        cell,
+        range(len(specs)),
+        workers=workers,
+        policy=policy,
+        labels=labels,
+        checkpoint=checkpoint,
+    )
+    if strict and outcome.failures:
+        raise ExecutionError(outcome.failures, total=len(specs))
+    rows = list(outcome.results)
+    for failure in outcome.failures:
+        rows[failure.index] = dict(
+            identities[failure.index],
+            degraded={
+                "attempts": failure.attempts,
+                "causes": list(failure.causes),
+            },
+        )
+    return rows
 
 
 def run_sweep(
@@ -315,49 +346,14 @@ def run_sweep(
         spec's stable content hash.
     """
     specs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
-    for spec in specs:
-        StackBuilder(spec, prepared_map=prepared_map).validate()
-    # Pre-warm the catalog cache so fork()ed workers inherit every
-    # prepared video by memory snapshot instead of re-preparing.
-    for video in dict.fromkeys(spec.video for spec in specs):
-        if prepared_map is None or video not in prepared_map:
-            get_prepared(video)
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = CheckpointStore(
-            checkpoint_dir,
-            run_key=sweep_run_key(
-                specs, rollup=rollup, sample_rate=sample_rate,
-                sample_seed=sample_seed, profile=profile,
-            ),
-            tasks=len(specs),
-        )
-    global _SWEEP_PREPARED_MAP, _SWEEP_ROLLUP, _SWEEP_PROFILE
-    _SWEEP_PREPARED_MAP = prepared_map
-    _SWEEP_ROLLUP = (
-        (float(sample_rate), int(sample_seed)) if rollup else None
+    return _run_cells(
+        specs, _trials_cell, kind="sweep",
+        identities=[_identity(spec) for spec in specs],
+        labels=[f"cell {spec.label()}" for spec in specs],
+        workers=workers, prepared_map=prepared_map, rollup=rollup,
+        sample_rate=sample_rate, sample_seed=sample_seed, profile=profile,
+        policy=policy, checkpoint_dir=checkpoint_dir, strict=strict,
     )
-    _SWEEP_PROFILE = (bool(profile), profiling_enabled())
-    try:
-        outcome = execute(
-            _sweep_worker,
-            specs,
-            workers=workers,
-            policy=policy,
-            labels=[f"cell {spec.label()}" for spec in specs],
-            checkpoint=checkpoint,
-        )
-    finally:
-        _SWEEP_PREPARED_MAP = None
-        _SWEEP_ROLLUP = None
-        _SWEEP_PROFILE = None
-    if strict and outcome.failures:
-        raise ExecutionError(outcome.failures, total=len(specs))
-    failures = {failure.index: failure for failure in outcome.failures}
-    return [
-        _degraded_row(spec, failures[i]) if i in failures else row
-        for i, (spec, row) in enumerate(zip(specs, outcome.results))
-    ]
 
 
 def dry_run_rows(
@@ -373,11 +369,7 @@ def dry_run_rows(
     rows = []
     for spec in specs:
         StackBuilder(spec, prepared_map=prepared_map).validate()
-        rows.append({
-            "spec_hash": spec.spec_hash(),
-            "label": spec.label(),
-            "spec": spec.to_dict(),
-        })
+        rows.append(_identity(spec))
     return rows
 
 

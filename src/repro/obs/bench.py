@@ -206,23 +206,16 @@ def _bench_session(prepared, backend: str, seed: int) -> Dict[str, float]:
 
 def _bench_multiclient(tiny, seed: int) -> Dict[str, float]:
     """Four mixed clients contending on one shared bottleneck."""
-    from repro.experiments.multiclient import ClientSpec, run_multiclient
-    from repro.network.traces import constant_trace
+    from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
 
     tracer = Tracer()
     specs = [
-        ClientSpec(abr="abr_star", video=tiny.name, partially_reliable=True),
-        ClientSpec(abr="bola", video=tiny.name, partially_reliable=True),
-        ClientSpec(abr="abr_star", video=tiny.name, partially_reliable=False),
-        ClientSpec(abr="bola", video=tiny.name, partially_reliable=False),
+        spec.with_(video=tiny.name, trace="constant:20", seed=seed)
+        for spec in DEFAULT_SPECS
     ]
     t0 = time.perf_counter()
     result = run_multiclient(
-        specs,
-        trace=constant_trace(20.0),
-        seed=seed,
-        tracer=tracer,
-        prepared_map={tiny.name: tiny},
+        specs, tracer=tracer, prepared_map={tiny.name: tiny}
     )
     wall = max(time.perf_counter() - t0, 1e-9)
     sim_s = max(c.metrics.wall_duration for c in result.clients)
@@ -424,18 +417,13 @@ def _bench_spans(tiny, seed: int) -> Dict[str, float]:
     events = len(tracer)
     trace_bytes = len(tracer.to_jsonl())
 
-    prof = spans.SpanProfiler()
-    prev = spans.install(prof)
-    try:
-        # Build inside the install window: components capture the
+    with spans.profiled() as prof:
+        # Build inside the profiled block: components capture the
         # ambient profiler at construction time.
         session = build(Tracer())
         t0 = time.perf_counter()
         prof_metrics = session.run()
         spans_wall = max(time.perf_counter() - t0, 1e-9)
-    finally:
-        prof.finalize()
-        spans.install(prev)
     table = prof.subsystem_table()
     return {
         "kind": "macro",
@@ -463,9 +451,10 @@ def _bench_spans(tiny, seed: int) -> Dict[str, float]:
 
 def _bench_parallel_runner(tiny, seed: int) -> Dict[str, float]:
     """Serial vs parallel trial executor on the same experiment cell."""
-    from repro.experiments.runner import ExperimentConfig, run_trials
+    from repro.core.spec import ScenarioSpec
+    from repro.experiments.runner import run_trials
 
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         video=tiny.name,
         abr="bola",
         trace="constant:20",
@@ -473,10 +462,10 @@ def _bench_parallel_runner(tiny, seed: int) -> Dict[str, float]:
         seed=seed,
     )
     t0 = time.perf_counter()
-    serial = run_trials(config, prepared=tiny, workers=1)
+    serial = run_trials(spec, prepared=tiny, workers=1)
     serial_wall = max(time.perf_counter() - t0, 1e-9)
     t0 = time.perf_counter()
-    parallel = run_trials(config, prepared=tiny, workers=2)
+    parallel = run_trials(spec, prepared=tiny, workers=2)
     wall = max(time.perf_counter() - t0, 1e-9)
     return {
         "kind": "parallel",
@@ -485,7 +474,7 @@ def _bench_parallel_runner(tiny, seed: int) -> Dict[str, float]:
         "serial_wall_s": serial_wall,
         "speedup": serial_wall / wall,
         "workers": 2,
-        "reps": config.repetitions,
+        "reps": spec.repetitions,
         "identical": serial.sessions == parallel.sessions,
     }
 

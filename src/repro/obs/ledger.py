@@ -26,11 +26,12 @@ LEDGER_SCHEMA_VERSION = 1
 
 
 def profile_trials(
-    config,
+    spec,
     prepared=None,
     workers: int = 1,
 ):
-    """Run a scenario's repetitions under a fresh span profiler.
+    """Run a :class:`~repro.core.spec.ScenarioSpec`'s repetitions under
+    a fresh span profiler.
 
     Returns ``(profiler, summary, wall_s)`` — the folded profiler (rep
     trees merged in repetition order by the runner), the
@@ -44,15 +45,10 @@ def profile_trials(
     if prepared is None:
         from repro.prep.prepare import get_prepared
 
-        prepared = get_prepared(config.video)
-    profiler = SpanProfiler()
-    previous = spans.install(profiler)
-    t0 = time.perf_counter()
-    try:
-        summary = run_trials(config, prepared=prepared, workers=workers)
-    finally:
-        profiler.finalize()
-        spans.install(previous)
+        prepared = get_prepared(spec.video)
+    with spans.profiled() as profiler:
+        t0 = time.perf_counter()
+        summary = run_trials(spec, prepared=prepared, workers=workers)
     wall_s = max(time.perf_counter() - t0, 1e-9)
     return profiler, summary, wall_s
 

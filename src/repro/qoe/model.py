@@ -143,20 +143,21 @@ class _SegmentDecodeContext:
                     self.depth_groups.append(("v", group))
 
 
-_CONTEXT_CACHE: Dict[int, _SegmentDecodeContext] = {}
-
-
 def _context(frames: SegmentFrames) -> _SegmentDecodeContext:
-    key = id(frames)
-    ctx = _CONTEXT_CACHE.get(key)
-    if ctx is None:
-        ctx = _SegmentDecodeContext(frames)
-        # Bound the cache: segments are cached library-wide anyway, but we
-        # guard against unbounded growth from ad-hoc segments in tests.
-        if len(_CONTEXT_CACHE) > 20000:
-            _CONTEXT_CACHE.clear()
-        _CONTEXT_CACHE[key] = ctx
-    return ctx
+    """The decode tables of ``frames``, built once per segment.
+
+    Cached on the frames object itself, so a context lives exactly as
+    long as its segment: a table keyed by ``id()`` would hand a freed
+    segment's context to the next object allocated at that address.
+    A hit is one attribute read; reading ``frames.__dict__`` instead
+    would materialize the instance dict and slow every other attribute
+    read on the object.
+    """
+    try:
+        return frames._decode_context
+    except AttributeError:
+        ctx = frames._decode_context = _SegmentDecodeContext(frames)
+        return ctx
 
 
 @dataclass

@@ -33,28 +33,28 @@ from repro.transport.resilience import RetryContext, resilient_download_iter
 
 UNRELIABLE_HEADER = "x-voxel-unreliable"
 
-# Wire-stream layout per manifest entry: the payload sizes in priority
-# order and their cumulative offsets.  Entries are immutable manifest
-# rows fetched many times (initial fetch, refetch repairs, wait-loop
-# re-decides), so the layout is derived once per entry.
-_WIRE_LAYOUT_CACHE: Dict[int, Tuple[List[int], List[int]]] = {}
-
-
 def _wire_layout(entry: SegmentEntry) -> Tuple[List[int], List[int]]:
-    key = id(entry)
-    cached = _WIRE_LAYOUT_CACHE.get(key)
-    if cached is None:
-        payload_sizes = [
-            end - start for start, end in entry.unreliable_ranges
-        ]
-        cumulative = [0]
-        for size in payload_sizes:
-            cumulative.append(cumulative[-1] + size)
-        if len(_WIRE_LAYOUT_CACHE) > 20000:
-            _WIRE_LAYOUT_CACHE.clear()
-        cached = (payload_sizes, cumulative)
-        _WIRE_LAYOUT_CACHE[key] = cached
-    return cached
+    """Wire-stream layout of a manifest entry: the payload sizes in
+    priority order and their cumulative offsets.
+
+    Entries are immutable manifest rows fetched many times (initial
+    fetch, refetch repairs, wait-loop re-decides), so the layout is
+    derived once and cached on the entry itself — a table keyed by
+    ``id()`` would serve a freed entry's layout to the next object
+    allocated at that address.  A hit is one attribute read (not a
+    ``__dict__`` lookup, which would materialize the instance dict and
+    slow every other attribute read on the entry).
+    """
+    try:
+        return entry._wire_layout
+    except AttributeError:
+        pass
+    payload_sizes = [end - start for start, end in entry.unreliable_ranges]
+    cumulative = [0]
+    for size in payload_sizes:
+        cumulative.append(cumulative[-1] + size)
+    layout = entry._wire_layout = (payload_sizes, cumulative)
+    return layout
 
 
 @dataclass(slots=True)

@@ -286,6 +286,24 @@ class TestObservabilityCli:
         assert main(["prepare", "nosuch"]) == 2
         assert "unknown video" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--seeds", "a"],
+        ["sweep", "--videos", "bbb", "--buffers", "x", "--dry-run"],
+        ["multiclient", "bbb", "--clients", "0"],
+    ])
+    def test_fan_out_usage_error_exits_2_in_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_compare_rejects_zero_reps_in_one_line(self, capsys):
+        assert main(["compare", "bbb", "--reps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repetitions must be >= 1\n"
+
 
 class TestFleetCli:
     _ARGS = [

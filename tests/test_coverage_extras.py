@@ -186,12 +186,13 @@ class TestVideoAliases:
 
 class TestSurveyEdge:
     def test_more_participants_than_clips(self, tiny_prepared):
-        from repro.experiments.runner import ExperimentConfig, run_single
+        from repro.core.spec import ScenarioSpec
+        from repro.experiments.runner import run_single
         from repro.experiments.survey import run_survey
 
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             video="tinytest", abr="bola", trace="verizon",
-            buffer_segments=1, repetitions=1, partially_reliable=False,
+            buffer_segments=1, repetitions=1, reliability="quic",
         )
         session = run_single(config, prepared=tiny_prepared)
         result = run_survey([session], [session], participants=30, seed=0)

@@ -33,8 +33,11 @@ from repro.experiments.execution import (
     supervised_map,
     validate_workers,
 )
+from repro.core.spec import ScenarioSpec
+from repro.experiments.chaos import run_chaos
 from repro.experiments.fleet import ClientGroup, FleetSpec, run_fleet
-from repro.experiments.runner import fork_map
+from repro.experiments.runner import run_trials
+from repro.experiments.sweep import run_sweep
 
 # Mirrors tests/test_fleet.py — an independent anchor for the claim
 # that supervision, retry, and resume are invisible in clean output.
@@ -271,19 +274,56 @@ class TestFaultMatrix:
 
 
 class TestExecutionError:
-    def test_message_names_tasks_never_broken_pool(self, fault):
+    def test_message_names_tasks_never_broken_pool(
+        self, fault, tiny_prepared
+    ):
         fault(mode="kill", task=0, attempts=99)
+        spec = ScenarioSpec(
+            video=tiny_prepared.name, trace="constant:40",
+            buffer_segments=2, repetitions=3,
+        )
         with pytest.raises(ExecutionError) as info:
-            fork_map(
-                _square, range(3), workers=2,
-                labels=["shard alpha", "shard beta", "shard gamma"],
-            )
+            run_trials(spec, prepared=tiny_prepared, workers=2)
         message = str(info.value)
-        assert "shard alpha" in message
+        assert "repetition 0" in message
         assert "crash(signal SIGKILL)" in message
         assert "retry budget" in message
         assert "BrokenProcessPool" not in message
         assert info.value.failures[0].index == 0
+
+    @pytest.mark.parametrize("engine", ["sweep", "chaos", "fleet"])
+    def test_strict_engines_raise_naming_the_failed_task(
+        self, fault, tiny_prepared, engine
+    ):
+        fault(mode="kill", task=0, attempts=99)
+        prepared = {tiny_prepared.name: tiny_prepared}
+        with pytest.raises(ExecutionError) as info:
+            if engine == "sweep":
+                run_sweep(
+                    [ScenarioSpec(video=tiny_prepared.name,
+                                  trace="constant:40", buffer_segments=2)],
+                    prepared_map=prepared, policy=FAST,
+                )
+            elif engine == "chaos":
+                run_chaos(
+                    profiles=["resets"], seeds=[0],
+                    base={"video": tiny_prepared.name},
+                    prepared_map=prepared, policy=FAST,
+                )
+            else:
+                run_fleet(
+                    _tiny_spec(tiny_prepared, clients=4, shards=2),
+                    workers=2, prepared_map=prepared, policy=FAST,
+                )
+        expected = {
+            "sweep": "cell tinytest/", "chaos": "cell resets/seed0",
+            "fleet": "shard 0",
+        }[engine]
+        message = str(info.value)
+        assert expected in message
+        assert "crash(signal SIGKILL)" in message
+        assert "retry budget" in message
+        assert [f.index for f in info.value.failures] == [0]
 
     def test_describe_joins_causes(self):
         failure = TaskFailure(

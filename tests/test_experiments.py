@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.experiments.runner import (
-    ExperimentConfig,
     TrialSummary,
     compare,
     run_single,
@@ -20,7 +20,7 @@ from repro.experiments import figures
 
 @pytest.fixture(scope="module")
 def tiny_config(tiny_prepared):
-    return ExperimentConfig(
+    return ScenarioSpec(
         video="tinytest", abr="bola", trace="verizon",
         buffer_segments=2, repetitions=3,
     )
@@ -75,8 +75,8 @@ class TestRunner:
         out = compare(
             tiny_config,
             {
-                "BOLA": {"abr": "bola", "partially_reliable": False},
-                "VOXEL": {"abr": "abr_star", "partially_reliable": True},
+                "BOLA": {"abr": "bola", "reliability": "quic"},
+                "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
             },
             prepared=tiny_prepared,
         )
@@ -84,10 +84,10 @@ class TestRunner:
         assert all(isinstance(v, TrialSummary) for v in out.values())
 
     def test_cross_traffic_config(self, tiny_prepared):
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             video="tinytest", abr="bola", buffer_segments=2,
             repetitions=1, cross_traffic_mbps=15.0,
-            partially_reliable=False,
+            reliability="quic",
         )
         metrics = run_single(config, prepared=tiny_prepared)
         assert len(metrics.records) == 6
@@ -150,9 +150,10 @@ class TestFigureFunctions:
 
 class TestSurvey:
     def _sessions(self, tiny_prepared, abr, pr, n=3):
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             video="tinytest", abr=abr, trace="tmobile",
-            partially_reliable=pr, buffer_segments=1, repetitions=n,
+            reliability=reliability_mode(pr), buffer_segments=1,
+            repetitions=n,
         )
         return run_trials(config, prepared=tiny_prepared).sessions
 

@@ -124,23 +124,11 @@ def test_multiclient_chaos_audits_clean(tiny_prepared, backend):
     """Shared-bottleneck chaos: substrate faults hit every client once,
     and the interleaved trace passes the multi-session audit (per-session
     laws + shared-link conservation + retry accounting)."""
-    from repro.experiments.multiclient import ClientSpec, run_multiclient
+    from repro.experiments.multiclient import run_multiclient
 
-    specs = [
-        ClientSpec(abr="abr_star", video="tinytest",
-                   partially_reliable=True, buffer_segments=2),
-        ClientSpec(abr="bola", video="tinytest",
-                   partially_reliable=False, buffer_segments=2),
-    ]
-    auditor = MultiSessionAuditor()
-    tracer = Tracer(observers=[auditor.feed])
-    result = run_multiclient(
-        specs,
-        trace="constant:12",
-        seed=1,
+    network = ScenarioSpec(
+        video="tinytest", buffer_segments=2, trace="constant:12", seed=1,
         backend=backend,
-        tracer=tracer,
-        prepared_map={"tinytest": tiny_prepared},
         faults={"events": [
             {"kind": "blackout", "at": 4.0, "duration": 3.0},
             {"kind": "reset", "at": 10.0},
@@ -149,6 +137,17 @@ def test_multiclient_chaos_audits_clean(tiny_prepared, backend):
         ]},
         request_timeout_s=2.0,
         retry_budget=2,
+    )
+    specs = [
+        network.with_(abr="abr_star", reliability="quic*"),
+        network.with_(abr="bola", reliability="quic"),
+    ]
+    auditor = MultiSessionAuditor()
+    tracer = Tracer(observers=[auditor.feed])
+    result = run_multiclient(
+        specs,
+        tracer=tracer,
+        prepared_map={"tinytest": tiny_prepared},
     )
     report = auditor.finalize()
     assert report.ok, [str(v) for v in report.violations]

@@ -334,7 +334,8 @@ class TestResilientSession:
 
 class TestChaosSweep:
     def test_chaos_rows_deterministic_across_workers(self, tiny_prepared):
-        from repro.experiments.chaos import chaos_rows_to_jsonl, run_chaos
+        from repro.experiments.chaos import run_chaos
+        from repro.experiments.sweep import rows_to_jsonl
 
         kwargs = dict(
             profiles=["resets"], seeds=(0, 1),
@@ -343,7 +344,7 @@ class TestChaosSweep:
         )
         serial = run_chaos(workers=1, **kwargs)
         parallel = run_chaos(workers=2, **kwargs)
-        assert chaos_rows_to_jsonl(serial) == chaos_rows_to_jsonl(parallel)
+        assert rows_to_jsonl(serial) == rows_to_jsonl(parallel)
         for row in serial:
             assert row["audit"]["ok"], row["audit"]["violations"]
             assert row["profile"] == "resets"

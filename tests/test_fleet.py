@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.spec import ScenarioSpec
 from repro.experiments.fleet import (
     DEFAULT_GROUPS,
     ClientGroup,
@@ -17,8 +18,7 @@ from repro.experiments.fleet import (
     run_fleet,
     shard_clients,
 )
-from repro.experiments.multiclient import ClientSpec
-from repro.experiments.runner import ExperimentConfig, run_trials
+from repro.experiments.runner import run_trials
 from repro.obs.attribution import FleetAttributor
 from repro.obs.rollup import TraceRollup
 
@@ -140,7 +140,7 @@ class TestPopulation:
         spec = FleetSpec(clients=50, shards=2, groups=(ClientGroup(),))
         assert set(group_assignment(spec)) == {0}
         population = expand_population(spec)
-        assert all(isinstance(c, ClientSpec) for c in population)
+        assert all(isinstance(c, ScenarioSpec) for c in population)
         assert all(c.abr == "bola" for c in population)
 
     def test_shards_partition_the_fleet(self):
@@ -241,7 +241,7 @@ class TestFleetMerge:
 # ---------------------------------------------------------------------------
 class TestObserverFold:
     def _config(self, tiny_prepared):
-        return ExperimentConfig(
+        return ScenarioSpec(
             video=tiny_prepared.name,
             abr="bola",
             trace="constant:12",

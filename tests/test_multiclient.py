@@ -2,7 +2,7 @@
 
 The two headline guarantees of the shared kernel refactor:
 
-* a multi-client run is a pure function of (specs, trace, seed) — re-run
+* a multi-client run is a pure function of its client specs — re-run
   it and the global trace and every per-client metric is byte-identical;
 * ``run_trials(workers=K)`` is byte-identical to the serial run
   (sessions, metrics dump, collected traces).
@@ -12,28 +12,34 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.build import StackBuilder
+from repro.core.spec import ScenarioSpec
 from repro.experiments.multiclient import (
-    ClientSpec,
+    build_shard,
+    client_label,
     run_multiclient,
 )
-from repro.experiments.runner import ExperimentConfig, run_trials
+from repro.experiments.runner import run_trials
 from repro.network.traces import constant_trace
 from repro.obs import audit_events
 from repro.obs.tracer import Tracer
 
 
-def _specs(count, video):
+def _specs(count, video, **network):
+    # Clients name the explicit link they run on (constant_trace(12.0)).
+    network.setdefault("trace", "constant-12.0")
     cycle = [
-        ("abr_star", True),
-        ("bola", True),
-        ("abr_star", False),
-        ("bola", False),
+        ("abr_star", "quic*"),
+        ("bola", "quic*"),
+        ("abr_star", "quic"),
+        ("bola", "quic"),
     ]
     return [
-        ClientSpec(
+        ScenarioSpec(
             abr=cycle[i % 4][0],
             video=video,
-            partially_reliable=cycle[i % 4][1],
+            reliability=cycle[i % 4][1],
+            **network,
         )
         for i in range(count)
     ]
@@ -41,9 +47,8 @@ def _specs(count, video):
 
 def _run(tiny_prepared, count=2, seed=0, tracer=None):
     return run_multiclient(
-        _specs(count, tiny_prepared.name),
-        trace=constant_trace(12.0),
-        seed=seed,
+        _specs(count, tiny_prepared.name, seed=seed),
+        constant_trace(12.0),
         tracer=tracer,
         prepared_map={tiny_prepared.name: tiny_prepared},
     )
@@ -66,7 +71,7 @@ def test_four_client_mixed_run_passes_audit(tiny_prepared):
     tracer = Tracer()
     result = _run(tiny_prepared, count=4, tracer=tracer)
     assert len(result.clients) == 4
-    labels = {c.spec.label() for c in result.clients}
+    labels = {client_label(c.spec) for c in result.clients}
     assert labels == {"abr_star/Q*", "bola/Q*", "abr_star/Q", "bola/Q"}
     # Every session streamed the whole video despite contention.
     for client in result.clients:
@@ -95,14 +100,74 @@ def test_multiclient_tags_events_and_emits_link_stats(tiny_prepared):
 
 def test_multiclient_requires_at_least_one_client(tiny_prepared):
     with pytest.raises(ValueError, match="at least one client"):
-        run_multiclient([], trace=constant_trace(12.0))
+        run_multiclient([], constant_trace(12.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1), ("trace", "constant:6"), ("backend", "packet"),
+    ("retry_budget", 1), ("trace_kwargs", {"outage_prob": 0.1}),
+    ("trace_shift_s", 5.0), ("cross_traffic_mbps", 4.0),
+    ("link_mbps_under_cross", 10.0),
+])
+def test_clients_must_share_the_bottleneck(tiny_prepared, field, value):
+    specs = _specs(2, tiny_prepared.name)
+    specs[1] = specs[1].with_(**{field: value})
+    with pytest.raises(ValueError, match=f"must share {field}:"):
+        run_multiclient(
+            specs, prepared_map={tiny_prepared.name: tiny_prepared}
+        )
+
+
+def test_multiclient_rejects_cross_traffic(tiny_prepared):
+    specs = _specs(2, tiny_prepared.name, trace="constant:12",
+                   cross_traffic_mbps=4.0)
+    with pytest.raises(ValueError, match="do not model cross traffic"):
+        run_multiclient(
+            specs, prepared_map={tiny_prepared.name: tiny_prepared}
+        )
+
+
+def test_explicit_trace_must_be_named_by_the_specs(tiny_prepared):
+    specs = _specs(2, tiny_prepared.name, trace="verizon")
+    with pytest.raises(ValueError, match="explicit network_trace is "
+                       "'constant-12.0'"):
+        run_multiclient(
+            specs, constant_trace(12.0),
+            prepared_map={tiny_prepared.name: tiny_prepared},
+        )
+
+
+def test_stamps_and_trace_name_describe_the_link_that_ran(tiny_prepared):
+    tracer = Tracer()
+    result = _run(tiny_prepared, tracer=tracer)
+    assert result.trace_name == "constant-12.0"
+    stamped = [
+        e.fields["spec_hash"] for e in tracer.events
+        if e.type == "session_start"
+    ]
+    assert stamped == [c.spec.spec_hash() for c in result.clients]
+    assert all(c.spec.trace == "constant-12.0" for c in result.clients)
+
+
+def test_shared_trace_resolves_kwargs_and_shift(tiny_prepared):
+    specs = _specs(
+        2, tiny_prepared.name, trace="verizon", seed=2,
+        trace_kwargs={"outage_prob": 0.2}, trace_shift_s=7.0,
+    )
+    shard = build_shard(
+        specs, prepared_map={tiny_prepared.name: tiny_prepared}
+    )
+    expected = StackBuilder(specs[0]).resolve_trace()
+    assert shard.link.trace.shift_s == 7.0
+    assert (shard.link.trace.samples_mbps == expected.samples_mbps).all()
+    plain = StackBuilder(specs[0].with_(trace_kwargs={})).resolve_trace()
+    assert not (plain.samples_mbps == expected.samples_mbps).all()
 
 
 def test_multiclient_packet_backend_runs(tiny_prepared):
     result = run_multiclient(
-        _specs(2, tiny_prepared.name),
-        trace=constant_trace(12.0),
-        backend="packet",
+        _specs(2, tiny_prepared.name, backend="packet"),
+        constant_trace(12.0),
         prepared_map={tiny_prepared.name: tiny_prepared},
     )
     for client in result.clients:
@@ -114,7 +179,7 @@ def test_multiclient_packet_backend_runs(tiny_prepared):
 # Parallel trial executor: serial/parallel identity.
 # ---------------------------------------------------------------------------
 def _config(video):
-    return ExperimentConfig(
+    return ScenarioSpec(
         video=video,
         abr="bola",
         trace="constant:16",
@@ -146,10 +211,10 @@ def test_parallel_traces_off_by_default(tiny_prepared):
 # Labels and session ids: distinguishable clients in mixed populations.
 # ---------------------------------------------------------------------------
 def test_label_index_disambiguates_repeated_specs():
-    spec = ClientSpec(abr="bola", video="bbb", partially_reliable=True)
-    assert spec.label() == "bola/Q*"
-    assert spec.label(3) == "bola/Q*#3"
-    assert spec.label(0) == "bola/Q*#0"
+    spec = ScenarioSpec(abr="bola", video="bbb", reliability="quic*")
+    assert client_label(spec) == "bola/Q*"
+    assert client_label(spec, 3) == "bola/Q*#3"
+    assert client_label(spec, 0) == "bola/Q*#0"
 
 
 def test_result_rows_carry_unique_labels(tiny_prepared):
@@ -168,7 +233,7 @@ def test_custom_session_ids_tag_events(tiny_prepared):
     ids = ["alpha", "beta"]
     result = run_multiclient(
         _specs(2, tiny_prepared.name),
-        trace=constant_trace(12.0),
+        constant_trace(12.0),
         tracer=tracer,
         prepared_map={tiny_prepared.name: tiny_prepared},
         session_ids=ids,
@@ -186,7 +251,7 @@ def test_session_ids_length_mismatch_rejected(tiny_prepared):
     with pytest.raises(ValueError):
         run_multiclient(
             _specs(2, tiny_prepared.name),
-            trace=constant_trace(12.0),
+            constant_trace(12.0),
             prepared_map={tiny_prepared.name: tiny_prepared},
             session_ids=["only-one"],
         )

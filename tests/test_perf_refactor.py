@@ -11,6 +11,9 @@ Three families of checks keep the fast paths honest:
 * Vectorized QoE — the numpy decode pipeline must equal the scalar
   reference bit for bit on randomized ladders and loss patterns, and
   the fleet merge must stay byte-identical at any worker count.
+* Per-object caches — a segment's decode context and a manifest
+  entry's wire layout belong to that object, even when a freed object's
+  address is reused by the next allocation.
 """
 
 from __future__ import annotations
@@ -99,6 +102,52 @@ HOT_SLOTTED_CLASSES = [
     ("repro.player.buffer", "PlaybackBuffer"),
     ("repro.video.frames", "Frame"),
 ]
+
+
+class TestPerObjectCaches:
+    """Free one object, allocate another of the same type: CPython
+    hands the new object the freed address, so a cache keyed by
+    ``id()`` alone would serve the old object's entry."""
+
+    @staticmethod
+    def _reuse(make_first, make_second, warm):
+        for _ in range(200):
+            first = make_first()
+            warm(first)
+            address = id(first)
+            del first
+            second = make_second()
+            if id(second) == address:
+                break
+        return second
+
+    def test_decode_context_follows_its_frames(self, tiny_video):
+        from repro.qoe.model import _context
+        from repro.video.frames import SegmentFrames
+
+        a = tiny_video.segment(12, 0).frames
+        b = tiny_video.segment(0, 1).frames
+        frames_a, frames_b = list(a.frames), list(b.frames)
+        second = self._reuse(
+            lambda: SegmentFrames(frames_a, a.duration, a.fps),
+            lambda: SegmentFrames(frames_b, b.duration, b.fps),
+            _context,
+        )
+        assert _context(second).sizes.tolist() == [f.size for f in frames_b]
+
+    def test_wire_layout_follows_its_entry(self, tiny_prepared):
+        from dataclasses import replace
+
+        from repro.transport.http import _wire_layout
+
+        a = tiny_prepared.manifest.entry(12, 0)
+        b = tiny_prepared.manifest.entry(0, 1)
+        second = self._reuse(
+            lambda: replace(a), lambda: replace(b), _wire_layout
+        )
+        sizes, cumulative = _wire_layout(second)
+        assert sizes == [end - start for start, end in b.unreliable_ranges]
+        assert cumulative[-1] == sum(sizes)
 
 
 class TestSlotsLint:

@@ -14,7 +14,8 @@ import math
 
 import pytest
 
-from repro.experiments.chaos import chaos_rows_to_jsonl, run_chaos
+from repro.experiments.chaos import run_chaos
+from repro.experiments.sweep import rows_to_jsonl
 from repro.obs import events as ev
 from repro.obs.events import TraceEvent
 from repro.obs.metrics import Histogram
@@ -401,7 +402,7 @@ class TestForkDeterminism:
     def test_workers_1_vs_4_byte_identical(self, chaos_kwargs):
         serial = run_chaos(workers=1, **chaos_kwargs)
         parallel = run_chaos(workers=4, **chaos_kwargs)
-        assert chaos_rows_to_jsonl(serial) == chaos_rows_to_jsonl(parallel)
+        assert rows_to_jsonl(serial) == rows_to_jsonl(parallel)
         # The sampled set itself is identical: it is a pure function of
         # (session id, seed), independent of which worker ran the cell.
         for row_s, row_p in zip(serial, parallel):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
+from repro.core.spec import ScenarioSpec
 from repro.obs import spans
 from repro.obs.diff import (
     PerfDiffFormatError,
@@ -274,7 +274,7 @@ _GOLDEN_TREE_HASH = (
 
 class TestRunnerDeterminism:
     def test_span_tree_identical_across_runs_and_workers(self, tiny_prepared):
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             video=tiny_prepared.name, **_GOLDEN_SPEC
         )
         hashes = []
@@ -287,7 +287,7 @@ class TestRunnerDeterminism:
         assert len(set(hashes)) == 1
 
     def test_golden_tree_hash(self, tiny_prepared):
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             video=tiny_prepared.name, **_GOLDEN_SPEC
         )
         prof, _, _ = profile_trials(config, prepared=tiny_prepared)
@@ -298,7 +298,7 @@ class TestRunnerDeterminism:
     ):
         # Satellite: --profile at workers>1 must not be a silent no-op.
         # The forked path yields the same folded span totals as serial.
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             video=tiny_prepared.name, **_GOLDEN_SPEC
         )
         serial, _, _ = profile_trials(
