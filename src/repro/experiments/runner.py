@@ -34,7 +34,7 @@ from repro.experiments.execution import (
     execute,
     validate_workers,
 )
-from repro.network.traces import NetworkTrace, get_trace
+from repro.network.traces import NetworkTrace
 from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry, get_registry, scoped_registry
 from repro.obs.profiling import timed
@@ -97,13 +97,6 @@ class TrialSummary:
             "ssim": self.mean_ssim,
             "data_skipped": self.mean_data_skipped,
         }
-
-
-def _resolve_trace(spec: ScenarioSpec) -> NetworkTrace:
-    """The unshifted capacity trace of a spec."""
-    if spec.cross_traffic_mbps is not None:
-        return get_trace(f"constant:{spec.link_mbps_under_cross}")
-    return get_trace(spec.trace, seed=spec.seed)
 
 
 def run_single(
@@ -246,7 +239,7 @@ def run_trials(
         algebra = resolved
     if prepared is None:
         prepared = get_prepared(spec.video)
-    trace = _resolve_trace(spec)
+    trace = StackBuilder(spec).resolve_trace()
     reps = spec.repetitions
     shift_step = trace.duration / reps
     shifts = [i * shift_step for i in range(reps)]

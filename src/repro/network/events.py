@@ -4,13 +4,16 @@ Historically this module held only the heap scheduler behind the
 packet-level transport backend.  It has since been generalized into the
 simulation kernel every layer runs on:
 
-* :class:`EventScheduler` — the classic heap-based event loop
-  (time, sequence, callback), still used directly by the packet router.
+* :class:`EventScheduler` — the heap-based event loop (time, sequence,
+  callback).  It owns the :class:`~repro.network.clock.Clock` it keeps
+  at event time: a private one for a plain scheduler (the packet
+  router of a solo session), or the clock a :class:`SimKernel` shares
+  with its sessions.  :meth:`EventScheduler.step` is the one dispatch
+  body; the drain loops call it per event.
 * :class:`Waiter` — a one-shot wake-up handle; processes yield one to
   sleep until some event (a download completing, a timer) fires it.
-* :class:`SimKernel` — an :class:`EventScheduler` that owns a
-  :class:`~repro.network.clock.Clock` (kept in sync with event time) and
-  can :meth:`~SimKernel.spawn` generator *processes*: resumable state
+* :class:`SimKernel` — an :class:`EventScheduler` that can
+  :meth:`~SimKernel.spawn` generator *processes*: resumable state
   machines that yield either a ``float`` (sleep that many simulated
   seconds) or a :class:`Waiter` (sleep until woken).  N streaming
   sessions spawned on one kernel interleave on a shared bottleneck.
@@ -85,11 +88,13 @@ class EventScheduler:
 
     Events are ``(time, sequence, callback)``; the sequence number keeps
     ordering stable for simultaneous events.  Callbacks may schedule
-    further events.
+    further events.  Before every callback the scheduler syncs
+    :attr:`clock` to the event time.
     """
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
+        self.clock = Clock(start)
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self._cancelled: set = set()
@@ -153,9 +158,6 @@ class EventScheduler:
     def empty(self) -> bool:
         return not self._heap
 
-    def _clock_sync(self) -> None:
-        """Hook: subclasses owning a clock sync it to event time."""
-
     def step(self) -> bool:
         """Run the next event; returns False when nothing is pending.
 
@@ -176,13 +178,14 @@ class EventScheduler:
                 cancelled.discard(event_id)
                 continue
             now = self.now
-            if etime < now - 1e-12:
+            if etime > now:
+                self.now = now = etime
+            elif etime < now - 1e-12:
                 raise RuntimeError(
                     f"event scheduled in the past: event time {etime:.9f} "
                     f"precedes kernel time {self.now:.9f}"
                 )
-            self.now = etime if etime > now else now
-            self._clock_sync()
+            self.clock.now = now
             if prof is not None:
                 prof.add_flat("kernel.step", "kernel", perf_counter() - t0)
             callback()
@@ -220,9 +223,10 @@ class EventScheduler:
 
         for waiter in pending:
             waiter.on_wake(_one_done)
+        step = self.step
         events = 0
         while counter[0] > 0:
-            if not self.step():
+            if not step():
                 return
             events += 1
             if events > max_events:
@@ -230,104 +234,22 @@ class EventScheduler:
 
 
 class SimKernel(EventScheduler):
-    """An event scheduler that owns the simulation clock and runs
-    generator processes.
+    """An event scheduler that runs generator processes on a clock it
+    may share.
 
-    The kernel is the *single* clock-advancing authority: before every
-    callback it syncs ``clock.now`` to the event time, so every process
-    (and everything it calls — transport, tracer, player) observes one
-    consistent notion of "now".  Multi-client simulations share one
-    kernel, one clock, and one bottleneck.
+    The kernel is the *single* clock-advancing authority: every step
+    syncs ``clock.now`` to the event time before the callback, so every
+    process (and everything it calls — transport, tracer, player)
+    observes one consistent notion of "now".  Multi-client simulations
+    share one kernel, one clock, and one bottleneck; pass ``clock`` to
+    make the kernel drive an existing clock instead of its own.
     """
 
     def __init__(self, start: float = 0.0, clock: Optional[Clock] = None):
         super().__init__(start)
-        self.clock = clock if clock is not None else Clock(start)
-        self.clock.now = self.now
-
-    def _clock_sync(self) -> None:
-        self.clock.now = self.now
-
-    def step(self) -> bool:
-        """Parent semantics with the clock sync inlined.
-
-        The kernel step is the single hottest call of a simulation; the
-        unprofiled path pays neither the ``perf_counter`` probe nor the
-        ``_clock_sync`` hook dispatch.  Under a span profiler the
-        metered parent implementation runs instead.
-        """
-        if self._prof is not None:
-            return super().step()
-        heap = self._heap
-        cancelled = self._cancelled
-        heappop = heapq.heappop
-        while heap:
-            etime, event_id, callback = heappop(heap)
-            if cancelled and event_id in cancelled:
-                cancelled.discard(event_id)
-                continue
-            now = self.now
-            if etime > now:
-                self.now = etime
-                now = etime
-            elif etime < now - 1e-12:
-                raise RuntimeError(
-                    f"event scheduled in the past: event time {etime:.9f} "
-                    f"precedes kernel time {self.now:.9f}"
-                )
-            self.clock.now = now
-            callback()
-            return True
-        return False
-
-    def run_until_all(self, waiters: Sequence["Waiter"],
-                      max_events: int = 50_000_000) -> None:
-        """Parent semantics with the per-event step call inlined.
-
-        Draining a shard pays one Python frame per event in the parent
-        implementation (``run_until_all`` -> ``step``); this unprofiled
-        fast path keeps the heap pop, cancellation filter, clock sync
-        and callback dispatch in a single loop body.  Event order and
-        error behaviour are identical.
-        """
-        if self._prof is not None:
-            return super().run_until_all(waiters, max_events=max_events)
-        pending = [waiter for waiter in waiters if not waiter.fired]
-        if not pending:
-            return
-        counter = [len(pending)]
-
-        def _one_done() -> None:
-            counter[0] -= 1
-
-        for waiter in pending:
-            waiter.on_wake(_one_done)
-        heap = self._heap
-        cancelled = self._cancelled
-        heappop = heapq.heappop
-        clock = self.clock
-        events = 0
-        while counter[0] > 0:
-            if not heap:
-                return
-            etime, event_id, callback = heappop(heap)
-            if cancelled and event_id in cancelled:
-                cancelled.discard(event_id)
-                continue
-            now = self.now
-            if etime > now:
-                self.now = etime
-                now = etime
-            elif etime < now - 1e-12:
-                raise RuntimeError(
-                    f"event scheduled in the past: event time {etime:.9f} "
-                    f"precedes kernel time {self.now:.9f}"
-                )
-            clock.now = now
-            callback()
-            events += 1
-            if events > max_events:
-                raise RuntimeError("event budget exhausted (livelock?)")
+        if clock is not None:
+            clock.now = self.now
+            self.clock = clock
 
     def _make_process(
         self, process: Process

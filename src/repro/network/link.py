@@ -22,6 +22,11 @@ lookahead.  Overlapping rounds from N senders therefore compete for one
 service rate instead of each privately assuming all of it, and droptail
 losses emerge from genuine aggregate pressure.  Single-flow simulations
 keep byte-identical results because the latch only trips at two flows.
+
+Both modes run one round body, :meth:`BottleneckLink.offer_round`.  A
+link built while a span profiler is current binds a metered wrapper
+over it (the ``link.offer`` span) onto itself; the body has no profiler
+test.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Optional
 
 from repro.network.traces import NetworkTrace
 from repro.obs.metrics import get_registry
-from repro.obs.spans import current as _current_profiler
+from repro.obs.spans import current as _current_profiler, metered
 
 MTU = 1500  # bytes
 BASE_RTT = 0.060  # 30 ms each way (§5)
@@ -120,6 +125,10 @@ class BottleneckLink:
         self._ctr_dropped = registry.counter("link.packets_dropped")
         self._gauge_queue = registry.gauge("link.queue_bytes")
         self._prof = _current_profiler()
+        if self._prof is not None:
+            self.offer_round = metered(
+                self._prof, "link.offer", "link", self.offer_round
+            )
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -187,88 +196,42 @@ class BottleneckLink:
         Returns how many packets survived, how many were tail-dropped,
         and the RTT the round experienced.  Advancing the clock is the
         caller's job (by ``rtt``).
+
+        The two modes differ only in the queue ahead of the burst: a
+        single flow is served over its own round (the queue plus the
+        burst, less what the link carries during ``rtt``); a shared link
+        first drains the service since the last offer from *any* flow
+        and grants this burst no same-round lookahead.
         """
         if packets < 0:
             raise ValueError("cannot offer a negative burst")
-        prof = self._prof
-        if prof is not None:
-            frame = prof.push("link.offer", "link")
-            try:
-                if self._shared:
-                    return self._offer_round_shared(t, packets)
-                return self._offer_round_single(t, packets)
-            finally:
-                prof.pop(frame)
-        if not self._shared:
-            return self._offer_round_single(t, packets)
-        # Unprofiled shared rounds run inline — a verbatim copy of
-        # _offer_round_shared (kept as the metered/single-call form) so
-        # the hottest call in a fleet shard costs one frame, not two.
         mtu = self.mtu
         plan = self.fault_plan
+        shared = self._shared
         service = self._const_bps
         if service is None:
             service = self.available_bps(t)
         queue = self.queue_bytes
-        last_t = self._last_service_t
-        if last_t is not None and t > last_t:
-            queue -= service * (t - last_t) / 8.0
-            if queue < 0.0:
-                queue = 0.0
-        self._last_service_t = t
+        if shared:
+            last_t = self._last_service_t
+            if last_t is not None and t > last_t:
+                queue -= service * (t - last_t) / 8.0
+                if queue < 0.0:
+                    queue = 0.0
+            self._last_service_t = t
 
+        # Queueing delay seen by this burst: the backlog already ahead
+        # of it at arrival.
         rtt_base = self.base_rtt if plan is None \
             else self.base_rtt + plan.extra_latency(t)
         rtt = rtt_base + queue * 8.0 / service
 
         backlog = queue + packets * mtu
-        limit = self.queue_packets * mtu
-        if backlog > limit:
-            self.queue_bytes = limit
-            dropped = int((backlog - limit) // mtu)
-            if dropped > packets:
-                dropped = packets
-        else:
-            self.queue_bytes = backlog
-            dropped = 0
-
-        delivered = packets - dropped
-        if plan is not None:
-            injected = self._inject_loss(t, delivered)
-            dropped += injected
-            delivered -= injected
-        self.offered_packets += packets
-        self.delivered_packets += delivered
-        self.dropped_packets += dropped
-        self._ctr_offered.inc(packets)
-        if dropped:
-            self._ctr_dropped.inc(dropped)
-        self._gauge_queue.set(self.queue_bytes)
-        return RoundOutcome(
-            delivered_packets=delivered,
-            dropped_packets=dropped,
-            rtt=rtt,
-            bandwidth_bps=service,
-        )
-
-    def _offer_round_single(self, t: float, packets: int) -> RoundOutcome:
-        """Historical single-flow accounting (full rate over own RTT)."""
-        mtu = self.mtu
-        plan = self.fault_plan
-        service = self._const_bps
-        if service is None:
-            service = self.available_bps(t)
-        rtt_base = self.base_rtt if plan is None \
-            else self.base_rtt + plan.extra_latency(t)
-        rtt = rtt_base + self.queue_bytes * 8.0 / service
-
-        # Bytes the link can serve while this round is in flight.
-        serviceable = service * rtt / 8.0
-        arrivals = packets * mtu
-
-        backlog = self.queue_bytes + arrivals - serviceable
-        if backlog < 0:
-            backlog = 0.0
+        if not shared:
+            # Bytes the link serves while this round is in flight.
+            backlog -= service * rtt / 8.0
+            if backlog < 0:
+                backlog = 0.0
         limit = self.queue_packets * mtu
         if backlog > limit:
             self.queue_bytes = limit
@@ -282,64 +245,6 @@ class BottleneckLink:
         delivered = packets - dropped
         # Loss-fault drops hit packets that survived the queue (wire
         # corruption happens after service).
-        if plan is not None:
-            injected = self._inject_loss(t, delivered)
-            dropped += injected
-            delivered -= injected
-        self.offered_packets += packets
-        self.delivered_packets += delivered
-        self.dropped_packets += dropped
-        self._ctr_offered.inc(packets)
-        if dropped:
-            self._ctr_dropped.inc(dropped)
-        self._gauge_queue.set(self.queue_bytes)
-        return RoundOutcome(
-            delivered_packets=delivered,
-            dropped_packets=dropped,
-            rtt=rtt,
-            bandwidth_bps=service,
-        )
-
-    def _offer_round_shared(self, t: float, packets: int) -> RoundOutcome:
-        """Continuous-service round accounting for N concurrent flows.
-
-        Drain first (service since the last offer from *any* flow), then
-        add this burst's arrivals with no same-round lookahead — the
-        service the single-flow path would grant this round is instead
-        granted to whoever offers next, over real elapsed time, so N
-        overlapping rounds cannot multiply the link's capacity by N.
-        """
-        mtu = self.mtu
-        plan = self.fault_plan
-        service = self._const_bps
-        if service is None:
-            service = self.available_bps(t)
-        queue = self.queue_bytes
-        last_t = self._last_service_t
-        if last_t is not None and t > last_t:
-            queue -= service * (t - last_t) / 8.0
-            if queue < 0.0:
-                queue = 0.0
-        self._last_service_t = t
-
-        # Queueing delay seen by this burst: the backlog already ahead
-        # of it at arrival.
-        rtt_base = self.base_rtt if plan is None \
-            else self.base_rtt + plan.extra_latency(t)
-        rtt = rtt_base + queue * 8.0 / service
-
-        backlog = queue + packets * mtu
-        limit = self.queue_packets * mtu
-        if backlog > limit:
-            self.queue_bytes = limit
-            dropped = int((backlog - limit) // mtu)
-            if dropped > packets:
-                dropped = packets
-        else:
-            self.queue_bytes = backlog
-            dropped = 0
-
-        delivered = packets - dropped
         if plan is not None:
             injected = self._inject_loss(t, delivered)
             dropped += injected

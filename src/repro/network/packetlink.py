@@ -22,7 +22,7 @@ from typing import Callable, Deque, Optional
 
 from repro.network.events import EventScheduler
 from repro.network.traces import NetworkTrace
-from repro.obs.spans import current as _current_profiler
+from repro.obs.spans import current as _current_profiler, metered
 
 MTU = 1500
 PROPAGATION_ONE_WAY = 0.030  # seconds (§5: 30 ms last mile)
@@ -70,20 +70,14 @@ class PacketRouter:
         self.delivered_packets = 0
         self.dropped_packets = 0
         self._prof = _current_profiler()
+        if self._prof is not None:
+            self.enqueue = metered(
+                self._prof, "link.enqueue", "link", self.enqueue
+            )
 
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:
         """A packet arrives from a sender."""
-        prof = self._prof
-        frame = prof.push("link.enqueue", "link") \
-            if prof is not None else None
-        try:
-            self._enqueue(packet)
-        finally:
-            if frame is not None:
-                prof.pop(frame)
-
-    def _enqueue(self, packet: Packet) -> None:
         self.offered_packets += 1
         if len(self._queue) >= self.queue_packets:
             self.dropped_packets += 1

@@ -18,8 +18,12 @@ The profiler is **off** by default.  Instrumented components capture
 :func:`current` once at construction (the same pattern the metrics
 registry uses), so a disabled span site costs one attribute read; the
 ``timed()`` hooks read the single module-global :data:`_STATE` per
-call.  Install a profiler *before* building the stack (the experiment
-runner does this per repetition) so every layer records into it.
+call.  Where a span covers a whole method call (the link's round, the
+router's enqueue, the tracer's emit), the component instead binds a
+:func:`metered` wrapper onto the instance, so the method carries no
+profiler test at all.  Install a profiler *before* building the stack
+(the experiment runner does this per repetition) so every layer
+records into it.
 
 Wall self-time is exact for strictly nested spans — the solo-session
 execution mode every ``repro profile`` run uses.  Interleaved
@@ -34,7 +38,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Version of the serialized span-tree layout.
 SPANS_VERSION = 1
@@ -101,6 +105,27 @@ def profiled(clock=None) -> Iterator["SpanProfiler"]:
     finally:
         profiler.finalize()
         install(previous)
+
+
+def metered(profiler: "SpanProfiler", name: str, subsystem: str,
+            fn: Callable) -> Callable:
+    """``fn`` with every call recorded as the span ``name`` on ``profiler``.
+
+    Hot objects bind the result onto the instance in ``__init__`` when a
+    profiler is current, in place of the method, so the method itself is
+    the one unmetered body and an unprofiled call pays nothing.
+    """
+    push = profiler.push
+    pop = profiler.pop
+
+    def wrapper(*args, **kwargs):
+        frame = push(name, subsystem)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            pop(frame)
+
+    return wrapper
 
 
 class SpanNode:
@@ -405,6 +430,7 @@ __all__ = [
     "SpanProfiler",
     "current",
     "install",
+    "metered",
     "profiled",
     "set_timers",
     "timers_enabled",

@@ -1,10 +1,13 @@
 """Session tracer: a ring buffer of structured events with JSONL export.
 
-Two implementations share one interface:
+Three implementations share one interface:
 
 * :class:`Tracer` — records events; timestamps come from the simulation
   :class:`~repro.network.clock.Clock` the session binds, so a seeded run
   replays to a byte-identical trace.
+* :class:`StreamingTracer` — hands every event to its observers and
+  keeps none.  :class:`Tracer` is a streaming tracer whose first
+  observer is its ring buffer, so both run one emit body.
 * :class:`NullTracer` — the default; every operation is a no-op.  Call
   sites guard event construction with ``if tracer.enabled:`` so disabled
   tracing costs one attribute read per site.
@@ -18,7 +21,7 @@ from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 from repro.network.clock import Clock
 from repro.obs.events import CHECK_SETS as _CHECK_SETS
 from repro.obs.events import TraceEvent, parse_jsonl
-from repro.obs.spans import current as _current_profiler
+from repro.obs.spans import current as _current_profiler, metered
 
 DEFAULT_CAPACITY = 262_144
 
@@ -63,48 +66,45 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class Tracer:
-    """Collects typed events in a bounded ring buffer.
+class StreamingTracer:
+    """A tracer that dispatches to observers without buffering events.
 
-    Args:
-        clock: simulation clock supplying timestamps.  The streaming
-            session rebinds its own clock via :meth:`bind_clock`.
-        capacity: ring-buffer size; the oldest events are dropped once
-            exceeded (``dropped`` counts them).
-        validate: check each event against the schema on emission
-            (cheap; disable only in micro-benchmarks).
-        observers: callables invoked with every emitted event *before*
-            it can be evicted from the ring buffer — how the inline
-            invariant auditor sees the full stream of a long session.
+    The fleet-scale record path: sessions emit through the usual tracer
+    interface, every event reaches the observers (rollups, attributors,
+    auditors), and nothing is retained — memory stays O(1) in trace
+    length.  ``events`` is always empty and ``write_jsonl`` writes
+    nothing; use :class:`Tracer` when the raw stream itself is wanted.
+
+    A tracer built while a span profiler is current binds a metered
+    wrapper over :meth:`emit_fields` (the ``tracing.emit`` span) onto
+    itself; the method has no profiler test.
     """
 
     enabled = True
+    dropped = 0
 
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        capacity: int = DEFAULT_CAPACITY,
         validate: bool = True,
         observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
     ):
-        if capacity <= 0:
-            raise ValueError("tracer capacity must be positive")
         self.clock = clock
-        self.capacity = capacity
         self.validate = validate
-        self.dropped = 0
         self._seq = 0
-        self._buffer: deque = deque(maxlen=capacity)
         self._observers: List[Callable[[TraceEvent], None]] = list(
             observers or ()
         )
-        self._prof = _current_profiler()
+        prof = _current_profiler()
+        if prof is not None:
+            self.emit_fields = metered(
+                prof, "tracing.emit", "tracing", self.emit_fields
+            )
 
     def add_observer(self, observer: Callable[[TraceEvent], None]) -> None:
         """Subscribe ``observer`` to every subsequently emitted event."""
         self._observers.append(observer)
 
-    # ------------------------------------------------------------------
     def bind_clock(self, clock: Clock) -> None:
         """Use ``clock`` for timestamps from now on."""
         self.clock = clock
@@ -124,7 +124,7 @@ class Tracer:
     def emit_fields(self, t, type_: str, fields) -> TraceEvent:
         """Record one event taking ownership of an already-built dict.
 
-        The single internal emission path: ``emit``/``emit_at`` and the
+        The single emission path: ``emit``/``emit_at`` and the
         per-session wrapper all funnel here, so one payload dict is built
         per event regardless of how many wrappers the call went through.
         ``t=None`` stamps the current simulation time.
@@ -132,9 +132,6 @@ class Tracer:
         if t is None:
             clock = self.clock
             t = clock.now if clock is not None else 0.0
-        prof = self._prof
-        frame = prof.push("tracing.emit", "tracing") \
-            if prof is not None else None
         event = _EVENT_NEW(TraceEvent)
         event.seq = self._seq
         event.t = t
@@ -148,15 +145,58 @@ class Tracer:
             if sets is None or not (sets[0] <= keys <= sets[1]):
                 event.validate()
         self._seq += 1
-        buffer = self._buffer
-        if len(buffer) == self.capacity:
-            self.dropped += 1
-        buffer.append(event)
         for observer in self._observers:
             observer(event)
-        if frame is not None:
-            prof.pop(frame)
         return event
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        return []
+
+    def __len__(self) -> int:
+        return 0
+
+    def write_jsonl(self, destination) -> int:
+        return 0
+
+
+class Tracer(StreamingTracer):
+    """Collects typed events in a bounded ring buffer.
+
+    The ring buffer is the first observer, so every event is stored
+    before any other observer sees it.
+
+    Args:
+        clock: simulation clock supplying timestamps.  The streaming
+            session rebinds its own clock via :meth:`bind_clock`.
+        capacity: ring-buffer size; the oldest events are dropped once
+            exceeded (``dropped`` counts them).
+        validate: check each event against the schema on emission
+            (cheap; disable only in micro-benchmarks).
+        observers: callables invoked with every emitted event *before*
+            it can be evicted from the ring buffer — how the inline
+            invariant auditor sees the full stream of a long session.
+    """
+
+    def __init__(
+        self,
+        clock: Optional[Clock] = None,
+        capacity: int = DEFAULT_CAPACITY,
+        validate: bool = True,
+        observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
+    ):
+        if capacity <= 0:
+            raise ValueError("tracer capacity must be positive")
+        self.capacity = capacity
+        self._buffer: deque = deque(maxlen=capacity)
+        super().__init__(
+            clock, validate, [self._buffer.append, *(observers or ())]
+        )
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the ring buffer since the last clear."""
+        return max(self._seq - self.capacity, 0)
 
     # ------------------------------------------------------------------
     @property
@@ -175,7 +215,6 @@ class Tracer:
     def clear(self) -> None:
         self._buffer.clear()
         self._seq = 0
-        self.dropped = 0
 
     # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
@@ -193,82 +232,6 @@ class Tracer:
             with open(destination, "w", encoding="utf-8") as handle:
                 handle.write(text)
         return len(self._buffer)
-
-
-class StreamingTracer:
-    """A tracer that dispatches to observers without buffering events.
-
-    The fleet-scale record path: sessions emit through the usual tracer
-    interface, every event reaches the observers (rollups, attributors,
-    auditors), and nothing is retained — memory stays O(1) in trace
-    length.  ``events`` is always empty and ``write_jsonl`` writes
-    nothing; use :class:`Tracer` when the raw stream itself is wanted.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        validate: bool = True,
-        observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
-    ):
-        self.clock = clock
-        self.validate = validate
-        self.dropped = 0
-        self._seq = 0
-        self._observers: List[Callable[[TraceEvent], None]] = list(
-            observers or ()
-        )
-        self._prof = _current_profiler()
-
-    def add_observer(self, observer: Callable[[TraceEvent], None]) -> None:
-        """Subscribe ``observer`` to every subsequently emitted event."""
-        self._observers.append(observer)
-
-    def bind_clock(self, clock: Clock) -> None:
-        """Use ``clock`` for timestamps from now on."""
-        self.clock = clock
-
-    def emit(self, type_: str, **fields) -> TraceEvent:
-        return self.emit_fields(None, type_, fields)
-
-    def emit_at(self, t: float, type_: str, **fields) -> TraceEvent:
-        return self.emit_fields(t, type_, fields)
-
-    def emit_fields(self, t, type_: str, fields) -> TraceEvent:
-        if t is None:
-            clock = self.clock
-            t = clock.now if clock is not None else 0.0
-        prof = self._prof
-        frame = prof.push("tracing.emit", "tracing") \
-            if prof is not None else None
-        event = _EVENT_NEW(TraceEvent)
-        event.seq = self._seq
-        event.t = t
-        event.type = type_
-        event.fields = fields
-        if self.validate:
-            sets = _CHECK_SETS.get(type_)
-            keys = fields.keys()
-            if sets is None or not (sets[0] <= keys <= sets[1]):
-                event.validate()
-        self._seq += 1
-        for observer in self._observers:
-            observer(event)
-        if frame is not None:
-            prof.pop(frame)
-        return event
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def write_jsonl(self, destination) -> int:
-        return 0
 
 
 class SessionTracer:

@@ -702,9 +702,9 @@ class StreamingSession:
             req_frame = prof.push("request", "player") \
                 if prof is not None else None
             try:
-                # _fetch's dispatch, inlined: the common VOXEL path runs
-                # without the extra delegation frame a helper generator
-                # would add to every round's resume chain.
+                # Dispatched here rather than in a helper generator, so
+                # the common VOXEL path adds no delegation frame to every
+                # round's resume chain.
                 if (decision.skip_frames is not None
                         and self.connection.partially_reliable):
                     delivery = yield from self._fetch_skip_frames(
@@ -910,9 +910,10 @@ class StreamingSession:
     def _request_total(self, entry, decision: Decision) -> int:
         """Total wire bytes the request will ask for."""
         if decision.skip_frames is not None and self.connection.partially_reliable:
-            # Mirrors _fetch: without partial reliability the skip-frames
-            # request degrades to a full-segment fetch, so the announced
-            # wire bytes must be the full segment too.
+            # Mirrors the dispatch in _stream_segment: without partial
+            # reliability the skip-frames request degrades to a
+            # full-segment fetch, so the announced wire bytes must be the
+            # full segment too.
             segment = self.prepared.video.segment(decision.quality, entry.index)
             skipped_payload = sum(
                 segment.frames[idx].payload_bytes
@@ -980,25 +981,6 @@ class StreamingSession:
             return max(limit, request_sent)
 
         return progress
-
-    def _fetch(self, entry, decision: Decision, progress, retry=None):
-        if decision.skip_frames is not None and self.connection.partially_reliable:
-            delivery = yield from self._fetch_skip_frames(
-                entry, decision, progress, retry
-            )
-            return delivery
-        target = decision.target_bytes
-        force_reliable = (
-            self.config.force_reliable_payload or not decision.unreliable
-        )
-        delivery = yield from self.http.fetch_segment_iter(
-            entry,
-            target_bytes=target,
-            progress=progress,
-            force_reliable=force_reliable,
-            retry=retry,
-        )
-        return delivery
 
     def _fetch_skip_frames(self, entry, decision: Decision, progress,
                            retry=None):

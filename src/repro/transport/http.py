@@ -206,18 +206,10 @@ class VoxelHttp:
             )
             return result
 
-        if retry is None:
-            # Fail-free path: the resilience wrapper would delegate
-            # straight through, so skip its generator frame — every
-            # transport round resumes one less stack level.
-            reliable_result = yield from self.connection.download_iter(
-                entry.reliable_size, reliable=True
-            )
-        else:
-            reliable_result = yield from resilient_download_iter(
-                self.connection, entry.reliable_size, reliable=True,
-                retry=retry,
-            )
+        reliable_result = yield from resilient_download_iter(
+            self.connection, entry.reliable_size, reliable=True,
+            retry=retry,
+        )
 
         payload_sizes, cumulative = _wire_layout(entry)
         total_payload = cumulative[-1]
@@ -227,18 +219,13 @@ class VoxelHttp:
             payload_budget = max(min(target_bytes - entry.reliable_size,
                                      total_payload), 0)
 
-        if retry is None:
-            unreliable_result = yield from self.connection.download_iter(
-                payload_budget, reliable=force_reliable, progress=progress
-            )
-        else:
-            unreliable_result = yield from resilient_download_iter(
-                self.connection,
-                payload_budget,
-                reliable=force_reliable,
-                progress=progress,
-                retry=retry,
-            )
+        unreliable_result = yield from resilient_download_iter(
+            self.connection,
+            payload_budget,
+            reliable=force_reliable,
+            progress=progress,
+            retry=retry,
+        )
 
         requested = unreliable_result.requested
         skipped, corruption = self._map_wire_to_frames(
@@ -256,32 +243,17 @@ class VoxelHttp:
             lost_intervals=list(unreliable_result.lost),
         )
 
-    def _fetch_plain(
-        self, entry: SegmentEntry, progress: Optional[ProgressFn]
-    ) -> SegmentDelivery:
-        """Classic DASH fetch: whole segment, reliable, decode order."""
-        return drive(
-            self._fetch_plain_iter(entry, progress),
-            self.connection.clock,
-            scheduler=getattr(self.connection, "scheduler", None),
-        )
-
     def _fetch_plain_iter(
         self,
         entry: SegmentEntry,
         progress: Optional[ProgressFn],
         retry: Optional[RetryContext] = None,
     ):
-        """Kernel process form of :meth:`_fetch_plain`."""
-        if retry is None:
-            result = yield from self.connection.download_iter(
-                entry.total_bytes, reliable=True, progress=progress
-            )
-        else:
-            result = yield from resilient_download_iter(
-                self.connection, entry.total_bytes, reliable=True,
-                progress=progress, retry=retry,
-            )
+        """Classic DASH fetch: whole segment, reliable, decode order."""
+        result = yield from resilient_download_iter(
+            self.connection, entry.total_bytes, reliable=True,
+            progress=progress, retry=retry,
+        )
         # A truncated reliable fetch means the tail of the segment in
         # decode order is missing entirely (no headers either — but the
         # decoder's previous-frame concealment behaves the same way).

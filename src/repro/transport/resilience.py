@@ -18,8 +18,9 @@ failures (expired deadlines, injected connection resets, server stalls):
   :class:`~repro.transport.base.RetryBudgetExhausted` escalates to the
   session's graceful-degradation policy.
 
-With ``retry=None`` the wrapper is a byte-exact passthrough — sessions
-without faults or timeouts configured take the legacy code path.
+With ``retry=None`` the wrapper hands back the connection's own
+``download_iter`` generator — sessions without faults or timeouts
+configured run the plain download, with no extra generator frame.
 """
 
 from __future__ import annotations
@@ -101,17 +102,29 @@ def resilient_download_iter(
 ):
     """Kernel process: ``download_iter`` with deadline/retry/resume.
 
-    Returns one :class:`DownloadResult` describing the whole chain as if
-    it were a single download: ``requested``/``delivered``/``lost`` in
-    global request coordinates, ``elapsed`` including backoff waits and
-    server stalls, ``rounds``/``request_latency`` summed over attempts.
+    Returns a generator whose result is one :class:`DownloadResult`
+    describing the whole chain as if it were a single download:
+    ``requested``/``delivered``/``lost`` in global request coordinates,
+    ``elapsed`` including backoff waits and server stalls,
+    ``rounds``/``request_latency`` summed over attempts.  With
+    ``retry=None`` it is the connection's own ``download_iter``
+    generator, so a fail-free request resumes through no extra frame.
     """
     if retry is None:
-        result = yield from connection.download_iter(
+        return connection.download_iter(
             nbytes, reliable=reliable, progress=progress
         )
-        return result
+    return _retry_chain(connection, nbytes, reliable, progress, retry)
 
+
+def _retry_chain(
+    connection,
+    nbytes: int,
+    reliable: bool,
+    progress: Optional[ProgressFn],
+    retry: RetryContext,
+):
+    """The retrying process behind :func:`resilient_download_iter`."""
     policy = retry.policy
     plan = getattr(connection, "fault_plan", None)
     base = 0  # accounted bytes: delivered + deliberately lost, a prefix

@@ -147,13 +147,18 @@ class SegmentFrames:
         """:meth:`referenced_indices` as a set, computed once per segment.
 
         The reference graph is immutable after construction, so the hot
-        per-delivery membership checks share one cached set.
+        per-delivery membership checks share one cached set.  A hit is
+        one attribute read; reading ``__dict__`` instead would
+        materialize the instance dict and slow every other attribute
+        read on the object.
         """
-        cached = self.__dict__.get("_referenced_set")
-        if cached is None:
-            cached = frozenset(self.referenced_indices())
-            self._referenced_set = cached
-        return cached
+        try:
+            return self._referenced_set
+        except AttributeError:
+            cached = self._referenced_set = frozenset(
+                self.referenced_indices()
+            )
+            return cached
 
     def unreferenced_indices(self) -> List[int]:
         """Indices of frames no other frame references (droppable leaves)."""

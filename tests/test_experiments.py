@@ -1,5 +1,7 @@
 """Tests for the experiment runner, figure functions, and survey model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,10 @@ from repro.experiments.survey import (
     run_survey,
 )
 from repro.experiments import figures
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +45,31 @@ class TestRunner:
         stalls = {round(s.total_stall, 6) for s in summary.sessions}
         ssims = {round(s.mean_ssim, 9) for s in summary.sessions}
         assert len(stalls) > 1 or len(ssims) > 1
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"trace_kwargs": {"outage_prob": 0.4}},
+        {"trace_shift_s": 37.0},
+    ], ids=["plain", "trace_kwargs", "trace_shift_s"])
+    def test_first_repetition_streams_the_spec(self, tiny_prepared, fields):
+        # Repetition 0 runs unshifted, so it is the spec's own session:
+        # the link must see the trace the spec names, kwargs and shift
+        # included, exactly as stream_spec resolves it.
+        from repro.core.api import stream_spec
+        from repro.obs.tracer import Tracer
+
+        spec = ScenarioSpec(
+            video="tinytest", abr="bola", trace="verizon", seed=5,
+            repetitions=2, **fields,
+        )
+        summary = run_trials(
+            spec, prepared=tiny_prepared, collect_traces=True
+        )
+        tracer = Tracer()
+        single = stream_spec(spec, prepared=tiny_prepared, tracer=tracer)
+        # Compared by digest: a diff of two whole traces is slow to render.
+        assert _sha(summary.traces[0]) == _sha(tracer.to_jsonl())
+        assert summary.sessions[0].summary() == single.metrics.summary()
 
     def test_trial_metrics_are_scoped(self, tiny_prepared, tiny_config):
         # Registry hygiene: each trial's metrics dump covers only its own

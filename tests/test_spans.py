@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -309,6 +311,75 @@ class TestRunnerDeterminism:
         )
         assert forked.total_spans == serial.total_spans > 0
         assert forked.total_sim_s == pytest.approx(serial.total_sim_s)
+
+
+#: Deterministic span-tree hashes of the profiled runs in
+#: test_profiling_never_changes_results (tinytest fixture, abr_star for
+#: solo runs, the DEFAULT_SPECS mix for shared-link runs, verizon,
+#: seed 3).  They cover the metered link, router, kernel, transport and
+#: tracer paths of both backends, solo and shared, with and without the
+#: "mixed" chaos profile.
+_IDENTITY_TREE_HASH = {
+    "solo-round": (
+        "c91eaf8647a4e00112d05e4647e481ebf9351faed261d21eb5f6defc8d30d499"
+    ),
+    "solo-packet": (
+        "f734c3d1da2221fd17bf9c6871710eee4a4c572b661227e189b5addfb3142fcd"
+    ),
+    "solo-round-mixed": (
+        "8f3706566b8c382aa43f2d237b6c0c23e0dddf328c225e01e97579b1db981d48"
+    ),
+    "mix-round": (
+        "9fc064f1cc8dba0f511fccae7d9dd851c4e0ac5eed4d109dec0c8def61deccda"
+    ),
+    "mix-round-mixed": (
+        "e9212ca32896ac7150bdcc5798054cd62271f0ab1876f1f08338587a9c35914c"
+    ),
+    "mix-packet": (
+        "30562d8c3af147ba2f93b4984e163b981f3f2836fc0144e56edd956225cafb15"
+    ),
+    "mix-packet-mixed": (
+        "bb8d42bc51e686f32e5bbb13055af942702753c2b60c31e8eefeef93cd8c1de8"
+    ),
+}
+
+
+def _identity_run(case: str, prepared, profile: bool):
+    """(sha256 of trace JSONL + summary/rows, tree hash or None)."""
+    from repro.core.api import stream_spec
+    from repro.experiments.chaos import CHAOS_PROFILES
+    from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
+    from repro.obs.tracer import Tracer
+
+    kind, backend, *chaos = case.split("-")
+    fields = dict(video="tinytest", trace="verizon", seed=3, backend=backend)
+    if chaos:
+        fields.update(faults=CHAOS_PROFILES["mixed"], request_timeout_s=3.0)
+    with (spans.profiled() if profile else nullcontext()) as prof:
+        tracer = Tracer()
+        if kind == "solo":
+            result = stream_spec(
+                ScenarioSpec(abr="abr_star", **fields),
+                prepared=prepared, tracer=tracer,
+            )
+            outcome = result.metrics.summary()
+        else:
+            result = run_multiclient(
+                [spec.with_(**fields) for spec in DEFAULT_SPECS],
+                tracer=tracer, prepared_map={"tinytest": prepared},
+            )
+            outcome = result.rows()
+    text = tracer.to_jsonl() + json.dumps(outcome, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return digest, (prof.tree_hash() if profile else None)
+
+
+@pytest.mark.parametrize("case", list(_IDENTITY_TREE_HASH))
+def test_profiling_never_changes_results(tiny_prepared, case):
+    plain, _ = _identity_run(case, tiny_prepared, profile=False)
+    metered, tree = _identity_run(case, tiny_prepared, profile=True)
+    assert metered == plain
+    assert tree == _IDENTITY_TREE_HASH[case]
 
 
 def _mini_profiler(abr_s: float, transport_s: float) -> SpanProfiler:
