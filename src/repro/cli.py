@@ -11,10 +11,9 @@
     python -m repro report trace.jsonl --out report.md   # markdown report
     python -m repro faults --rollup --out chaos.jsonl
     python -m repro report chaos.jsonl --check           # fleet report
-    python -m repro bench --quick             # benchmark suite
-    python -m repro bench --compare BENCH_main.json --threshold 10
-    python -m repro profile bbb --out ledger.json --collapsed prof.folded
+    python -m repro bench --quick --label pr  # benchmark suite
     python -m repro diff BENCH_main.json BENCH_pr.json --threshold 25
+    python -m repro profile bbb --out ledger.json --collapsed prof.folded
     python -m repro compare bbb --trace tmobile --buffer 1
     python -m repro fleet --clients 1000 --shards 8 --workers 4
     python -m repro fleet --workers 4 --resume ckpt/   # crash-safe resume
@@ -27,8 +26,10 @@
 
 Every command prints human-readable text; ``--json`` switches to
 machine-readable output where applicable; ``--metrics`` appends the
-process metrics registry (and enables the profiling timers).  Unknown
-video/ABR/trace names exit with status 2 and a one-line message.
+process metrics registry.  Per-layer wall time comes from the span
+profiler: ``repro profile``, or ``--profile`` on ``fleet``, ``sweep``
+and ``faults``.  Unknown video/ABR/trace names exit with status 2 and
+a one-line message.
 
 Exit codes: 0 success; 1 audit/regression failure; 2 usage or input
 error; 3 degraded fan-out run (tasks quarantined after their retry
@@ -426,15 +427,9 @@ def _maybe_print_metrics(args: argparse.Namespace) -> None:
     """Print the registry dump when ``--metrics`` was requested."""
     if not getattr(args, "metrics", False):
         return
-    from repro.obs import get_registry, timing_summary
+    from repro.obs import get_registry
 
-    rendered = get_registry().render()
-    body = "\n".join(
-        line for line in rendered.splitlines()
-        if " timing." not in line
-    )
-    print(body)
-    print(timing_summary())
+    print(get_registry().render())
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -748,49 +743,18 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import bench
-    from repro.obs import regression
 
-    if args.input:
-        try:
-            payload = regression.load_payload(args.input)
-        except (OSError, regression.BenchFormatError) as exc:
-            print(f"error: cannot read bench payload {args.input!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        payload = bench.run_suite(
-            quick=args.quick, seed=args.seed, label=args.label
-        )
-        out_path = args.out or bench.default_output_path(args.label)
-        bench.write_payload(payload, out_path)
-        print(f"wrote {out_path}", file=sys.stderr)
-
-    if args.compare is None:
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(bench.format_suite(payload))
-        return 0
-    try:
-        baseline = regression.load_payload(args.compare)
-    except (OSError, regression.BenchFormatError) as exc:
-        print(f"error: cannot read baseline {args.compare!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    comparison = regression.compare_payloads(
-        baseline, payload, threshold_pct=args.threshold
+    payload = bench.run_suite(
+        quick=args.quick, seed=args.seed, label=args.label
     )
+    out_path = args.out or bench.default_output_path(args.label)
+    bench.write_payload(payload, out_path)
+    print(f"wrote {out_path}", file=sys.stderr)
     if args.json:
-        # One machine-readable object: the suite payload plus the
-        # verdict (per-row deltas and statuses) — what CI consumes.
-        print(json.dumps(
-            {"payload": payload, "comparison": comparison.to_dict()},
-            indent=2, sort_keys=True,
-        ))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(bench.format_suite(payload))
-        print(regression.format_comparison(comparison))
-    return 1 if comparison.failed else 0
+    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1216,7 +1180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser(
-        "bench", help="run the benchmark suite / compare against a baseline"
+        "bench",
+        help="run the benchmark suite (compare payloads with repro diff)",
     )
     p_bench.add_argument("--quick", action="store_true",
                          help="reduced repeats and tiny synthetic workload")
@@ -1225,20 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, metavar="PATH",
                          help="output path (default BENCH_<label>.json)")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="compare against a baseline BENCH_*.json; exit 1 on "
-        "regression or missing benchmark",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=10.0,
-        help="regression threshold in percent (default 10)",
-    )
-    p_bench.add_argument(
-        "--input", default=None, metavar="PATH",
-        help="compare a previously recorded payload instead of "
-        "running the suite",
-    )
 
     p_profile = sub.add_parser(
         "profile",
@@ -1512,10 +1463,6 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "metrics", False):
-        from repro.obs import enable_profiling
-
-        enable_profiling(True)
     try:
         return _HANDLERS[args.command](args)
     except _UsageError as exc:

@@ -37,7 +37,6 @@ from repro.experiments.execution import (
 from repro.network.traces import NetworkTrace
 from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry, get_registry, scoped_registry
-from repro.obs.profiling import timed
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
 from repro.prep.prepare import PreparedVideo, get_prepared
@@ -121,7 +120,10 @@ def run_single(
     session = StackBuilder(spec, prepared=prepared).build(
         network_trace=trace, tracer=tracer
     )
-    with timed("experiment.run_single"):
+    prof = spans.current()
+    if prof is None:
+        return session.run()
+    with prof.span("experiment.run_single"):
         return session.run()
 
 

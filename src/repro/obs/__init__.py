@@ -1,10 +1,10 @@
-"""Observability: structured tracing, metrics registry, profiling hooks.
+"""Observability: structured tracing, metrics registry, span profiler.
 
 The layer is zero-dependency and deterministic: trace timestamps come
 from the simulation clock (never wall time), so the same seed yields a
-byte-identical JSONL trace; the metrics registry and the (wall-time)
-profiling histograms live outside the trace and never influence the
-simulation.
+byte-identical JSONL trace; the metrics registry and the span
+profiler's wall-time plane live outside the trace and never influence
+the simulation.
 
 Usage::
 
@@ -68,12 +68,6 @@ from repro.obs.metrics import (
     reset_registry,
     scoped_registry,
 )
-from repro.obs.profiling import (
-    enable_profiling,
-    profiling_enabled,
-    timed,
-    timing_summary,
-)
 from repro.obs.report import (
     build_report,
     render_markdown,
@@ -131,10 +125,6 @@ __all__ = [
     "get_registry",
     "reset_registry",
     "scoped_registry",
-    "enable_profiling",
-    "profiling_enabled",
-    "timed",
-    "timing_summary",
     "SPANS_VERSION",
     "SUBSYSTEMS",
     "SpanNode",

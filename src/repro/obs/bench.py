@@ -1,12 +1,12 @@
 """Continuous benchmark suite: the repo's performance trajectory.
 
 ``repro bench`` runs a deterministic suite of micro benchmarks (one hot
-function at a time, timed through the :mod:`repro.obs.profiling` hooks
-into a scoped metrics registry) and macro benchmarks (full seeded
-streaming sessions per transport backend, traced) and emits a
-schema-versioned ``BENCH_<label>.json``.  Committing one per milestone
-and diffing with ``repro bench --compare`` turns "did this PR slow the
-simulator down?" into a CI check (:mod:`repro.obs.regression`).
+function at a time, each call timed with ``time.perf_counter``) and
+macro benchmarks (full seeded streaming sessions per transport backend,
+traced) and emits a schema-versioned ``BENCH_<label>.json``.
+Committing one per milestone and comparing with ``repro diff
+BENCH_main.json BENCH_<label>.json --threshold T`` (:mod:`repro.obs.diff`)
+turns "did this PR slow the simulator down?" into a CI check.
 
 Wall times are inherently machine-dependent; the suite therefore also
 records machine-independent *throughput* figures — simulated seconds per
@@ -20,10 +20,9 @@ import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.obs.metrics import scoped_registry
-from repro.obs.profiling import enable_profiling, profiling_enabled, timed
+from repro.obs.metrics import Histogram, scoped_registry
 from repro.obs.tracer import Tracer
 
 #: Version of the BENCH_*.json layout.  Adding a benchmark or a field is
@@ -51,25 +50,32 @@ def default_output_path(label: str) -> str:
     return f"BENCH_{label}.json"
 
 
-def _git_sha() -> Optional[str]:
-    """The repo's HEAD commit, or None outside a git checkout.
+def run_stamp() -> Dict[str, Optional[str]]:
+    """``{python, platform, git_sha}`` of this run.
 
-    Stamped into the payload's ``meta`` so archived bench results are
-    traceable to the exact code that produced them.  Resolved against
-    the source tree containing this module, not the caller's cwd.
+    Stamped as ``meta`` into bench payloads and perf ledgers, so archived
+    results are traceable to the exact code that produced them.
+    ``git_sha`` is the HEAD of the source tree containing this module
+    (not the caller's cwd), or None outside a git checkout.
     """
     import subprocess
 
+    sha = None
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             capture_output=True, text=True, timeout=10,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
+        if out.returncode == 0:
+            sha = out.stdout.strip() or None
     except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+        pass
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_sha": sha,
+    }
 
 
 def _tiny_prepared():
@@ -80,24 +86,15 @@ def _tiny_prepared():
     return prepare(encode_video(ContentProfile(**_TINY_PROFILE_KWARGS)))
 
 
-def _timed_loop(name: str, repeats: int, fn) -> Dict[str, float]:
-    """Run ``fn`` ``repeats`` times under a profiling hook; report stats.
-
-    The timings flow through ``timed()`` into a scoped registry — the
-    same pipeline the ``--metrics`` flag uses — so the benchmark measures
-    exactly what production profiling measures.
-    """
-    was_enabled = profiling_enabled()
-    with scoped_registry(merge=False) as registry:
-        enable_profiling(True)
-        try:
-            for _ in range(repeats):
-                with timed(f"bench.{name}"):
-                    fn()
-        finally:
-            enable_profiling(was_enabled)
-        hist = registry.histogram(f"timing.bench.{name}")
-        summary = hist.summary()
+def _timed_loop(repeats: int, fn) -> Dict[str, float]:
+    """Run ``fn`` ``repeats`` times, timing each call; report stats."""
+    hist = Histogram()
+    clock = time.perf_counter
+    for _ in range(repeats):
+        t0 = clock()
+        fn()
+        hist.observe(clock() - t0)
+    summary = hist.summary()
     return {
         "kind": "micro",
         "repeats": repeats,
@@ -123,7 +120,7 @@ def _bench_decode_segment(prepared, repeats: int) -> Dict[str, float]:
         decode_segment(segment, params=prepared.params, dropped=dropped,
                        corruption={})
 
-    return _timed_loop("decode_segment", repeats, call)
+    return _timed_loop(repeats, call)
 
 
 def _bench_abr_choose(prepared, repeats: int) -> Dict[str, float]:
@@ -141,7 +138,7 @@ def _bench_abr_choose(prepared, repeats: int) -> Dict[str, float]:
     def call():
         abr.choose(context)
 
-    return _timed_loop("abr_choose", repeats, call)
+    return _timed_loop(repeats, call)
 
 
 def _bench_transport_round(repeats: int) -> Dict[str, float]:
@@ -167,7 +164,7 @@ def _bench_transport_round(repeats: int) -> Dict[str, float]:
         result = connection.download(500_000, reliable=True)
         rounds[0] += result.rounds
 
-    stats = _timed_loop("transport_download", repeats, call)
+    stats = _timed_loop(repeats, call)
     total_rounds = max(rounds[0], 1)
     stats["rounds"] = rounds[0]
     stats["per_round_s"] = stats["wall_s"] / total_rounds
@@ -559,11 +556,7 @@ def run_suite(
         "quick": bool(quick),
         "seed": seed,
         "workload": workload.name,
-        "meta": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "git_sha": _git_sha(),
-        },
+        "meta": run_stamp(),
         "benchmarks": benchmarks,
     }
 

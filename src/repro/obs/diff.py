@@ -1,12 +1,14 @@
-"""``repro diff``: attribute a wall-time delta between two perf files.
+"""``repro diff``: the one comparator of perf files.
 
 Compares two ``BENCH_*.json`` payloads or two perf ledgers (the
-artifact ``repro profile`` writes) and attributes the delta to
-subsystems.  Bench mode reuses the regression comparator and reads the
-attribution off the ``macro.spans`` benchmark's subsystem table; ledger
-mode diffs the ledgers' subsystem self-time tables directly.  Either
-way the report — markdown and ``--json`` alike — names the subsystem
-whose self time grew the most: the prime suspect.
+artifact ``repro profile`` writes) and attributes the wall-time delta
+to subsystems.  Bench mode gives every benchmark a verdict and reads
+the attribution off the ``macro.spans`` benchmark's subsystem table;
+ledger mode diffs the ledgers' subsystem self-time tables directly.
+Either way the report — markdown and ``--json`` alike — names the
+subsystem whose self time grew the most: the prime suspect.  A failed
+verdict exits 1, which makes ``repro diff BASE CUR --threshold T`` the
+perf gate.
 
 The file kind is sniffed from the payload (``ledger_version`` vs
 ``schema_version``/``benchmarks``), so ``repro diff A B`` needs no
@@ -18,16 +20,32 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.bench import BENCH_SCHEMA_VERSION
 from repro.obs.ledger import LEDGER_SCHEMA_VERSION, load_ledger
-from repro.obs.regression import (
-    BenchFormatError,
-    compare_payloads,
-    load_payload,
-)
 
 
 class PerfDiffFormatError(ValueError):
     """A perf file is neither a bench payload nor a perf ledger."""
+
+
+def _check_bench(path: str, payload: Dict) -> None:
+    """Schema-check a bench payload, naming the first flaw found."""
+    version = payload.get("schema_version")
+    if version != BENCH_SCHEMA_VERSION:
+        raise PerfDiffFormatError(
+            f"{path}: unsupported bench schema version {version!r} "
+            f"(expected {BENCH_SCHEMA_VERSION})"
+        )
+    benchmarks = payload.get("benchmarks")
+    if not isinstance(benchmarks, dict):
+        raise PerfDiffFormatError(
+            f"{path}: bench payload has no 'benchmarks' map"
+        )
+    for name, stats in benchmarks.items():
+        if not isinstance(stats, dict) or "wall_s" not in stats:
+            raise PerfDiffFormatError(
+                f"{path}: benchmark {name!r} has no 'wall_s'"
+            )
 
 
 def load_perf_file(path: str) -> Tuple[str, Dict]:
@@ -49,10 +67,8 @@ def load_perf_file(path: str) -> Tuple[str, Dict]:
         except ValueError as exc:
             raise PerfDiffFormatError(str(exc)) from None
     if "benchmarks" in raw or "schema_version" in raw:
-        try:
-            return "bench", load_payload(path)
-        except BenchFormatError as exc:
-            raise PerfDiffFormatError(f"{path}: {exc}") from None
+        _check_bench(path, raw)
+        return "bench", raw
     raise PerfDiffFormatError(
         f"{path}: neither a bench payload (schema_version/benchmarks) "
         f"nor a perf ledger (ledger_version {LEDGER_SCHEMA_VERSION})"
@@ -60,20 +76,34 @@ def load_perf_file(path: str) -> Tuple[str, Dict]:
 
 
 def _subsystem_deltas(
-    base: Dict[str, Dict],
-    cur: Dict[str, Dict],
-) -> Dict[str, Dict[str, float]]:
+    base: Dict[str, float],
+    cur: Dict[str, float],
+) -> Dict[str, object]:
+    """Per-subsystem self-time deltas and the prime suspect.
+
+    ``base`` and ``cur`` map subsystem names to self wall seconds;
+    ``top`` names the subsystem whose self time grew the most.
+    """
     table: Dict[str, Dict[str, float]] = {}
     for name in sorted(set(base) | set(cur)):
-        b = float((base.get(name) or {}).get("self_wall_s", 0.0))
-        c = float((cur.get(name) or {}).get("self_wall_s", 0.0))
-        table[name] = {
-            "baseline_s": b,
-            "current_s": c,
-            "delta_s": c - b,
-            "delta_pct": (c - b) / b * 100.0 if b > 0 else 0.0,
-        }
-    return table
+        b = float(base.get(name, 0.0))
+        c = float(cur.get(name, 0.0))
+        table[name] = {"baseline_s": b, "current_s": c, "delta_s": c - b}
+    top = max(
+        table, key=lambda n: (table[n]["delta_s"], n), default=None
+    )
+    return {
+        "subsystems": table,
+        "top": top,
+        "top_delta_s": table[top]["delta_s"] if top else 0.0,
+    }
+
+
+def _self_times(subsystems: Dict[str, Dict]) -> Dict[str, float]:
+    return {
+        name: (entry or {}).get("self_wall_s", 0.0)
+        for name, entry in subsystems.items()
+    }
 
 
 def diff_ledgers(
@@ -95,13 +125,15 @@ def diff_ledgers(
     cur_wall = float(current.get("wall_s", 0.0))
     wall_delta = cur_wall - base_wall
     wall_pct = wall_delta / base_wall * 100.0 if base_wall > 0 else 0.0
-    table = _subsystem_deltas(
-        baseline.get("subsystems", {}), current.get("subsystems", {})
+    attribution = _subsystem_deltas(
+        _self_times(baseline.get("subsystems", {})),
+        _self_times(current.get("subsystems", {})),
     )
+    table = attribution["subsystems"]
+    for entry in table.values():
+        b = entry["baseline_s"]
+        entry["delta_pct"] = entry["delta_s"] / b * 100.0 if b > 0 else 0.0
     attributed = sum(entry["delta_s"] for entry in table.values())
-    top = max(
-        table, key=lambda n: (table[n]["delta_s"], n), default=None
-    )
     return {
         "kind": "ledger",
         "threshold_pct": float(threshold_pct),
@@ -122,9 +154,7 @@ def diff_ledgers(
         },
         "wall_delta_s": wall_delta,
         "wall_delta_pct": wall_pct,
-        "subsystems": table,
-        "top": top,
-        "top_delta_s": table[top]["delta_s"] if top else 0.0,
+        **attribution,
         "unattributed_s": wall_delta - attributed,
     }
 
@@ -134,24 +164,77 @@ def diff_bench(
     current: Dict,
     threshold_pct: float = 10.0,
 ) -> Dict[str, object]:
-    """Diff two bench payloads via the regression comparator.
+    """Diff two bench payloads benchmark by benchmark.
 
-    The subsystem attribution rides in from ``macro.spans`` (when both
-    payloads carry it); ``top`` names the subsystem with the largest
-    self-time growth.
+    A benchmark regresses when its wall time grows by at least
+    ``threshold_pct`` percent over the baseline.  Benchmarks only in the
+    baseline are ``missing`` (a failure, so deleting a benchmark cannot
+    hide its regression); benchmarks only in the current run are
+    ``new`` (informational).  A current benchmark carrying a falsy
+    ``audit_ok`` (the resilience macro audits its own trace) is
+    ``broken`` — a correctness failure that gates regardless of speed.
+    The subsystem attribution rides in from ``macro.spans`` when both
+    payloads carry its flat ``subsystems`` table (``{name:
+    self_wall_s}``).
     """
-    comparison = compare_payloads(
-        baseline, current, threshold_pct=threshold_pct
+    if threshold_pct <= 0:
+        raise ValueError("threshold must be positive")
+    base_marks: Dict[str, Dict] = baseline["benchmarks"]
+    cur_marks: Dict[str, Dict] = current["benchmarks"]
+    rows: List[Dict[str, object]] = []
+    counts: Dict[str, int] = {}
+    for name in sorted(set(base_marks) | set(cur_marks)):
+        base = base_marks.get(name)
+        cur = cur_marks.get(name)
+        base_s = float(base["wall_s"]) if base is not None else None
+        cur_s = float(cur["wall_s"]) if cur is not None else None
+        delta: Optional[float] = None
+        if base is None:
+            status = "new"
+        elif cur is None:
+            status = "missing"
+        else:
+            delta = (cur_s - base_s) / base_s * 100.0 if base_s > 0 else 0.0
+            if not cur.get("audit_ok", True):
+                status = "broken"
+            elif delta >= threshold_pct:
+                status = "regression"
+            else:
+                status = "ok"
+        rows.append({
+            "name": name,
+            "baseline_s": base_s,
+            "current_s": cur_s,
+            "delta_pct": delta,
+            "status": status,
+        })
+        counts[status] = counts.get(status, 0) + 1
+    failed = any(
+        row["status"] in ("regression", "missing", "broken") for row in rows
     )
-    attribution = comparison.attribution or {}
+    tables = [
+        (marks.get("macro.spans") or {}).get("subsystems")
+        for marks in (base_marks, cur_marks)
+    ]
+    attribution = (
+        _subsystem_deltas(*tables)
+        if all(isinstance(table, dict) for table in tables) else None
+    )
     return {
         "kind": "bench",
         "threshold_pct": float(threshold_pct),
-        "failed": comparison.failed,
-        "comparison": comparison.to_dict(),
-        "subsystems": attribution.get("subsystems"),
-        "top": attribution.get("top"),
-        "top_delta_s": attribution.get("top_delta_s", 0.0),
+        "failed": failed,
+        "comparison": {
+            "threshold_pct": threshold_pct,
+            "failed": failed,
+            "counts": dict(sorted(counts.items())),
+            "attribution": attribution,
+            "rows": rows,
+        },
+        "subsystems": None,
+        "top": None,
+        "top_delta_s": 0.0,
+        **(attribution or {}),
     }
 
 

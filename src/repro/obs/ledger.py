@@ -6,20 +6,23 @@ throughput, top-N hotspots, the full span tree, and a ``deterministic``
 block (sim-plane tree + sha256) that is byte-identical across runs and
 worker counts — wall-time fields never enter the hashed view.
 
-Builders here; the regression-attribution consumer lives in
-:mod:`repro.obs.diff`.  The collapsed-stack export
-(:func:`collapsed_stacks`) renders ``a;b;c <self-microseconds>`` lines,
-the format both ``flamegraph.pl`` and speedscope import.
+Builders here; ``repro diff`` (:mod:`repro.obs.diff`), the one
+comparator of perf files, reads two ledgers and attributes their
+wall-time delta to subsystems.  The ``meta`` block is the run stamp
+bench payloads carry too (:func:`repro.obs.bench.run_stamp`).  The
+collapsed-stack export (:func:`collapsed_stacks`) renders
+``a;b;c <self-microseconds>`` lines, the format both ``flamegraph.pl``
+and speedscope import.
 """
 
 from __future__ import annotations
 
 import json
-import platform
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import spans
+from repro.obs.bench import run_stamp
 from repro.obs.spans import SpanProfiler
 
 LEDGER_SCHEMA_VERSION = 1
@@ -102,13 +105,7 @@ def build_ledger(
         },
     }
     if meta:
-        from repro.obs.bench import _git_sha
-
-        ledger["meta"] = {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "git_sha": _git_sha(),
-        }
+        ledger["meta"] = run_stamp()
     return ledger
 
 

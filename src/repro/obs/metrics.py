@@ -225,8 +225,7 @@ class MetricsRegistry:
     ) -> List[Tuple[str, Histogram]]:
         """(series name, histogram) pairs, sorted by series name.
 
-        ``prefix`` filters on the formatted series name — e.g.
-        ``histograms(prefix="timing.")`` for the profiling hooks.
+        ``prefix`` filters on the formatted series name.
         """
         out: List[Tuple[str, Histogram]] = []
         for (name, labels), metric in sorted(self._histograms.items()):

@@ -16,14 +16,17 @@ request → transport round), each attributed to one *subsystem*
 
 The profiler is **off** by default.  Instrumented components capture
 :func:`current` once at construction (the same pattern the metrics
-registry uses), so a disabled span site costs one attribute read; the
-``timed()`` hooks read the single module-global :data:`_STATE` per
-call.  Where a span covers a whole method call (the link's round, the
+registry uses), so a disabled span site costs one attribute read.
+Where a span covers a whole method call (the link's round, the
 router's enqueue, the tracer's emit), the component instead binds a
 :func:`metered` wrapper onto the instance, so the method carries no
 profiler test at all.  Install a profiler *before* building the stack
 (the experiment runner does this per repetition) so every layer
 records into it.
+
+This is the one recorder of the layers' wall time: ``repro profile``
+(or ``--profile`` on ``fleet``, ``sweep`` and ``faults``) renders it,
+and the metrics registry holds no timings.
 
 Wall self-time is exact for strictly nested spans — the solo-session
 execution mode every ``repro profile`` run uses.  Interleaved
@@ -49,37 +52,12 @@ SUBSYSTEMS = (
     "other",
 )
 
-# Module state, folded into one global so the off path costs a single
-# read: None when both the timing histograms and the span profiler are
-# off, else the tuple (timers_enabled, profiler_or_None).
-_TIMERS = False
 _PROFILER: Optional["SpanProfiler"] = None
-_STATE: Optional[Tuple[bool, Optional["SpanProfiler"]]] = None
-
-
-def _recompute_state() -> None:
-    global _STATE
-    if not _TIMERS and _PROFILER is None:
-        _STATE = None
-    else:
-        _STATE = (_TIMERS, _PROFILER)
-
-
-def set_timers(on: bool = True) -> None:
-    """Switch the ``timed()`` histogram hooks on or off."""
-    global _TIMERS
-    _TIMERS = bool(on)
-    _recompute_state()
-
-
-def timers_enabled() -> bool:
-    return _TIMERS
 
 
 def current() -> Optional["SpanProfiler"]:
     """The installed span profiler, or None when span profiling is off."""
-    state = _STATE
-    return state[1] if state is not None else None
+    return _PROFILER
 
 
 def install(profiler: Optional["SpanProfiler"]) -> Optional["SpanProfiler"]:
@@ -91,7 +69,6 @@ def install(profiler: Optional["SpanProfiler"]) -> Optional["SpanProfiler"]:
     global _PROFILER
     previous = _PROFILER
     _PROFILER = profiler
-    _recompute_state()
     return previous
 
 
@@ -432,6 +409,4 @@ __all__ = [
     "install",
     "metered",
     "profiled",
-    "set_timers",
-    "timers_enabled",
 ]

@@ -34,7 +34,6 @@ from repro.network.link import BottleneckLink
 from repro.network.traces import NetworkTrace
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
-from repro.obs.profiling import timed
 from repro.obs.spans import current as _current_profiler
 from repro.obs.tracer import NULL_TRACER, SessionTracer
 from repro.player.buffer import PlaybackBuffer
@@ -649,10 +648,16 @@ class StreamingSession:
 
     # ------------------------------------------------------------------
     def _decide(self, index: int, last_quality: Optional[int]):
+        prof = self._prof
         while True:
             ctx = self._context(index, last_quality)
-            with timed("abr.choose", subsystem="abr"):
+            frame = prof.push("abr.choose", "abr") \
+                if prof is not None else None
+            try:
                 decision = self.abr.choose(ctx)
+            finally:
+                if frame is not None:
+                    prof.pop(frame)
             self._ctr_decisions.inc()
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -1028,11 +1033,17 @@ class StreamingSession:
         segment = self.prepared.video.segment(quality, index)
         dropped = [f for f in delivery.dropped_frames if f != 0]
         corruption = delivery.partial_frames
-        with timed("decode_segment", subsystem="qoe"):
+        prof = self._prof
+        frame = prof.push("decode_segment", "qoe") \
+            if prof is not None else None
+        try:
             result = decode_segment(
                 segment,
                 params=self.prepared.params,
                 dropped=dropped,
                 corruption=corruption,
             )
+        finally:
+            if frame is not None:
+                prof.pop(frame)
         return result.score

@@ -31,7 +31,6 @@ from repro.network.events import drive
 from repro.network.link import BottleneckLink
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
-from repro.obs.profiling import timed
 from repro.obs.spans import current as _current_profiler
 from repro.obs.tracer import NULL_TRACER
 from repro.transport.base import (
@@ -103,10 +102,6 @@ class QuicConnection:
         self._prof = _current_profiler()
 
     # ------------------------------------------------------------------
-    # record_span=False: download_iter (below) opens the
-    # "transport.download" span itself; the blocking wrapper keeps only
-    # the histogram so the two never double-nest.
-    @timed("transport.download", record_span=False)
     def download(
         self,
         nbytes: int,

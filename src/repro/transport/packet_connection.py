@@ -284,12 +284,21 @@ class PacketLevelConnection:
         if epoch != self._epoch or self._done:
             return
         now = self.scheduler.now
+        lost = merge_intervals(self._lost)
+        if self._inflight and lost:
+            # The retry resumes at delivered + lost bytes, so the partial
+            # must account a prefix.  A loss detected above a packet
+            # still in flight (queued behind a blackout, say) lies past
+            # that offset: drop it here and let the retry re-request
+            # those bytes rather than count them twice.
+            first = min(self._inflight.values())
+            lost = [(start, end) for start, end in lost if end <= first]
         self._failed = TransportFault(
             kind,
             DownloadResult(
                 requested=self._limit,
                 delivered=self._delivered_bytes,
-                lost=merge_intervals(self._lost),
+                lost=lost,
                 elapsed=now - self._start_time,
                 truncated_at=None,
                 rounds=self._round,

@@ -1,4 +1,4 @@
-"""Benchmark suite: payload schema, persistence, and regression gating."""
+"""Benchmark suite: payload schema, persistence, and the `repro diff` gate."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs import bench, regression
+from repro.obs import bench, diff
 from repro.obs.metrics import get_registry
 
 
@@ -139,7 +139,8 @@ def test_suite_does_not_pollute_registry(tiny_prepared):
 def test_payload_roundtrip(payload, tmp_path):
     path = tmp_path / "BENCH_test.json"
     bench.write_payload(payload, str(path))
-    loaded = regression.load_payload(str(path))
+    kind, loaded = diff.load_perf_file(str(path))
+    assert kind == "bench"
     assert loaded == json.loads(json.dumps(payload))
 
 
@@ -150,7 +151,7 @@ def test_format_suite_lists_every_benchmark(payload):
 
 
 # ---------------------------------------------------------------------------
-# Regression gating.
+# Regression gating (repro.obs.diff, the one comparator).
 # ---------------------------------------------------------------------------
 def _with_wall(payload, name, wall_s):
     clone = copy.deepcopy(payload)
@@ -158,16 +159,21 @@ def _with_wall(payload, name, wall_s):
     return clone
 
 
+def _rows(result, status):
+    return [row for row in result["comparison"]["rows"]
+            if row["status"] == status]
+
+
 def test_compare_flags_regression(payload):
     slower = _with_wall(
         payload, "micro.abr_choose",
         payload["benchmarks"]["micro.abr_choose"]["wall_s"] * 1.5,
     )
-    comparison = regression.compare_payloads(payload, slower,
-                                             threshold_pct=10.0)
-    assert comparison.failed
-    assert [r.name for r in comparison.regressions] == ["micro.abr_choose"]
-    assert comparison.regressions[0].delta_pct == pytest.approx(50.0)
+    result = diff.diff_bench(payload, slower, threshold_pct=10.0)
+    assert result["failed"]
+    regressions = _rows(result, "regression")
+    assert [r["name"] for r in regressions] == ["micro.abr_choose"]
+    assert regressions[0]["delta_pct"] == pytest.approx(50.0)
 
 
 def test_compare_tolerates_below_threshold(payload):
@@ -175,27 +181,30 @@ def test_compare_tolerates_below_threshold(payload):
         payload, "micro.abr_choose",
         payload["benchmarks"]["micro.abr_choose"]["wall_s"] * 1.05,
     )
-    comparison = regression.compare_payloads(payload, slower,
-                                             threshold_pct=10.0)
-    assert not comparison.failed
-    assert all(r.status == "ok" for r in comparison.rows)
+    result = diff.diff_bench(payload, slower, threshold_pct=10.0)
+    assert not result["failed"]
+    assert all(r["status"] == "ok" for r in result["comparison"]["rows"])
 
 
 def test_compare_missing_benchmark_fails(payload):
     current = copy.deepcopy(payload)
     del current["benchmarks"]["macro.session.packet"]
-    comparison = regression.compare_payloads(payload, current)
-    assert comparison.failed
-    assert [r.name for r in comparison.missing] == ["macro.session.packet"]
+    result = diff.diff_bench(payload, current)
+    assert result["failed"]
+    assert [r["name"] for r in _rows(result, "missing")] == [
+        "macro.session.packet"
+    ]
 
 
 def test_compare_new_benchmark_is_informational(payload):
     current = copy.deepcopy(payload)
     current["benchmarks"]["micro.novel"] = {"kind": "micro", "wall_s": 1.0}
-    comparison = regression.compare_payloads(payload, current)
-    assert not comparison.failed
-    assert any(r.status == "new" for r in comparison.rows)
-    assert "NEW" in regression.format_comparison(comparison)
+    result = diff.diff_bench(payload, current)
+    assert not result["failed"]
+    assert any(r["status"] == "new" for r in result["comparison"]["rows"])
+    assert "| micro.novel | — | 1.0000s | — | new |" in diff.format_diff(
+        result
+    )
 
 
 def test_compare_broken_audit_fails_regardless_of_speed(payload):
@@ -203,24 +212,27 @@ def test_compare_broken_audit_fails_regardless_of_speed(payload):
     current["benchmarks"]["macro.resilience"]["audit_ok"] = False
     # Even faster-than-baseline, a broken invariant audit gates.
     current["benchmarks"]["macro.resilience"]["wall_s"] *= 0.5
-    comparison = regression.compare_payloads(payload, current)
-    assert comparison.failed
-    assert [r.name for r in comparison.broken] == ["macro.resilience"]
-    assert "AUDIT-FAIL" in regression.format_comparison(comparison)
+    result = diff.diff_bench(payload, current)
+    assert result["failed"]
+    assert [r["name"] for r in _rows(result, "broken")] == [
+        "macro.resilience"
+    ]
+    assert "| -50.0% | broken |" in diff.format_diff(result)
 
 
 def test_load_payload_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 99, "benchmarks": {}}))
-    with pytest.raises(regression.BenchFormatError):
-        regression.load_payload(str(path))
+    with pytest.raises(diff.PerfDiffFormatError,
+                       match="unsupported bench schema version 99"):
+        diff.load_perf_file(str(path))
     path.write_text("not json")
-    with pytest.raises(regression.BenchFormatError):
-        regression.load_payload(str(path))
+    with pytest.raises(diff.PerfDiffFormatError, match="unparseable JSON"):
+        diff.load_perf_file(str(path))
 
 
 # ---------------------------------------------------------------------------
-# CLI: repro bench --input/--compare exit codes.
+# CLI: repro diff exit codes on bench payloads.
 # ---------------------------------------------------------------------------
 def test_cli_bench_compare_exit_codes(payload, tmp_path, capsys):
     from repro.cli import main
@@ -234,19 +246,19 @@ def test_cli_bench_compare_exit_codes(payload, tmp_path, capsys):
     cur_path = tmp_path / "BENCH_cur.json"
     bench.write_payload(slower, str(cur_path))
 
-    rc = main(["bench", "--input", str(cur_path),
-               "--compare", str(base_path), "--threshold", "10"])
+    rc = main(["diff", str(base_path), str(cur_path), "--threshold", "10"])
     assert rc == 1
-    assert "REGRESSION" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "| +50.0% | regression |" in out
+    assert "**Verdict: FAIL**" in out
 
-    rc = main(["bench", "--input", str(cur_path),
-               "--compare", str(base_path), "--threshold", "60"])
+    rc = main(["diff", str(base_path), str(cur_path), "--threshold", "60"])
     assert rc == 0
-    assert "no regressions" in capsys.readouterr().out
+    assert "**Verdict: ok** — no regression" in capsys.readouterr().out
 
 
 def test_cli_bench_json_compare_object(payload, tmp_path, capsys):
-    """--json --compare emits one machine-readable object for CI."""
+    """--json emits one machine-readable verdict object for CI."""
     from repro.cli import main
 
     base_path = tmp_path / "BENCH_base.json"
@@ -258,23 +270,35 @@ def test_cli_bench_json_compare_object(payload, tmp_path, capsys):
     cur_path = tmp_path / "BENCH_cur.json"
     bench.write_payload(slower, str(cur_path))
 
-    rc = main(["--json", "bench", "--input", str(cur_path),
-               "--compare", str(base_path), "--threshold", "10"])
+    rc = main(["--json", "diff", str(base_path), str(cur_path),
+               "--threshold", "10"])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"payload", "comparison"}
-    assert out["payload"]["benchmarks"].keys() == payload["benchmarks"].keys()
+    assert set(out) == {
+        "kind", "threshold_pct", "failed", "comparison", "subsystems",
+        "top", "top_delta_s", "baseline_path", "current_path",
+    }
+    assert out["kind"] == "bench"
     comparison = out["comparison"]
+    assert set(comparison) == {
+        "threshold_pct", "failed", "counts", "attribution", "rows",
+    }
     assert comparison["failed"] is True
     assert comparison["threshold_pct"] == 10.0
     assert comparison["counts"]["regression"] == 1
     by_name = {row["name"]: row for row in comparison["rows"]}
+    assert by_name.keys() == payload["benchmarks"].keys()
     row = by_name["micro.abr_choose"]
     assert row["status"] == "regression"
     assert row["delta_pct"] == pytest.approx(50.0)
     assert all(
         set(r) == {"name", "baseline_s", "current_s", "delta_pct", "status"}
         for r in comparison["rows"]
+    )
+    # The attribution entries carry no per-subsystem percentage.
+    assert all(
+        set(entry) == {"baseline_s", "current_s", "delta_s"}
+        for entry in out["subsystems"].values()
     )
 
 
@@ -283,6 +307,5 @@ def test_cli_bench_rejects_unreadable_baseline(payload, tmp_path):
 
     cur_path = tmp_path / "BENCH_cur.json"
     bench.write_payload(payload, str(cur_path))
-    rc = main(["bench", "--input", str(cur_path),
-               "--compare", str(tmp_path / "absent.json")])
+    rc = main(["diff", str(tmp_path / "absent.json"), str(cur_path)])
     assert rc == 2

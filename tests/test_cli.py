@@ -252,7 +252,7 @@ class TestObservabilityCli:
         assert "cannot read" in capsys.readouterr().err
 
     def test_stream_metrics_flag(self, capsys):
-        from repro.obs import enable_profiling, reset_registry
+        from repro.obs import reset_registry
 
         reset_registry()
         try:
@@ -263,10 +263,10 @@ class TestObservabilityCli:
             out = capsys.readouterr().out
             assert "=== metrics ===" in out
             assert "transport.rounds" in out
-            assert "=== timing ===" in out
-            assert "timing.decode_segment" in out
+            # Wall time lives in the span profiler, not the registry.
+            assert "=== timing ===" not in out
+            assert "timing." not in out
         finally:
-            enable_profiling(False)
             reset_registry()
 
     def test_unknown_video_exits_2(self, capsys):

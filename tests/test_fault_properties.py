@@ -8,7 +8,7 @@ must hold on the resulting trace.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import stream_spec
@@ -17,6 +17,7 @@ from repro.core.spec import ScenarioSpec
 from repro.obs import events as ev
 from repro.obs.invariants import MultiSessionAuditor, TraceAuditor
 from repro.obs.tracer import Tracer
+from repro.transport.packet_connection import PacketLevelConnection
 
 # The tiny fixture plays ~24 s of media; place faults inside that.
 _HORIZON = 22.0
@@ -61,6 +62,15 @@ _SCHEDULES = st.fixed_dictionaries({
     "events": st.lists(_CLAUSES, min_size=1, max_size=4),
 })
 
+#: A blackout holds a retry's first packets in the router queue while
+#: later ones are tail-dropped, so the attempt times out with a loss
+#: detected above bytes still in flight.  Its partial must still account
+#: a prefix of the request, or the retry counts those bytes twice.
+_PACKET_BLACKOUT_RETRY = dict(
+    faults={"events": [{"kind": "blackout", "at": 1.0, "duration": 1.0}]},
+    seed=0, backend="packet", retry_budget=2,
+)
+
 
 @settings(
     max_examples=12, deadline=None,
@@ -72,6 +82,7 @@ _SCHEDULES = st.fixed_dictionaries({
     backend=st.sampled_from(["round", "packet"]),
     retry_budget=st.integers(0, 3),
 )
+@example(**_PACKET_BLACKOUT_RETRY)
 def test_random_schedules_keep_all_invariants(
     tiny_prepared, faults, seed, backend, retry_budget
 ):
@@ -94,6 +105,34 @@ def test_random_schedules_keep_all_invariants(
 
     # The session terminated with every segment accounted for.
     assert len(result.metrics.records) == 6
+
+
+def test_packet_fault_partial_accounts_a_prefix(tiny_prepared, monkeypatch):
+    partials = []
+    fire = PacketLevelConnection._fault_fired
+
+    def recording(self, epoch, kind, at):
+        fire(self, epoch, kind, at)
+        if self._failed is not None:
+            partials.append(self._failed)
+
+    monkeypatch.setattr(PacketLevelConnection, "_fault_fired", recording)
+    spec = ScenarioSpec(
+        video="tinytest", abr="abr_star", trace="verizon",
+        buffer_segments=2, request_timeout_s=2.0, retry_backoff_s=0.2,
+        **_PACKET_BLACKOUT_RETRY,
+    )
+    auditor = TraceAuditor()
+    stream_spec(spec, prepared=tiny_prepared,
+                tracer=Tracer(observers=[auditor.feed]))
+    report = auditor.finalize()
+    assert report.ok, [str(v) for v in report.violations]
+    assert partials
+    for fault in partials:
+        # The retry resumes at ``accounted_bytes``: every lost byte of
+        # the attempt must lie below it.
+        assert all(end <= fault.accounted_bytes
+                   for _, end in fault.partial.lost), fault.partial
 
 
 @settings(

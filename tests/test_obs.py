@@ -1,4 +1,4 @@
-"""Tests for the observability layer: tracer, metrics, profiling, inspector."""
+"""Tests for the observability layer: tracer, metrics, inspector."""
 
 from __future__ import annotations
 
@@ -20,13 +20,9 @@ from repro.obs import (
     SchemaError,
     TraceEvent,
     Tracer,
-    enable_profiling,
     get_registry,
-    profiling_enabled,
     read_jsonl,
     reset_registry,
-    timed,
-    timing_summary,
 )
 from repro.obs import events as ev
 from repro.obs import inspect as trace_inspect
@@ -456,49 +452,6 @@ class TestSessionTracing:
         assert tracer.select(ev.SESSION_END)
         times = [e.t for e in tracer.events]
         assert all(a <= b for a, b in zip(times, times[1:]))
-
-
-class TestProfiling:
-    def teardown_method(self):
-        enable_profiling(False)
-        reset_registry()
-
-    def test_disabled_records_nothing(self):
-        reset_registry()
-        enable_profiling(False)
-        with timed("probe.block"):
-            pass
-        assert get_registry().dump()["histograms"] == {}
-        assert "no samples" in timing_summary()
-
-    def test_context_manager(self):
-        reset_registry()
-        enable_profiling(True)
-        assert profiling_enabled()
-        with timed("probe.block"):
-            pass
-        hist = get_registry().histogram("timing.probe.block")
-        assert hist.count == 1
-        assert hist.mean >= 0.0
-
-    def test_decorator(self):
-        reset_registry()
-        enable_profiling(True)
-
-        @timed("probe.func")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert work(2) == 3
-        assert get_registry().histogram("timing.probe.func").count == 2
-
-    def test_summary_render(self):
-        reset_registry()
-        enable_profiling(True)
-        with timed("probe.block"):
-            pass
-        assert "timing.probe.block" in timing_summary()
 
 
 class TestInspect:

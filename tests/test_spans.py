@@ -25,16 +25,13 @@ from repro.obs.ledger import (
     profile_trials,
     write_ledger,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import timed, timing_summary
 from repro.obs.spans import SpanProfiler
 
 
 @pytest.fixture(autouse=True)
 def _clean_span_state():
-    """No test leaks timers or an installed profiler."""
+    """No test leaks an installed profiler."""
     yield
-    spans.set_timers(False)
     spans.install(None)
 
 
@@ -199,66 +196,6 @@ class TestSpanProfiler:
             line.startswith("session;abr.choose ")
             for line in collapsed.splitlines()
         )
-
-
-class TestTimedHooks:
-    def test_timed_decorator_with_explicit_registry(self):
-        registry = MetricsRegistry()
-
-        @timed("decorated", registry=registry)
-        def work(x):
-            return x * 2
-
-        spans.set_timers(True)
-        assert work(3) == 6
-        assert work(4) == 8
-        assert registry.histogram("timing.decorated").count == 2
-
-    def test_disabled_fast_path_writes_nothing(self):
-        registry = MetricsRegistry()
-
-        @timed("off", registry=registry)
-        def work():
-            return 1
-
-        assert not spans.timers_enabled()
-        assert work() == 1
-        with timed("off2", registry=registry):
-            pass
-        assert registry.dump()["histograms"] == {}
-
-    def test_timed_records_span_when_profiler_installed(self):
-        with spans.profiled() as prof:
-            with timed("abr.choose", subsystem="abr"):
-                pass
-        tree = _tree(prof)
-        assert tree["abr.choose"]["subsystem"] == "abr"
-        assert tree["abr.choose"]["count"] == 1
-
-    def test_timed_record_span_false_skips_the_span(self):
-        with spans.profiled() as prof:
-            with timed("transport.download", record_span=False):
-                pass
-        assert _tree(prof) == {}
-
-    def test_timing_summary_sorted_with_columns(self):
-        registry = MetricsRegistry()
-        spans.set_timers(True)
-        for _ in range(3):
-            with timed("slow", registry=registry):
-                for _ in range(20000):
-                    pass
-        with timed("fast", registry=registry):
-            pass
-        text = timing_summary(registry)
-        assert text.startswith("=== timing ===")
-        for column in ("total=", "count=", "mean=", "max="):
-            assert column in text
-        # Sorted by total descending: the busy loop outranks the no-op.
-        assert text.index("slow") < text.index("fast")
-
-    def test_timing_summary_empty(self):
-        assert "no samples" in timing_summary(MetricsRegistry())
 
 
 #: Golden hash of the deterministic span tree for the pinned scenario
