@@ -11,9 +11,8 @@
     python -m repro report trace.jsonl --out report.md   # markdown report
     python -m repro faults --rollup --out chaos.jsonl
     python -m repro report chaos.jsonl --check           # fleet report
-    python -m repro bench --quick --label pr  # benchmark suite
-    python -m repro diff BENCH_main.json BENCH_pr.json --threshold 25
     python -m repro profile bbb --out ledger.json --collapsed prof.folded
+    python -m repro diff base.json ledger.json --threshold 25  # two ledgers
     python -m repro compare bbb --trace tmobile --buffer 1
     python -m repro fleet --clients 1000 --shards 8 --workers 4
     python -m repro fleet --workers 4 --resume ckpt/   # crash-safe resume
@@ -171,18 +170,22 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         resilience_kwargs["retry_budget"] = args.retry_budget
     if args.retry_backoff is not None:
         resilience_kwargs["retry_backoff_s"] = args.retry_backoff
-    result = stream(
-        prepared,
-        abr=args.abr,
-        trace=args.trace,
-        buffer_segments=args.buffer,
-        partially_reliable=not args.plain_quic,
-        seed=args.seed,
-        trace_shift_s=args.shift,
-        abr_kwargs=abr_kwargs or None,
-        tracer=tracer,
-        **resilience_kwargs,
-    )
+    try:
+        result = stream(
+            prepared,
+            abr=args.abr,
+            trace=args.trace,
+            buffer_segments=args.buffer,
+            partially_reliable=not args.plain_quic,
+            seed=args.seed,
+            trace_shift_s=args.shift,
+            abr_kwargs=abr_kwargs or None,
+            tracer=tracer,
+            **resilience_kwargs,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.trace_out:
         from repro.ioutil import atomic_output
 
@@ -741,22 +744,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench
-
-    payload = bench.run_suite(
-        quick=args.quick, seed=args.seed, label=args.label
-    )
-    out_path = args.out or bench.default_output_path(args.label)
-    bench.write_payload(payload, out_path)
-    print(f"wrote {out_path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(bench.format_suite(payload))
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.spec import ScenarioSpec
     from repro.obs.ledger import (
@@ -796,7 +783,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }
         if args.backend:
             fields["backend"] = args.backend
-        spec = ScenarioSpec.from_dict(fields)
+        try:
+            spec = ScenarioSpec.from_dict(fields)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     try:
         profiler, _summary, wall_s = profile_trials(
@@ -1000,9 +991,14 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_survey(args: argparse.Namespace) -> int:
     from repro.experiments.survey import DIMENSIONS, fig14_survey
 
-    result = fig14_survey(
-        clips=args.clips, participants=args.participants, seed=args.seed
-    )
+    try:
+        result = fig14_survey(
+            clips=args.clips, participants=args.participants,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps({
             "participants": result.participants,
@@ -1179,18 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the session-sampling hash (default 0)",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the benchmark suite (compare payloads with repro diff)",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="reduced repeats and tiny synthetic workload")
-    p_bench.add_argument("--label", default="local",
-                         help="label embedded in the payload and filename")
-    p_bench.add_argument("--out", default=None, metavar="PATH",
-                         help="output path (default BENCH_<label>.json)")
-    p_bench.add_argument("--seed", type=int, default=0)
-
     p_profile = sub.add_parser(
         "profile",
         help="run a scenario under the span profiler and emit a perf "
@@ -1228,11 +1212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser(
         "diff",
-        help="compare two BENCH_*.json or two perf ledgers and "
-        "attribute the wall-time delta to subsystems",
+        help="compare two perf ledgers and attribute the wall-time "
+        "delta to subsystems",
     )
-    p_diff.add_argument("baseline", help="baseline bench payload or ledger")
-    p_diff.add_argument("current", help="current bench payload or ledger")
+    p_diff.add_argument("baseline", help="baseline perf ledger")
+    p_diff.add_argument("current", help="current perf ledger")
     p_diff.add_argument(
         "--threshold", type=float, default=10.0,
         help="regression threshold in percent (default 10); exit 1 "
@@ -1452,7 +1436,6 @@ _HANDLERS = {
     "figure": _cmd_figure,
     "survey": _cmd_survey,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
     "profile": _cmd_profile,
     "diff": _cmd_diff,
     "faults": _cmd_faults,

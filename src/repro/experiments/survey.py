@@ -95,6 +95,8 @@ def run_survey(
     """
     if not voxel_sessions or not bola_sessions:
         raise ValueError("need at least one session per system")
+    if participants < 1:
+        raise ValueError(f"participants must be >= 1, got {participants}")
     rng = np.random.default_rng(seed)
 
     totals = {

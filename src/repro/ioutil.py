@@ -1,8 +1,8 @@
 """Atomic file outputs: temp-file-in-place + ``os.replace``.
 
 Every artifact the harness emits (sweep/chaos JSONL, fleet reports,
-``BENCH_*.json``, perf ledgers, markdown reports, recorded traces,
-checkpoint spool entries) is written through these helpers so an
+perf ledgers, markdown reports, recorded traces, checkpoint spool
+entries) is written through these helpers so an
 interrupt — Ctrl-C, OOM kill, power loss — can never leave a torn file
 behind: readers either see the complete previous version or the
 complete new one, never a prefix.

@@ -44,12 +44,7 @@ from repro.obs.invariants import (
     audit_stream,
     format_report,
 )
-from repro.obs.diff import (
-    PerfDiffFormatError,
-    diff_files,
-    format_diff,
-    load_perf_file,
-)
+from repro.obs.diff import diff_files, format_diff
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     build_ledger,
@@ -137,10 +132,8 @@ __all__ = [
     "load_ledger",
     "profile_trials",
     "write_ledger",
-    "PerfDiffFormatError",
     "diff_files",
     "format_diff",
-    "load_perf_file",
     "build_report",
     "render_markdown",
     "report_to_json",

@@ -6,10 +6,9 @@ throughput, top-N hotspots, the full span tree, and a ``deterministic``
 block (sim-plane tree + sha256) that is byte-identical across runs and
 worker counts — wall-time fields never enter the hashed view.
 
-Builders here; ``repro diff`` (:mod:`repro.obs.diff`), the one
-comparator of perf files, reads two ledgers and attributes their
-wall-time delta to subsystems.  The ``meta`` block is the run stamp
-bench payloads carry too (:func:`repro.obs.bench.run_stamp`).  The
+Builders here; ``repro diff`` (:mod:`repro.obs.diff`) reads two
+ledgers and attributes their wall-time delta to subsystems.  The
+``meta`` block is the run stamp (:func:`run_stamp`).  The
 collapsed-stack export (:func:`collapsed_stacks`) renders
 ``a;b;c <self-microseconds>`` lines, the format both ``flamegraph.pl``
 and speedscope import.
@@ -18,14 +17,43 @@ and speedscope import.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import spans
-from repro.obs.bench import run_stamp
 from repro.obs.spans import SpanProfiler
 
 LEDGER_SCHEMA_VERSION = 1
+
+
+def run_stamp() -> Dict[str, Optional[str]]:
+    """``{python, platform, git_sha}`` of this run.
+
+    Stamped as ``meta`` into perf ledgers, so archived results are
+    traceable to the exact code that produced them.  ``git_sha`` is the
+    HEAD of the source tree containing this module (not the caller's
+    cwd), or None outside a git checkout.
+    """
+    import subprocess
+
+    sha = None
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+        if out.returncode == 0:
+            sha = out.stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        pass
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "git_sha": sha,
+    }
 
 
 def profile_trials(
@@ -118,7 +146,10 @@ def write_ledger(path: str, ledger: Dict) -> None:
 def load_ledger(path: str) -> Dict:
     """Load and sanity-check a ledger file."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: unparseable JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a perf ledger (expected an object)")
     version = payload.get("ledger_version")

@@ -220,21 +220,6 @@ class MetricsRegistry:
             metric = self._histograms[key] = Histogram()
         return metric
 
-    def histograms(
-        self, prefix: Optional[str] = None,
-    ) -> List[Tuple[str, Histogram]]:
-        """(series name, histogram) pairs, sorted by series name.
-
-        ``prefix`` filters on the formatted series name.
-        """
-        out: List[Tuple[str, Histogram]] = []
-        for (name, labels), metric in sorted(self._histograms.items()):
-            series = format_series(name, labels)
-            if prefix and not series.startswith(prefix):
-                continue
-            out.append((series, metric))
-        return out
-
     # ------------------------------------------------------------------
     def dump(self) -> Dict[str, Dict[str, object]]:
         """Snapshot of every series, keyed by formatted series name."""

@@ -290,8 +290,14 @@ class TestObservabilityCli:
         ["faults", "--seeds", "a"],
         ["sweep", "--videos", "bbb", "--buffers", "x", "--dry-run"],
         ["multiclient", "bbb", "--clients", "0"],
+        ["stream", "bbb", "--buffer", "0"],
+        ["stream", "bbb", "--timeout", "-1"],
+        ["stream", "bbb", "--retry-budget", "-1"],
+        ["profile", "bbb", "--reps", "0"],
+        ["survey", "--clips", "0"],
+        ["survey", "--participants", "0"],
     ])
-    def test_fan_out_usage_error_exits_2_in_one_line(self, argv, capsys):
+    def test_usage_error_exits_2_in_one_line(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.api import stream_spec
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
+from repro.experiments.chaos import CHAOS_PROFILES
 from repro.obs import events as ev
 from repro.obs.invariants import MultiSessionAuditor, TraceAuditor
 from repro.obs.tracer import Tracer
@@ -83,6 +84,10 @@ _PACKET_BLACKOUT_RETRY = dict(
     retry_budget=st.integers(0, 3),
 )
 @example(**_PACKET_BLACKOUT_RETRY)
+# The `mixed` chaos profile on the round backend: five fault kinds in
+# one session, with one retry.
+@example(faults=CHAOS_PROFILES["mixed"], seed=0, backend="round",
+         retry_budget=2)
 def test_random_schedules_keep_all_invariants(
     tiny_prepared, faults, seed, backend, retry_budget
 ):

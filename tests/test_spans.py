@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from contextlib import nullcontext
 
 import pytest
 
 from repro.core.spec import ScenarioSpec
 from repro.obs import spans
-from repro.obs.diff import (
-    PerfDiffFormatError,
-    diff_bench,
-    diff_files,
-    diff_ledgers,
-    format_diff,
-)
+from repro.obs.diff import diff_files, diff_ledgers, format_diff
 from repro.obs.ledger import (
     build_ledger,
     collapsed_stacks,
@@ -326,6 +321,15 @@ def _mini_profiler(abr_s: float, transport_s: float) -> SpanProfiler:
     return prof
 
 
+#: Valid JSON in another perf-file shape: no ``ledger_version``.
+_NON_LEDGER = {
+    "schema_version": 1,
+    "benchmarks": {
+        "macro.spans": {"wall_s": 0.1, "subsystems": {"abr": 0.02}},
+    },
+}
+
+
 class TestLedgerAndDiff:
     def test_ledger_fields(self, tmp_path):
         prof = _mini_profiler(0.2, 0.1)
@@ -396,52 +400,36 @@ class TestLedgerAndDiff:
         assert not result["failed"]
         assert "ok" in format_diff(result)
 
-    @staticmethod
-    def _bench_payload(abr_s: float, wall_s: float) -> dict:
-        return {
-            "schema_version": 1,
-            "benchmarks": {
-                "macro.spans": {
-                    "wall_s": wall_s,
-                    "subsystems": {"abr": abr_s, "transport": 0.01},
-                    "audit_ok": True,
-                },
-                "micro.decode_segment": {"wall_s": 0.05},
-            },
-        }
-
-    def test_diff_bench_names_subsystem_in_markdown_and_json(self):
-        base = self._bench_payload(abr_s=0.02, wall_s=0.1)
-        cur = self._bench_payload(abr_s=0.35, wall_s=0.4)
-        result = diff_bench(base, cur, threshold_pct=50.0)
-        assert result["failed"]
-        assert result["top"] == "abr"  # --json names the subsystem
-        markdown = format_diff(result)
-        assert "`abr`" in markdown  # markdown names it too
-        assert "macro.spans" in markdown
-
-    def test_diff_files_sniffs_and_rejects_mixed_kinds(self, tmp_path):
+    def test_diff_files_reads_ledgers_and_rejects_bench_payloads(
+        self, tmp_path
+    ):
         bench_path = tmp_path / "bench.json"
-        bench_path.write_text(
-            json.dumps(self._bench_payload(0.02, 0.1))
-        )
+        bench_path.write_text(json.dumps(_NON_LEDGER))
         ledger_path = tmp_path / "ledger.json"
         write_ledger(
             str(ledger_path),
             build_ledger(_mini_profiler(0.2, 0.1), 0.5, meta=False),
         )
-        with pytest.raises(PerfDiffFormatError, match="cannot diff"):
-            diff_files(str(bench_path), str(ledger_path))
-        result = diff_files(str(bench_path), str(bench_path))
-        assert result["kind"] == "bench" and not result["failed"]
+        for base, cur in ((bench_path, ledger_path),
+                          (ledger_path, bench_path)):
+            with pytest.raises(
+                ValueError,
+                match="^" + re.escape(
+                    f"{bench_path}: unsupported ledger_version None"
+                ),
+            ):
+                diff_files(str(base), str(cur))
         result = diff_files(str(ledger_path), str(ledger_path))
         assert result["kind"] == "ledger" and not result["failed"]
 
-    def test_load_perf_file_rejects_garbage(self, tmp_path):
+    def test_load_ledger_rejects_garbage(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text('{"hello": 1}')
-        with pytest.raises(PerfDiffFormatError, match="neither"):
+        with pytest.raises(ValueError, match="unsupported ledger_version"):
             diff_files(str(path), str(path))
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="nope.json: unparseable JSON"):
+            load_ledger(str(path))
 
 
 class TestCLI:
@@ -483,6 +471,31 @@ class TestCLI:
         assert rc == 1
         assert payload["top"] == "abr"
         assert payload["failed"] is True
+
+    @pytest.mark.parametrize("bad", ["absent", "not_json", "bench_shaped"])
+    def test_cli_diff_bad_baseline_exits_2_in_one_line(
+        self, bad, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / f"{bad}.json"
+        if bad == "not_json":
+            path.write_text("{not json")
+        elif bad == "bench_shaped":
+            path.write_text(json.dumps(_NON_LEDGER))
+        ledger = tmp_path / "ledger.json"
+        write_ledger(
+            str(ledger),
+            build_ledger(_mini_profiler(0.2, 0.1), 0.5, meta=False),
+        )
+        for argv in (["diff"], ["--json", "diff"]):
+            assert main(argv + [str(path), str(ledger)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert str(path) in captured.err
+            assert "Traceback" not in captured.err
 
     def test_cli_profile_smoke(
         self, tiny_prepared, tmp_path, monkeypatch, capsys
