@@ -9,8 +9,8 @@ traffic), maps the spec onto a
 historical ad-hoc wiring in ``stream()`` / the experiment runner.
 
 Multi-client runs use the same builder with shared plumbing: pass the
-kernel's ``clock`` plus the shared ``link`` (round backend) or
-``scheduler``/``router`` pair (packet backend) and spawn each session's
+shard's ``kernel`` plus the shared ``link`` (round backend) or
+``router`` (packet backend) and spawn each session's
 :meth:`~repro.player.session.StreamingSession.steps` on the kernel.
 """
 
@@ -194,10 +194,9 @@ class StackBuilder:
         self,
         network_trace: Optional[NetworkTrace] = None,
         tracer=None,
-        clock=None,
+        kernel=None,
         session_id: Optional[str] = None,
         link=None,
-        scheduler=None,
         router=None,
     ) -> StreamingSession:
         """Assemble the ready-to-run session.
@@ -207,10 +206,11 @@ class StackBuilder:
                 named trace (already shifted; the builder applies no
                 further shift).
             tracer: structured-event tracer (None = tracing off).
-            clock: shared kernel clock for multi-client runs.
+            kernel: the shard's kernel for multi-client runs (None =
+                the session builds its own).
             session_id: tag for events in shared traces.
-            link / scheduler / router: shared transport substrate for
-                sessions contending on one bottleneck.
+            link / router: shared transport substrate for sessions
+                contending on one bottleneck.
         """
         trace = (
             network_trace if network_trace is not None
@@ -224,9 +224,8 @@ class StackBuilder:
             cross_demand=self.cross_demand(trace),
             link=link,
             tracer=tracer,
-            clock=clock,
+            kernel=kernel,
             session_id=session_id,
-            scheduler=scheduler,
             router=router,
             spec_hash=self.spec.spec_hash(),
         )

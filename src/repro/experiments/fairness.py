@@ -129,6 +129,6 @@ def run_fairness(
             )
         )
 
-    kernel.run_until(lambda: all(w.fired for w in waiters))
+    kernel.run_until_all(waiters)
     results = [w.value for w in waiters]
     return FairnessResult(flows=results, link_mbps=link_mbps)

@@ -308,9 +308,8 @@ def build_shard(
             network_trace=trace,
             link=shared_link,
             tracer=tracer,
-            clock=kernel.clock,
+            kernel=kernel,
             session_id=session_id,
-            scheduler=kernel if backend == "packet" else None,
             router=shared_router,
         )
         for spec, session_id in zip(specs, session_ids)

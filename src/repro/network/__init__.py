@@ -1,6 +1,5 @@
-"""Network emulation substrate: clock, traces, cross traffic, link."""
+"""Network emulation substrate: traces, cross traffic, link."""
 
-from repro.network.clock import Clock
 from repro.network.crosstraffic import (
     CrossTrafficConfig,
     cross_traffic_available,
@@ -24,7 +23,6 @@ from repro.network.traces import (
 )
 
 __all__ = [
-    "Clock",
     "CrossTrafficConfig",
     "cross_traffic_available",
     "generate_cross_demand",

@@ -5,21 +5,19 @@ packet-level transport backend.  It has since been generalized into the
 simulation kernel every layer runs on:
 
 * :class:`EventScheduler` — the heap-based event loop (time, sequence,
-  callback).  It owns the :class:`~repro.network.clock.Clock` it keeps
-  at event time: a private one for a plain scheduler (the packet
-  router of a solo session), or the clock a :class:`SimKernel` shares
-  with its sessions.  :meth:`EventScheduler.step` is the one dispatch
-  body; the drain loops call it per event.
+  callback).  Its ``now`` is the simulation time: each step sets it to
+  the event time before the callback runs.  :meth:`EventScheduler.step`
+  is the one dispatch body; the drain loops call it per event.
 * :class:`Waiter` — a one-shot wake-up handle; processes yield one to
   sleep until some event (a download completing, a timer) fires it.
 * :class:`SimKernel` — an :class:`EventScheduler` that can
   :meth:`~SimKernel.spawn` generator *processes*: resumable state
   machines that yield either a ``float`` (sleep that many simulated
   seconds) or a :class:`Waiter` (sleep until woken).  N streaming
-  sessions spawned on one kernel interleave on a shared bottleneck.
-* :func:`drive` — runs one process to completion without a kernel,
-  reproducing the legacy blocking behaviour byte for byte: a single
-  session driven this way is indistinguishable from the pre-kernel code.
+  sessions spawned on one kernel interleave on a shared bottleneck; a
+  solo session runs on a kernel of its own, and the blocking wrappers
+  (``session.run()``, ``connection.download()``) run their process with
+  :meth:`~SimKernel.run_process`.
 
 The yield protocol is deliberately tiny::
 
@@ -36,10 +34,9 @@ import itertools
 import math
 from time import perf_counter
 from typing import (
-    Callable, Generator, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Generator, Iterable, List, Sequence, Tuple, Union,
 )
 
-from repro.network.clock import Clock
 from repro.obs.spans import current as _current_profiler
 
 _INF = float("inf")
@@ -88,13 +85,12 @@ class EventScheduler:
 
     Events are ``(time, sequence, callback)``; the sequence number keeps
     ordering stable for simultaneous events.  Callbacks may schedule
-    further events.  Before every callback the scheduler syncs
-    :attr:`clock` to the event time.
+    further events.  Before every callback the scheduler moves
+    :attr:`now` to the event time.
     """
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
-        self.clock = Clock(start)
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self._cancelled: set = set()
@@ -162,7 +158,7 @@ class EventScheduler:
         """Run the next event; returns False when nothing is pending.
 
         Under a span profiler, the pre-callback heap machinery (pop,
-        cancellation filtering, clock sync) is metered as the flat
+        cancellation filtering, time update) is metered as the flat
         ``kernel.step`` span.  The callback itself is not wrapped: it
         resumes processes that open and close their *own* spans (some
         held across yields), which a stack span here would corrupt.
@@ -179,13 +175,12 @@ class EventScheduler:
                 continue
             now = self.now
             if etime > now:
-                self.now = now = etime
+                self.now = etime
             elif etime < now - 1e-12:
                 raise RuntimeError(
                     f"event scheduled in the past: event time {etime:.9f} "
-                    f"precedes kernel time {self.now:.9f}"
+                    f"precedes kernel time {now:.9f}"
                 )
-            self.clock.now = now
             if prof is not None:
                 prof.add_flat("kernel.step", "kernel", perf_counter() - t0)
             callback()
@@ -234,22 +229,14 @@ class EventScheduler:
 
 
 class SimKernel(EventScheduler):
-    """An event scheduler that runs generator processes on a clock it
-    may share.
+    """An event scheduler that runs generator processes.
 
     The kernel is the *single* clock-advancing authority: every step
-    syncs ``clock.now`` to the event time before the callback, so every
+    moves :attr:`now` to the event time before the callback, so every
     process (and everything it calls — transport, tracer, player)
     observes one consistent notion of "now".  Multi-client simulations
-    share one kernel, one clock, and one bottleneck; pass ``clock`` to
-    make the kernel drive an existing clock instead of its own.
+    share one kernel and one bottleneck; a solo session owns a kernel.
     """
-
-    def __init__(self, start: float = 0.0, clock: Optional[Clock] = None):
-        super().__init__(start)
-        if clock is not None:
-            clock.now = self.now
-            self.clock = clock
 
     def _make_process(
         self, process: Process
@@ -318,40 +305,17 @@ class SimKernel(EventScheduler):
         """Drain the event heap completely."""
         self.run_until(lambda: False, max_events=max_events)
 
+    def run_process(self, process: Process):
+        """Run ``process`` to completion and return its value (blocking).
 
-def drive(process: Process, clock: Clock,
-          scheduler: Optional[EventScheduler] = None):
-    """Run one process to completion, blocking, without a kernel.
-
-    This is the legacy single-session execution mode: ``float`` yields
-    advance ``clock`` directly; :class:`Waiter` yields run ``scheduler``
-    events until the waiter fires (then sync the clock to event time),
-    exactly like the pre-kernel blocking transport loops did.  A process
-    driven this way produces byte-identical results to the old code.
-
-    Under a span profiler the direct clock-advance branch is metered as
-    the flat ``kernel.drive`` span (the Waiter branch's cost shows up
-    in ``kernel.step`` via the scheduler it runs).
-    """
-    prof = _current_profiler()
-    try:
-        while True:
-            item = process.send(None)
-            if isinstance(item, Waiter):
-                if scheduler is None:
-                    raise RuntimeError(
-                        "process yielded a Waiter but drive() has no "
-                        "scheduler to run events on"
-                    )
-                scheduler.run_until(lambda: item.fired)
-                # Match the legacy blocking downloads: event time ran
-                # ahead of the session clock mid-wait; snap it forward.
-                clock.now = scheduler.now
-            elif prof is None:
-                clock.advance(item)
-            else:
-                t0 = perf_counter()
-                clock.advance(item)
-                prof.add_flat("kernel.drive", "kernel", perf_counter() - t0)
-    except StopIteration as stop:
-        return stop.value
+        The process is spawned like any other and the kernel runs until
+        it finishes, along with whatever else is scheduled meanwhile.
+        An exception raised by the process propagates to the caller.
+        """
+        done = self.spawn(process)
+        self.run_until_all((done,))
+        if not done.fired:
+            raise RuntimeError(
+                "process blocked on a Waiter that no pending event wakes"
+            )
+        return done.value

@@ -2,9 +2,9 @@
 
 Three implementations share one interface:
 
-* :class:`Tracer` — records events; timestamps come from the simulation
-  :class:`~repro.network.clock.Clock` the session binds, so a seeded run
-  replays to a byte-identical trace.
+* :class:`Tracer` — records events; timestamps are the ``now`` of the
+  simulation kernel the session binds, so a seeded run replays to a
+  byte-identical trace.
 * :class:`StreamingTracer` — hands every event to its observers and
   keeps none.  :class:`Tracer` is a streaming tracer whose first
   observer is its ring buffer, so both run one emit body.
@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 
-from repro.network.clock import Clock
 from repro.obs.events import CHECK_SETS as _CHECK_SETS
 from repro.obs.events import TraceEvent, parse_jsonl
 from repro.obs.spans import current as _current_profiler, metered
@@ -36,7 +35,7 @@ class NullTracer:
 
     enabled = False
 
-    def bind_clock(self, clock: Clock) -> None:
+    def bind_clock(self, clock) -> None:
         pass
 
     def add_observer(self, observer) -> None:
@@ -85,7 +84,7 @@ class StreamingTracer:
 
     def __init__(
         self,
-        clock: Optional[Clock] = None,
+        clock=None,
         validate: bool = True,
         observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
     ):
@@ -105,8 +104,8 @@ class StreamingTracer:
         """Subscribe ``observer`` to every subsequently emitted event."""
         self._observers.append(observer)
 
-    def bind_clock(self, clock: Clock) -> None:
-        """Use ``clock`` for timestamps from now on."""
+    def bind_clock(self, clock) -> None:
+        """Stamp events with ``clock.now`` (a session binds its kernel)."""
         self.clock = clock
 
     def emit(self, type_: str, **fields) -> TraceEvent:
@@ -116,8 +115,9 @@ class StreamingTracer:
     def emit_at(self, t: float, type_: str, **fields) -> TraceEvent:
         """Record one event with an explicit simulation timestamp.
 
-        Event-driven components (the packet backend) report the event
-        loop's time, which runs ahead of the session clock mid-download.
+        Program code stamps events with the bound kernel's time through
+        :meth:`emit`; an explicit ``t`` builds timed traces without a
+        kernel (analysis fixtures, replayed streams).
         """
         return self.emit_fields(t, type_, fields)
 
@@ -167,8 +167,8 @@ class Tracer(StreamingTracer):
     before any other observer sees it.
 
     Args:
-        clock: simulation clock supplying timestamps.  The streaming
-            session rebinds its own clock via :meth:`bind_clock`.
+        clock: object whose ``now`` supplies timestamps.  The streaming
+            session binds its kernel via :meth:`bind_clock`.
         capacity: ring-buffer size; the oldest events are dropped once
             exceeded (``dropped`` counts them).
         validate: check each event against the schema on emission
@@ -180,7 +180,7 @@ class Tracer(StreamingTracer):
 
     def __init__(
         self,
-        clock: Optional[Clock] = None,
+        clock=None,
         capacity: int = DEFAULT_CAPACITY,
         validate: bool = True,
         observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
@@ -253,7 +253,7 @@ class SessionTracer:
     def enabled(self) -> bool:
         return self._tracer.enabled
 
-    def bind_clock(self, clock: Clock) -> None:
+    def bind_clock(self, clock) -> None:
         self._tracer.bind_clock(clock)
 
     def add_observer(self, observer) -> None:

@@ -80,7 +80,7 @@ class LiveStreamingSession(StreamingSession):
         self._latencies: List[float] = []
         # The broadcast starts when the session starts: segment i covers
         # media time [i*d, (i+1)*d) and is available at (i+1)*d + delay.
-        self._broadcast_start = self.clock.now
+        self._broadcast_start = self.kernel.now
 
     # ------------------------------------------------------------------
     def availability_time(self, index: int) -> float:
@@ -90,7 +90,7 @@ class LiveStreamingSession(StreamingSession):
 
     def _before_segment(self, index: int):
         """Wait for the live edge: the segment must exist to be fetched."""
-        wait = self.availability_time(index) - self.clock.now
+        wait = self.availability_time(index) - self.kernel.now
         if wait > 0:
             yield from self._idle(wait)
 
@@ -98,13 +98,13 @@ class LiveStreamingSession(StreamingSession):
         """Record how far behind the live edge this segment will play.
 
         The segment starts playing once everything buffered ahead of it
-        drains: ``clock.now + buffer_level - segment_duration`` (the
+        drains: ``kernel.now + buffer_level - segment_duration`` (the
         segment itself was just pushed).  Latency is measured against the
         moment its *content happened* at the live source, i.e. the start
         of its media window.
         """
         play_start = (
-            self.clock.now + self.buffer.level_s - self.segment_duration
+            self.kernel.now + self.buffer.level_s - self.segment_duration
         )
         media_start = self._broadcast_start + index * self.segment_duration
         self._latencies.append(play_start - media_start)

@@ -28,8 +28,7 @@ from repro.abr.base import (
     DownloadProgress,
     safe_throughput,
 )
-from repro.network.clock import Clock
-from repro.network.events import drive
+from repro.network.events import SimKernel
 from repro.network.link import BottleneckLink
 from repro.network.traces import NetworkTrace
 from repro.obs import events as ev
@@ -112,18 +111,17 @@ class StreamingSession:
         cross_demand: Optional[NetworkTrace] = None,
         link: Optional[BottleneckLink] = None,
         tracer=None,
-        clock: Optional[Clock] = None,
+        kernel: Optional[SimKernel] = None,
         session_id: Optional[str] = None,
-        scheduler=None,
         router=None,
         spec_hash: Optional[str] = None,
     ):
         self.prepared = prepared
         self.abr = abr
         self.config = config if config is not None else SessionConfig()
-        # Multi-client runs hand every session the kernel's clock (the
-        # single clock-advancing authority); solo runs own a private one.
-        self.clock = clock if clock is not None else Clock()
+        # The kernel is the session's one time authority: a shard hands
+        # every client the shard's kernel, a solo session builds its own.
+        self.kernel = kernel if kernel is not None else SimKernel()
         self.session_id = session_id
         # Content hash of the ScenarioSpec this session realizes (set by
         # the StackBuilder); stamped into the trace header so recorded
@@ -133,31 +131,29 @@ class StreamingSession:
         if session_id is not None and tracer.enabled:
             tracer = SessionTracer(tracer, session_id)
         self.tracer = tracer
-        self.tracer.bind_clock(self.clock)
+        self.tracer.bind_clock(self.kernel)
         # Span profiler, captured at construction like the registry
         # counters (install the profiler before building the stack).
         # The session supplies the sim plane: spans opened from here on
-        # are timestamped on this session's clock.
+        # are timestamped on this session's kernel.
         self._prof = _current_profiler()
         if self._prof is not None:
-            self._prof.bind_clock(self.clock)
+            self._prof.bind_clock(self.kernel)
         # The transport substrate comes from the backend registry; the
-        # link/scheduler/router pass-throughs let multi-client runs share
-        # one bottleneck (and one event loop) across sessions.
+        # link/router pass-throughs let multi-client runs share one
+        # bottleneck (on the shard's kernel) across sessions.
         stack = make_backend(
             self.config.transport_backend,
             config=self.config,
-            clock=self.clock,
+            kernel=self.kernel,
             trace=trace,
             cross_demand=cross_demand,
             tracer=self.tracer,
             link=link,
-            scheduler=scheduler,
             router=router,
         )
         self.link = stack.link
         self.connection = stack.connection
-        self.scheduler = stack.scheduler
         self.http = VoxelHttp(
             self.connection,
             server_voxel_aware=self.config.server_voxel_aware,
@@ -262,25 +258,24 @@ class StreamingSession:
     def run(self) -> SessionMetrics:
         """Stream the whole video, blocking, and return the metrics.
 
-        Equivalent to driving :meth:`steps` to completion on a private
-        clock — the legacy single-session mode, byte-identical to the
-        pre-kernel implementation.
+        Runs :meth:`steps` to completion on the session's kernel, as
+        a shard runs each of its clients.
         """
-        return drive(self.steps(), self.clock, scheduler=self.scheduler)
+        return self.kernel.run_process(self.steps())
 
     def steps(self):
         """The session as a resumable kernel process.
 
         A generator state machine cycling request → progress rounds →
         idle/retransmit → playback for every segment; it yields control
-        (sleep times or wake handles) to whatever drives it — either
-        :func:`~repro.network.events.drive` (solo) or a
-        :class:`~repro.network.events.SimKernel` interleaving N sessions
-        on one shared bottleneck.  Returns the session metrics.
+        (sleep times or wake handles) to the session's
+        :class:`~repro.network.events.SimKernel` — its own (:meth:`run`)
+        or one interleaving N sessions on a shared bottleneck.  Returns
+        the session metrics.
         """
         video = self.prepared.video
         last_quality: Optional[int] = None
-        start_clock = self.clock.now
+        start_clock = self.kernel.now
 
         prof = self._prof
         s_frame = prof.push("session", "player") \
@@ -346,7 +341,7 @@ class StreamingSession:
             startup_delay=self._startup_delay,
             total_stall=self._total_stall,
             media_duration=video.duration,
-            wall_duration=self.clock.now - start_clock,
+            wall_duration=self.kernel.now - start_clock,
             segment_duration=self.segment_duration,
             resilience=self._resilience,
             faults_injected=int(self._res_counts.get("faults", 0)),
@@ -556,9 +551,9 @@ class StreamingSession:
         )
         if margin <= 0.25:
             return
-        t0 = self.clock.now
+        t0 = self.kernel.now
         yield from self._repair_losses(deadline=t0 + margin)
-        elapsed = self.clock.now - t0
+        elapsed = self.kernel.now - t0
         if elapsed > 0:
             self._record_stall(self.buffer.drain(elapsed))
 
@@ -566,7 +561,7 @@ class StreamingSession:
         """Pass ``duration`` seconds of playback, repairing losses."""
         prof = self._prof
         frame = prof.push("idle", "player") if prof is not None else None
-        t0 = self.clock.now
+        t0 = self.kernel.now
         deadline = t0 + duration
         if (
             self.config.selective_retransmission
@@ -574,10 +569,10 @@ class StreamingSession:
             and not self.config.force_reliable_payload
         ):
             yield from self._repair_losses(deadline)
-        remaining = deadline - self.clock.now
+        remaining = deadline - self.kernel.now
         if remaining > 0:
             yield from self.connection.idle_iter(remaining)
-        elapsed = self.clock.now - t0
+        elapsed = self.kernel.now - t0
         self._record_stall(self.buffer.drain(elapsed))
         if frame is not None:
             prof.pop(frame)
@@ -594,11 +589,11 @@ class StreamingSession:
 
     def _repair_losses_inner(self, deadline: float):
         playhead = self.buffer.media_time()
-        t0 = self.clock.now
+        t0 = self.kernel.now
         for pending in list(self._pending_repairs):
-            if self.clock.now >= deadline:
+            if self.kernel.now >= deadline:
                 break
-            effective_buffer = self.buffer.level_s - (self.clock.now - t0)
+            effective_buffer = self.buffer.level_s - (self.kernel.now - t0)
             if effective_buffer <= (
                 self.config.retx_buffer_threshold * self.buffer.capacity_s
             ):
@@ -609,7 +604,7 @@ class StreamingSession:
                 # Too late: (nearly) playing already.
                 self._pending_repairs.remove(pending)
                 continue
-            time_left = deadline - self.clock.now
+            time_left = deadline - self.kernel.now
             budget = int(
                 max(self.throughput_estimate, 1e5) * time_left / 8.0
             )
@@ -678,7 +673,7 @@ class StreamingSession:
     # ------------------------------------------------------------------
     def _stream_segment(self, index: int, decision: Decision):
         buffer_at_start = self.buffer.level_s
-        t_start = self.clock.now
+        t_start = self.kernel.now
         restarts = 0
         wasted = 0
         truncated = False
@@ -804,7 +799,7 @@ class StreamingSession:
             truncated = delivery.bytes_requested < total_wire
             break
 
-        elapsed = self.clock.now - t_start
+        elapsed = self.kernel.now - t_start
         if index == 0 and not self._records:
             # Adds to any manifest-fetch delay accounted in
             # _before_session.
@@ -943,12 +938,12 @@ class StreamingSession:
     ):
         """Build the transport progress callback bridging to ABR control."""
         session = self
-        clock = self.clock
+        kernel = self.kernel
         abr_control = self.abr.control
         min_elapsed = self.abr.control_min_elapsed_s
 
         def progress(request_elapsed: float, request_sent: int) -> Optional[int]:
-            elapsed_total = clock.now - t_start
+            elapsed_total = kernel.now - t_start
             if elapsed_total < min_elapsed:
                 # The algorithm's own warm-up gate would CONTINUE; skip
                 # the snapshot without consulting it.

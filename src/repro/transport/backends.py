@@ -19,11 +19,13 @@ and ``repro sweep`` grids.
 
 Factory contract::
 
-    factory(config, clock, trace, cross_demand=None, tracer=None,
-            link=None, scheduler=None, router=None) -> TransportStack
+    factory(config, kernel, trace, cross_demand=None, tracer=None,
+            link=None, router=None) -> TransportStack
 
-``link``/``scheduler``/``router`` allow several sessions to share one
-bottleneck (multi-client runs hand every session the kernel and the
+``kernel`` is the session's :class:`~repro.network.events.SimKernel`,
+the one time authority the connection (and a packet router) runs on.
+``link``/``router`` allow several sessions to share one bottleneck
+(multi-client runs hand every session the shard's kernel and the
 shared link or router).
 """
 
@@ -46,9 +48,6 @@ class TransportStack:
     connection: object
     #: The round backend's :class:`BottleneckLink` (None for packet).
     link: object = None
-    #: The packet backend's event scheduler — drive()/SimKernel need it
-    #: to service Waiter yields (None for round).
-    scheduler: object = None
 
 
 @BACKENDS.register(
@@ -58,12 +57,11 @@ class TransportStack:
 )
 def _build_round(
     config,
-    clock,
+    kernel,
     trace,
     cross_demand=None,
     tracer=None,
     link=None,
-    scheduler=None,
     router=None,
 ) -> TransportStack:
     from repro.obs.tracer import NULL_TRACER
@@ -90,7 +88,7 @@ def _build_round(
     # connection faults (resets, deadlines) attach here.
     connection = QuicConnection(
         link,
-        clock,
+        kernel,
         partially_reliable=config.partially_reliable,
         tracer=tracer if tracer is not None else NULL_TRACER,
     )
@@ -106,16 +104,14 @@ def _build_round(
 )
 def _build_packet(
     config,
-    clock,
+    kernel,
     trace,
     cross_demand=None,
     tracer=None,
     link=None,
-    scheduler=None,
     router=None,
 ) -> TransportStack:
     from repro.network.crosstraffic import cross_traffic_available
-    from repro.network.events import EventScheduler
     from repro.obs.tracer import NULL_TRACER
     from repro.transport.packet_connection import PacketLevelConnection
 
@@ -123,8 +119,6 @@ def _build_packet(
     effective = trace
     if cross_demand is not None:
         effective = cross_traffic_available(trace.mean_mbps(), cross_demand)
-    if scheduler is None:
-        scheduler = EventScheduler(clock.now)
     if router is None:
         if plan is not None:
             from repro.faults.plan import FaultedTrace
@@ -132,7 +126,7 @@ def _build_packet(
             effective = FaultedTrace(effective, plan)
         queue = config.queue_packets
         router = LINK_MODELS.get("packet-router")(
-            scheduler,
+            kernel,
             effective,
             queue_packets=queue if queue is not None else 32,
             propagation_s=config.base_rtt / 2.0,
@@ -141,14 +135,13 @@ def _build_packet(
             router.fault_plan = plan
     connection = PacketLevelConnection(
         router,
-        scheduler,
-        clock=clock,
+        kernel,
         partially_reliable=config.partially_reliable,
         tracer=tracer if tracer is not None else NULL_TRACER,
     )
     if plan is not None:
         connection.fault_plan = plan
-    return TransportStack(connection=connection, scheduler=scheduler)
+    return TransportStack(connection=connection)
 
 
 def make_backend(name: str, **kwargs) -> TransportStack:

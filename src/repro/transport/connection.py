@@ -12,22 +12,20 @@ stream flavours exist:
 
 Downloads run round-by-round: each round offers ``cwnd`` packets to the
 link, learns what was tail-dropped, updates CUBIC, and yields the
-experienced RTT to whatever is driving the simulation — either
-:func:`~repro.network.events.drive` (the legacy blocking single-session
-mode, via :meth:`QuicConnection.download`) or a
-:class:`~repro.network.events.SimKernel` interleaving many sessions on
-one shared link (via :meth:`QuicConnection.download_iter`).  An
-application-supplied progress callback may truncate the request
-mid-flight — the hook ABR* uses for mid-segment adjustments and smart
-abandonment.
+experienced RTT to the connection's
+:class:`~repro.network.events.SimKernel`, which may interleave many
+sessions on one shared link (:meth:`QuicConnection.download_iter`);
+:meth:`QuicConnection.download` runs the same process to completion on
+that kernel.  An application-supplied progress callback may truncate the
+request mid-flight — the hook ABR* uses for mid-segment adjustments and
+smart abandonment.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.network.clock import Clock
-from repro.network.events import drive
+from repro.network.events import SimKernel
 from repro.network.link import BottleneckLink
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
@@ -67,7 +65,7 @@ class QuicConnection:
     Args:
         link: the emulated bottleneck (possibly shared with other
             connections; the link accounts contention once >= 2 attach).
-        clock: shared simulation clock (advanced during downloads).
+        kernel: the simulation kernel whose time downloads advance.
         partially_reliable: whether unreliable streams are available
             (QUIC* = True; plain QUIC = False, every download is
             reliable regardless of what the caller asks).
@@ -76,12 +74,12 @@ class QuicConnection:
     def __init__(
         self,
         link: BottleneckLink,
-        clock: Optional[Clock] = None,
+        kernel: SimKernel,
         partially_reliable: bool = True,
         tracer=None,
     ):
         self.link = link
-        self.clock = clock if clock is not None else Clock()
+        self.kernel = kernel
         self.partially_reliable = partially_reliable
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cc = CubicController()
@@ -108,10 +106,9 @@ class QuicConnection:
         reliable: bool = True,
         progress: Optional[ProgressFn] = None,
     ) -> DownloadResult:
-        """Blocking fetch of ``nbytes`` over one stream (legacy mode)."""
-        return drive(
-            self.download_iter(nbytes, reliable=reliable, progress=progress),
-            self.clock,
+        """Blocking fetch of ``nbytes`` over one stream."""
+        return self.kernel.run_process(
+            self.download_iter(nbytes, reliable=reliable, progress=progress)
         )
 
     def download_iter(
@@ -141,7 +138,8 @@ class QuicConnection:
 
         This is a kernel process: every ``yield dt`` suspends for ``dt``
         simulated seconds (one request round trip or one congestion
-        round); the clock has advanced by ``dt`` when it resumes.
+        round); the kernel's time has advanced by ``dt`` when it
+        resumes.
         """
         if nbytes < 0:
             raise ValueError(f"cannot download {nbytes} bytes")
@@ -163,7 +161,7 @@ class QuicConnection:
         # one download (reconnect() only swaps the controller between
         # downloads), so the round loop skips the attribute traffic.
         link = self.link
-        clock = self.clock
+        kernel = self.kernel
         cc = self.cc
         tracer = self.tracer
         tracing = tracer.enabled
@@ -171,10 +169,10 @@ class QuicConnection:
 
         # Application bytes carried per packet (headers cost the rest).
         payload = max(int(link.mtu * PAYLOAD_FRACTION), 1)
-        start_time = clock.now
+        start_time = kernel.now
         # Request latency: one RTT for the HTTP request to reach the
         # server and the first byte to come back.
-        first_rtt = link.current_rtt(clock.now)
+        first_rtt = link.current_rtt(kernel.now)
         latency = first_rtt * REQUEST_RTT_COST
 
         limit = nbytes
@@ -196,7 +194,7 @@ class QuicConnection:
             self._ctr_rounds.inc(rounds)
             self._ctr_delivered.inc(delivered)
             self._ctr_lost.inc(lost_total)
-            self._last_active = clock.now
+            self._last_active = kernel.now
             if dl_frame is not None:
                 prof.pop(dl_frame)
             return TransportFault(
@@ -205,7 +203,7 @@ class QuicConnection:
                     requested=limit,
                     delivered=delivered,
                     lost=intervals,
-                    elapsed=clock.now - start_time,
+                    elapsed=kernel.now - start_time,
                     truncated_at=None,
                     rounds=rounds,
                     request_latency=latency,
@@ -223,7 +221,7 @@ class QuicConnection:
 
         while sent_new < limit or retx_queue > 0:
             if guarded:
-                now = clock.now
+                now = kernel.now
                 reset_at = (
                     plan.reset_between(fault_from, now)
                     if plan is not None else None
@@ -259,11 +257,11 @@ class QuicConnection:
 
             rnd_frame = prof.push("transport.round", "transport") \
                 if prof is not None else None
-            outcome = link.offer_round(clock.now, burst)
+            outcome = link.offer_round(kernel.now, burst)
             rtt = outcome.rtt
             rounds += 1
             if deadline_s is not None:
-                elapsed_now = clock.now - start_time
+                elapsed_now = kernel.now - start_time
                 if elapsed_now + rtt > deadline_s:
                     # The round outlives the deadline (e.g. a blackout
                     # stretched it to minutes): the client stops waiting
@@ -367,7 +365,7 @@ class QuicConnection:
                 cc.on_round(rtt, dropped > 0, pressure)
 
             if progress is not None:
-                new_limit = progress(clock.now - start_time, sent_new)
+                new_limit = progress(kernel.now - start_time, sent_new)
                 if new_limit is not None:
                     if new_limit < limit:
                         limit = new_limit
@@ -376,7 +374,7 @@ class QuicConnection:
             if rnd_frame is not None:
                 prof.pop(rnd_frame)
 
-        self._last_active = clock.now
+        self._last_active = kernel.now
         lost_intervals = merge_intervals(lost_intervals)
         self.total_delivered += delivered
         self.total_lost += sum(end - start for start, end in lost_intervals)
@@ -392,7 +390,7 @@ class QuicConnection:
             requested=limit,
             delivered=delivered,
             lost=lost_intervals,
-            elapsed=clock.now - start_time,
+            elapsed=kernel.now - start_time,
             truncated_at=truncated,
             rounds=rounds,
             request_latency=latency,
@@ -410,13 +408,13 @@ class QuicConnection:
 
     def idle(self, dt: float) -> None:
         """Account an application idle period (player buffer full)."""
-        drive(self.idle_iter(dt), self.clock)
+        self.kernel.run_process(self.idle_iter(dt))
 
     def idle_iter(self, dt: float):
         """Kernel process form of :meth:`idle` (yields the idle time)."""
         if dt <= 0:
             return None
-        self.link.drain(self.clock.now, dt)
+        self.link.drain(self.kernel.now, dt)
         yield dt
         return None
 
@@ -424,7 +422,8 @@ class QuicConnection:
     def _maybe_idle_restart(self) -> None:
         if (
             self._last_active is not None
-            and self.clock.now - self._last_active > IDLE_TIMEOUT
+            and self.kernel.now - self._last_active > IDLE_TIMEOUT
         ):
             self.cc.after_idle()
-            self.link.drain(self._last_active, self.clock.now - self._last_active)
+            now = self.kernel.now
+            self.link.drain(self._last_active, now - self._last_active)

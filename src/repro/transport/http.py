@@ -21,7 +21,6 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.network.events import drive
 from repro.prep.manifest import SegmentEntry
 from repro.transport.connection import (
     ByteInterval,
@@ -174,16 +173,14 @@ class VoxelHttp:
         Returns:
             The realized :class:`SegmentDelivery`.
         """
-        return drive(
+        return self.connection.kernel.run_process(
             self.fetch_segment_iter(
                 entry,
                 target_bytes=target_bytes,
                 progress=progress,
                 force_reliable=force_reliable,
                 retry=retry,
-            ),
-            self.connection.clock,
-            scheduler=getattr(self.connection, "scheduler", None),
+            )
         )
 
     def fetch_segment_iter(
@@ -286,12 +283,10 @@ class VoxelHttp:
         Repairs happen in priority order.  Returns the number of bytes
         repaired; ``delivery`` is updated in place.
         """
-        return drive(
+        return self.connection.kernel.run_process(
             self.refetch_lost_iter(
                 delivery, budget_bytes=budget_bytes, progress=progress
-            ),
-            self.connection.clock,
-            scheduler=getattr(self.connection, "scheduler", None),
+            )
         )
 
     def refetch_lost_iter(

@@ -10,18 +10,17 @@ This backend is ~2 orders of magnitude slower than the round-based one;
 it exists to validate the fast model (``benchmarks/bench_backends.py``)
 and to support per-packet experiments such as multi-flow fairness
 (:mod:`repro.experiments.fairness`).  Several connections can share one
-:class:`~repro.network.packetlink.PacketRouter` and one scheduler — each
-keeps its own per-download sender state, so concurrent flows (or full
-sessions on a :class:`~repro.network.events.SimKernel`) interleave at
-packet granularity.
+:class:`~repro.network.packetlink.PacketRouter` and one
+:class:`~repro.network.events.SimKernel` — each keeps its own
+per-download sender state, so concurrent flows (or full sessions)
+interleave at packet granularity.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.network.clock import Clock
-from repro.network.events import EventScheduler, Waiter, drive
+from repro.network.events import SimKernel, Waiter
 from repro.network.packetlink import MTU, Packet, PacketRouter
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
@@ -47,22 +46,20 @@ class PacketLevelConnection:
 
     Args:
         router: shared bottleneck router (possibly carrying other flows).
-        scheduler: the event loop (shared with the router).
-        clock: session clock to keep in sync with event time.
+        kernel: the simulation kernel the router's events run on; its
+            ``now`` is the event time.
         partially_reliable: QUIC* (True) or plain QUIC (False).
     """
 
     def __init__(
         self,
         router: PacketRouter,
-        scheduler: EventScheduler,
-        clock: Optional[Clock] = None,
+        kernel: SimKernel,
         partially_reliable: bool = True,
         tracer=None,
     ):
         self.router = router
-        self.scheduler = scheduler
-        self.clock = clock if clock is not None else Clock(scheduler.now)
+        self.kernel = kernel
         self.partially_reliable = partially_reliable
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cc = CubicController()
@@ -138,8 +135,7 @@ class PacketLevelConnection:
             # resulting outstanding total.  Drops surface separately as
             # packet_loss events when the sender detects them.
             self._round += 1
-            self.tracer.emit_at(
-                self.scheduler.now,
+            self.tracer.emit(
                 ev.TRANSPORT_ROUND,
                 round=self._round,
                 rtt=2 * self.router.propagation_s + 0.002,
@@ -184,7 +180,7 @@ class PacketLevelConnection:
         if packet.sequence not in self._inflight:
             return
         rtt = 2 * self.router.propagation_s
-        self.scheduler.schedule(
+        self.kernel.schedule(
             rtt, lambda: self._loss_detected(packet.sequence)
         )
 
@@ -196,8 +192,7 @@ class PacketLevelConnection:
             # loss event so the shared-link conservation law (router
             # drops == sum of packet_loss events) stays auditable.
             if self.tracer.enabled:
-                self.tracer.emit_at(
-                    self.scheduler.now,
+                self.tracer.emit(
                     ev.PACKET_LOSS,
                     dropped_packets=1,
                     lost_bytes=0,
@@ -212,15 +207,14 @@ class PacketLevelConnection:
             self.total_lost += size
             self._ctr_lost.inc(size)
         if self.tracer.enabled:
-            self.tracer.emit_at(
-                self.scheduler.now,
+            self.tracer.emit(
                 ev.PACKET_LOSS,
                 dropped_packets=1,
                 lost_bytes=0 if self._reliable else size,
                 reliable=self._reliable,
             )
         # One multiplicative decrease per RTT worth of losses.
-        now = self.scheduler.now
+        now = self.kernel.now
         rtt = 2 * self.router.propagation_s
         if now - self._last_loss_time > rtt:
             self._last_loss_time = now
@@ -234,13 +228,13 @@ class PacketLevelConnection:
         if self._progress is not None:
             sent = min(self._next_offset, self._limit)
             new_limit = self._progress(
-                self.scheduler.now - self._start_time, sent
+                self.kernel.now - self._start_time, sent
             )
             if new_limit is not None:
                 self._limit = max(min(new_limit, self._limit), sent)
         if not self._outstanding():
             self._done = True
-            self._done_time = self.scheduler.now
+            self._done_time = self.kernel.now
             if self._waiter is not None:
                 self._waiter.wake()
 
@@ -270,9 +264,9 @@ class PacketLevelConnection:
         # Request latency: one RTT.
         latency = (2 * self.router.propagation_s) * REQUEST_RTT_COST
         self._latency = latency
-        self._start_time = self.scheduler.now
-        self.scheduler.schedule(latency, self._pump)
-        self.scheduler.schedule(latency, self._check_done)
+        self._start_time = self.kernel.now
+        self.kernel.schedule(latency, self._pump)
+        self.kernel.schedule(latency, self._check_done)
         return latency
 
     def _fault_fired(self, epoch: int, kind: str, at: Optional[float]) -> None:
@@ -283,7 +277,7 @@ class PacketLevelConnection:
         """
         if epoch != self._epoch or self._done:
             return
-        now = self.scheduler.now
+        now = self.kernel.now
         lost = merge_intervals(self._lost)
         if self._inflight and lost:
             # The retry resumes at delivered + lost bytes, so the partial
@@ -321,11 +315,9 @@ class PacketLevelConnection:
         reliable: bool = True,
         progress: Optional[ProgressFn] = None,
     ) -> DownloadResult:
-        """Blocking fetch (legacy mode); same contract as the round backend."""
-        return drive(
-            self.download_iter(nbytes, reliable=reliable, progress=progress),
-            self.clock,
-            scheduler=self.scheduler,
+        """Blocking fetch; same contract as the round backend."""
+        return self.kernel.run_process(
+            self.download_iter(nbytes, reliable=reliable, progress=progress)
         )
 
     def download_iter(
@@ -339,9 +331,9 @@ class PacketLevelConnection:
 
         Arms the sender state machine, then yields a
         :class:`~repro.network.events.Waiter` that fires when the last
-        outstanding packet is accounted for — the driver (kernel or
-        :func:`~repro.network.events.drive`) runs the event loop in the
-        meantime, interleaving any other flows on the shared router.
+        outstanding packet is accounted for — the kernel runs the event
+        loop in the meantime, interleaving any other flows on the shared
+        router.
 
         With ``deadline_s`` set (or a fault plan attached), the waiter
         can instead be woken by a deadline/reset callback, in which case
@@ -369,14 +361,14 @@ class PacketLevelConnection:
         epoch = self._epoch
         self._failed = None
         if deadline_s is not None:
-            self.scheduler.schedule(
+            self.kernel.schedule(
                 deadline_s,
                 lambda: self._fault_fired(epoch, "timeout", None),
             )
         if self.fault_plan is not None:
             reset_at = self.fault_plan.reset_between(start, float("inf"))
             if reset_at is not None:
-                self.scheduler.schedule(
+                self.kernel.schedule(
                     reset_at - start,
                     lambda: self._fault_fired(epoch, "reset", reset_at),
                 )
@@ -392,7 +384,7 @@ class PacketLevelConnection:
             self._failed = None
             raise fault
 
-        elapsed = self.scheduler.now - start
+        elapsed = self.kernel.now - start
         lost = merge_intervals(self._lost)
         truncated = self._limit if self._limit < requested_limit else None
         return DownloadResult(
@@ -415,25 +407,17 @@ class PacketLevelConnection:
 
     def idle(self, dt: float) -> None:
         """Advance event time while the application idles (blocking)."""
-        if dt <= 0:
-            return
-        deadline = self.scheduler.now + dt
-        self.scheduler.run_until(lambda: self.scheduler.now >= deadline)
-        if self.scheduler.now < deadline:
-            self.scheduler.now = deadline
-        self.clock.now = self.scheduler.now
+        self.kernel.run_process(self.idle_iter(dt))
 
     def idle_iter(self, dt: float):
         """Kernel process form of :meth:`idle`.
 
-        Unlike the blocking form (which may overshoot onto the first
-        event past the deadline), this sleeps until *exactly* ``dt``
-        later via a scheduled wake-up, letting other flows' events run
-        in the meantime.
+        Sleeps until exactly ``dt`` later via a scheduled wake-up,
+        letting other flows' events run in the meantime.
         """
         if dt <= 0:
             return None
         waiter = Waiter()
-        self.scheduler.schedule(dt, waiter.wake)
+        self.kernel.schedule(dt, waiter.wake)
         yield waiter
         return None

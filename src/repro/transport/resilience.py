@@ -86,13 +86,6 @@ class RetryContext:
     failures: int = field(default=0)
 
 
-def _sim_now(connection) -> float:
-    scheduler = getattr(connection, "scheduler", None)
-    if scheduler is not None:
-        return scheduler.now
-    return connection.clock.now
-
-
 def resilient_download_iter(
     connection,
     nbytes: int,
@@ -149,7 +142,7 @@ def _retry_chain(
         # than the deadline burns the whole deadline and fails without a
         # byte moved.
         if plan is not None:
-            delay = plan.server_delay(_sim_now(connection))
+            delay = plan.server_delay(connection.kernel.now)
             if delay > 0.0:
                 if deadline is not None and delay >= deadline:
                     yield from connection.idle_iter(deadline)

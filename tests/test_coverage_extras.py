@@ -9,7 +9,7 @@ import pytest
 from repro.abr.base import DecisionContext
 from repro.abr.bola import Bola
 from repro.abr.mpc import RobustMPC
-from repro.network.clock import Clock
+from repro.network.events import SimKernel
 from repro.network.link import BottleneckLink
 from repro.network.traces import constant_trace, tmobile_trace
 from repro.qoe.model import DEFAULT_PARAMS, QoEParams, decode_segment
@@ -112,7 +112,7 @@ class TestHttpEdges:
             trace if trace is not None else constant_trace(10.0),
             queue_packets=32,
         )
-        return VoxelHttp(QuicConnection(link, Clock()))
+        return VoxelHttp(QuicConnection(link, SimKernel()))
 
     def test_refetch_with_zero_budget(self, tiny_prepared):
         http = self._http(tmobile_trace(seed=5))
@@ -152,16 +152,16 @@ class TestHttpEdges:
 class TestConnectionIdleEdges:
     def test_idle_zero_is_noop(self):
         conn = QuicConnection(
-            BottleneckLink(constant_trace(10.0)), Clock()
+            BottleneckLink(constant_trace(10.0)), SimKernel()
         )
-        before = conn.clock.now
+        before = conn.kernel.now
         conn.idle(0.0)
         conn.idle(-1.0)
-        assert conn.clock.now == before
+        assert conn.kernel.now == before
 
     def test_counters_accumulate(self):
         conn = QuicConnection(
-            BottleneckLink(tmobile_trace(), queue_packets=8), Clock()
+            BottleneckLink(tmobile_trace(), queue_packets=8), SimKernel()
         )
         conn.download(2_000_000, reliable=False)
         conn.download(2_000_000, reliable=True)

@@ -18,7 +18,7 @@ from repro.experiments.chaos import CHAOS_PROFILES
 from repro.obs import events as ev
 from repro.obs.invariants import MultiSessionAuditor, TraceAuditor
 from repro.obs.tracer import Tracer
-from repro.transport.packet_connection import PacketLevelConnection
+from repro.transport import packet_connection
 
 # The tiny fixture plays ~24 s of media; place faults inside that.
 _HORIZON = 22.0
@@ -114,14 +114,17 @@ def test_random_schedules_keep_all_invariants(
 
 def test_packet_fault_partial_accounts_a_prefix(tiny_prepared, monkeypatch):
     partials = []
-    fire = PacketLevelConnection._fault_fired
 
-    def recording(self, epoch, kind, at):
-        fire(self, epoch, kind, at)
-        if self._failed is not None:
-            partials.append(self._failed)
+    class RecordingFault(packet_connection.TransportFault):
+        """Records every fault the packet backend raises as it is built
+        (the download resumes inside the waiter wake, so a hook run after
+        the fault fires would find it already consumed)."""
 
-    monkeypatch.setattr(PacketLevelConnection, "_fault_fired", recording)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            partials.append(self)
+
+    monkeypatch.setattr(packet_connection, "TransportFault", RecordingFault)
     spec = ScenarioSpec(
         video="tinytest", abr="abr_star", trace="verizon",
         buffer_segments=2, request_timeout_s=2.0, retry_backoff_s=0.2,

@@ -1,4 +1,5 @@
-"""Discrete-event kernel: clock hardening, scheduler, processes, drive."""
+"""Discrete-event kernel: clock hardening, scheduler, processes,
+run_process."""
 
 from __future__ import annotations
 
@@ -6,33 +7,36 @@ import math
 
 import pytest
 
-from repro.network.clock import Clock
-from repro.network.events import EventScheduler, SimKernel, Waiter, drive
+from repro.network.events import EventScheduler, SimKernel, Waiter
 
 
 # ---------------------------------------------------------------------------
-# Clock hardening.
+# Clock hardening: the kernel's ``now`` moves only by valid sleeps.
 # ---------------------------------------------------------------------------
+def _sleeps(*delays):
+    for delay in delays:
+        yield delay
+
+
 def test_clock_advances():
-    clock = Clock()
-    assert clock.advance(1.5) == 1.5
-    assert clock.advance(0.0) == 1.5
-    assert clock.now == 1.5
+    kernel = SimKernel()
+    kernel.run_process(_sleeps(1.5, 0.0))
+    assert kernel.now == 1.5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_clock_rejects_non_finite(bad):
-    clock = Clock()
+    kernel = SimKernel()
     with pytest.raises(ValueError, match="non-finite"):
-        clock.advance(bad)
-    assert clock.now == 0.0
+        kernel.run_process(_sleeps(1.0, bad))
+    assert kernel.now == 1.0
 
 
 def test_clock_rejects_negative():
-    clock = Clock(5.0)
-    with pytest.raises(ValueError):
-        clock.advance(-0.1)
-    assert clock.now == 5.0
+    kernel = SimKernel(5.0)
+    with pytest.raises(ValueError, match="in the past"):
+        kernel.run_process(_sleeps(-0.1))
+    assert kernel.now == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +118,21 @@ def test_kernel_syncs_clock_before_every_callback():
     seen = []
 
     def process():
-        seen.append(kernel.clock.now)
+        seen.append(("process", kernel.now))
         yield 1.5
-        seen.append(kernel.clock.now)
+        seen.append(("process", kernel.now))
         yield 0.25
-        seen.append(kernel.clock.now)
+        seen.append(("process", kernel.now))
 
     kernel.spawn(process())
+    for at in (0.5, 1.5, 3.0):
+        kernel.schedule(at, lambda at=at: seen.append((at, kernel.now)))
     kernel.run()
-    assert seen == [0.0, 1.5, 1.75]
-    assert kernel.clock.now == kernel.now == 1.75
+    assert seen == [
+        ("process", 0.0), (0.5, 0.5), (1.5, 1.5), ("process", 1.5),
+        ("process", 1.75), (3.0, 3.0),
+    ]
+    assert kernel.now == 3.0
 
 
 def test_spawn_order_breaks_ties_deterministically():
@@ -328,39 +337,38 @@ def test_run_until_all_event_budget_guard():
 
 
 # ---------------------------------------------------------------------------
-# drive(): the legacy blocking execution mode.
+# run_process(): one process run to completion, blocking.
 # ---------------------------------------------------------------------------
-def test_drive_advances_clock_on_float_yields():
-    clock = Clock()
+def test_run_process_returns_value_after_float_sleeps():
+    kernel = SimKernel()
 
     def process():
         yield 0.5
         yield 0.25
         return "done"
 
-    assert drive(process(), clock) == "done"
-    assert clock.now == 0.75
+    assert kernel.run_process(process()) == "done"
+    assert kernel.now == 0.75
 
 
-def test_drive_runs_scheduler_for_waiters():
-    clock = Clock()
-    scheduler = EventScheduler()
+def test_run_process_runs_events_until_waiter_wakes():
+    kernel = SimKernel()
     waiter = Waiter()
-    scheduler.schedule(2.0, waiter.wake)
+    kernel.schedule(2.0, waiter.wake)
 
     def process():
         yield waiter
         return "woken"
 
-    assert drive(process(), clock, scheduler=scheduler) == "woken"
-    assert clock.now == 2.0
+    assert kernel.run_process(process()) == "woken"
+    assert kernel.now == 2.0
 
 
-def test_drive_without_scheduler_rejects_waiter():
-    clock = Clock()
+def test_run_process_rejects_waiter_nothing_wakes():
+    kernel = SimKernel()
 
     def process():
         yield Waiter()
 
-    with pytest.raises(RuntimeError, match="no\\s+scheduler"):
-        drive(process(), clock)
+    with pytest.raises(RuntimeError, match="no pending event wakes"):
+        kernel.run_process(process())

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.api import stream_spec
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
+from repro.experiments.chaos import CHAOS_PROFILES
 from repro.experiments.multiclient import (
     build_shard,
     client_label,
@@ -173,6 +175,33 @@ def test_multiclient_packet_backend_runs(tiny_prepared):
     for client in result.clients:
         assert len(client.metrics.records) == 6
     assert 0.0 < result.jain_index <= 1.0
+
+
+_SOLO_FAULTS = {
+    "fault-free": {},
+    "mixed": dict(faults=CHAOS_PROFILES["mixed"], request_timeout_s=3.0),
+    "blackout": dict(
+        faults={"events": [{"kind": "blackout", "at": 1.0, "duration": 1.0}]},
+        request_timeout_s=2.0, retry_backoff_s=0.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("faults", list(_SOLO_FAULTS))
+@pytest.mark.parametrize("backend", ("round", "packet"))
+def test_solo_session_is_a_one_client_shard(tiny_prepared, backend, faults):
+    """A solo session runs on its own kernel exactly as a shard's client
+    runs on the shard's: same metrics, summary and per-segment records."""
+    spec = ScenarioSpec(
+        video="tinytest", abr="abr_star", trace="verizon", seed=0,
+        buffer_segments=2, backend=backend, **_SOLO_FAULTS[faults],
+    )
+    solo = stream_spec(spec, prepared=tiny_prepared).metrics
+    shard = run_multiclient(
+        [spec], prepared_map={"tinytest": tiny_prepared}
+    ).clients[0].metrics
+    assert solo.summary() == shard.summary()
+    assert solo.records == shard.records
 
 
 # ---------------------------------------------------------------------------

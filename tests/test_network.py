@@ -1,9 +1,8 @@
-"""Tests for the network substrate: clock, traces, link, cross traffic."""
+"""Tests for the network substrate: traces, link, cross traffic."""
 
 import numpy as np
 import pytest
 
-from repro.network.clock import Clock
 from repro.network.crosstraffic import (
     CrossTrafficConfig,
     cross_traffic_available,
@@ -23,18 +22,6 @@ from repro.network.traces import (
     verizon_trace,
     wild_trace,
 )
-
-
-class TestClock:
-    def test_advance(self):
-        clock = Clock()
-        clock.advance(1.5)
-        clock.advance(0.5)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            Clock().advance(-1.0)
 
 
 class TestTrace:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.abr import make_abr
+from repro.core.api import stream_spec
+from repro.core.spec import ScenarioSpec
 from repro.experiments.fairness import FairnessResult, run_fairness
-from repro.network.events import EventScheduler
+from repro.network.events import EventScheduler, SimKernel
 from repro.network.packetlink import Packet, PacketRouter
 from repro.network.traces import constant_trace, tmobile_trace
 from repro.player import SessionConfig, StreamingSession
@@ -126,13 +128,13 @@ class TestPacketRouter:
 
 class TestPacketConnection:
     def _conn(self, trace=None, queue=32, pr=True):
-        sched = EventScheduler()
+        kernel = SimKernel()
         router = PacketRouter(
-            sched,
+            kernel,
             trace if trace is not None else constant_trace(10.0),
             queue_packets=queue,
         )
-        return PacketLevelConnection(router, sched, partially_reliable=pr)
+        return PacketLevelConnection(router, kernel, partially_reliable=pr)
 
     def test_reliable_complete(self):
         conn = self._conn()
@@ -178,19 +180,19 @@ class TestPacketConnection:
 
     def test_idle_advances_clock(self):
         conn = self._conn()
-        before = conn.clock.now
+        before = conn.kernel.now
         conn.idle(2.5)
-        assert conn.clock.now == pytest.approx(before + 2.5)
+        assert conn.kernel.now == pytest.approx(before + 2.5)
 
     def test_agreement_with_round_backend(self):
         """The two backends agree on transfer time within ~25 %."""
-        from repro.network.clock import Clock
         from repro.network.link import BottleneckLink
         from repro.transport.connection import QuicConnection
 
         packet = self._conn().download(4_000_000, reliable=True)
         round_conn = QuicConnection(
-            BottleneckLink(constant_trace(10.0), queue_packets=32), Clock()
+            BottleneckLink(constant_trace(10.0), queue_packets=32),
+            SimKernel(),
         )
         round_result = round_conn.download(4_000_000, reliable=True)
         assert packet.elapsed == pytest.approx(
@@ -233,6 +235,46 @@ class TestSessionOnPacketBackend:
         # Plenty of bandwidth: both backends stream stall-free.
         assert results["round"].buf_ratio == 0.0
         assert results["packet"].buf_ratio == 0.0
+
+
+class TestSoloSessionClock:
+    def test_clock_moves_while_a_download_is_in_flight(
+        self, tiny_prepared, monkeypatch
+    ):
+        """The ABR's progress hook reads the time the download has taken:
+        a solo packet session's clock must not stand still mid-flight."""
+        make_progress = StreamingSession._make_progress
+        requests = []
+
+        def recording(session, *args):
+            progress = make_progress(session, *args)
+            calls = []
+            requests.append(calls)
+
+            def recorded(request_elapsed, request_sent):
+                calls.append((request_elapsed, session.kernel.now))
+                return progress(request_elapsed, request_sent)
+
+            return recorded
+
+        monkeypatch.setattr(StreamingSession, "_make_progress", recording)
+        stream_spec(
+            ScenarioSpec(
+                video="tinytest", abr="abr_star", trace="verizon", seed=0,
+                buffer_segments=2, backend="packet",
+            ),
+            prepared=tiny_prepared,
+        )
+        moved = frozen = 0
+        for calls in requests:
+            for (elapsed0, now0), (elapsed1, now1) in zip(calls, calls[1:]):
+                if elapsed1 > elapsed0:
+                    if now1 > now0:
+                        moved += 1
+                    else:
+                        frozen += 1
+        assert moved > 0
+        assert frozen == 0
 
 
 class TestFairness:

@@ -202,7 +202,7 @@ _GOLDEN_SPEC = dict(
     abr="bola", trace="constant:20", repetitions=2, seed=0
 )
 _GOLDEN_TREE_HASH = (
-    "f55207c393a2ef452aec9b4516762b69f3277c78183e82cfb79c177211c5cbcb"
+    "40d501705368f3f37d2c091841c27d28716001e2691baea10b67b855b6df2630"
 )
 
 
@@ -253,13 +253,13 @@ class TestRunnerDeterminism:
 #: "mixed" chaos profile.
 _IDENTITY_TREE_HASH = {
     "solo-round": (
-        "c91eaf8647a4e00112d05e4647e481ebf9351faed261d21eb5f6defc8d30d499"
+        "6d20b31e1951255738ecc193ee358ff30ac0ccf3cc1e177178bb0d229ad510fe"
     ),
     "solo-packet": (
-        "f734c3d1da2221fd17bf9c6871710eee4a4c572b661227e189b5addfb3142fcd"
+        "c304b148b94dec19b2c0fc40e52b087e79837e5152989f61197bc0d433dc20a7"
     ),
     "solo-round-mixed": (
-        "8f3706566b8c382aa43f2d237b6c0c23e0dddf328c225e01e97579b1db981d48"
+        "b75ab3b8d648c46bf230b487d0939b278e9846f7fe01dd2a122a9d09940ac61d"
     ),
     "mix-round": (
         "9fc064f1cc8dba0f511fccae7d9dd851c4e0ac5eed4d109dec0c8def61deccda"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.clock import Clock
+from repro.network.events import SimKernel
 from repro.network.link import BottleneckLink
 from repro.network.traces import NetworkTrace, constant_trace, tmobile_trace
 from repro.transport.connection import (
@@ -94,7 +94,9 @@ def _connection(trace=None, queue=32, partially_reliable=True):
         trace if trace is not None else constant_trace(10.0),
         queue_packets=queue,
     )
-    return QuicConnection(link, Clock(), partially_reliable=partially_reliable)
+    return QuicConnection(
+        link, SimKernel(), partially_reliable=partially_reliable
+    )
 
 
 class TestConnection:
@@ -163,9 +165,9 @@ class TestConnection:
 
     def test_clock_advances(self):
         conn = _connection()
-        before = conn.clock.now
+        before = conn.kernel.now
         conn.download(1_000_000)
-        assert conn.clock.now > before
+        assert conn.kernel.now > before
 
     def test_idle_restart_shrinks_window(self):
         conn = _connection()

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.network.clock import Clock
-from repro.network.events import EventScheduler
+from repro.network.events import SimKernel
 from repro.network.link import BottleneckLink
 from repro.network.packetlink import PacketRouter
 from repro.network.traces import NetworkTrace
@@ -30,7 +29,7 @@ class TestRoundBackendProperties:
     )
     def test_download_conservation(self, trace, nbytes, queue, reliable):
         conn = QuicConnection(
-            BottleneckLink(trace, queue_packets=queue), Clock()
+            BottleneckLink(trace, queue_packets=queue), SimKernel()
         )
         result = conn.download(nbytes, reliable=reliable)
         lost = sum(e - s for s, e in result.lost)
@@ -58,7 +57,7 @@ class TestRoundBackendProperties:
     )
     def test_truncation_respected(self, trace, nbytes, cut_at):
         conn = QuicConnection(
-            BottleneckLink(trace, queue_packets=32), Clock()
+            BottleneckLink(trace, queue_packets=32), SimKernel()
         )
 
         def cut(elapsed, sent):
@@ -82,9 +81,9 @@ class TestPacketBackendProperties:
         reliable=st.booleans(),
     )
     def test_download_conservation(self, trace, nbytes, queue, reliable):
-        scheduler = EventScheduler()
-        router = PacketRouter(scheduler, trace, queue_packets=queue)
-        conn = PacketLevelConnection(router, scheduler)
+        kernel = SimKernel()
+        router = PacketRouter(kernel, trace, queue_packets=queue)
+        conn = PacketLevelConnection(router, kernel)
         result = conn.download(nbytes, reliable=reliable)
         lost = sum(e - s for s, e in result.lost)
         assert result.delivered + lost == result.requested == nbytes
