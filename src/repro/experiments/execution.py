@@ -39,6 +39,7 @@ in the output of a run that succeeds.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -444,6 +445,12 @@ def _child_main(worker, task, index: int, attempt: int, conn) -> None:
     process exit code.  The test-only fault injector hooks in here —
     the only place it exists at runtime.
     """
+    # The inherited heap (a prepared video is a few hundred thousand
+    # tracked objects) is never garbage here.  Freezing it keeps the
+    # task's collections from traversing it, which would also copy
+    # every page it sits on; how soon the first full collection comes
+    # depends only on the parent's allocation history.
+    gc.freeze()
     injector = active_fault_injector()
     inject = injector is not None and injector.applies(index, attempt)
     if inject and injector.mode == "kill":

@@ -61,8 +61,17 @@ class FairnessResult:
 
     @property
     def utilization(self) -> float:
-        rates = sum(flow.throughput_mbps for flow in self.flows)
-        return rates / self.link_mbps
+        """Delivered bits over what the link could carry while busy.
+
+        Every flow starts at time 0, so the link is busy until the last
+        flow completes.  Summing per-flow rates instead would measure
+        each flow over its own completion time and can exceed 1.
+        """
+        elapsed = max((flow.elapsed for flow in self.flows), default=0.0)
+        if elapsed <= 0:
+            return 0.0
+        bits = 8.0 * sum(flow.delivered_bytes for flow in self.flows)
+        return bits / (self.link_mbps * 1e6 * elapsed)
 
 
 def _bulk_flow(

@@ -1,5 +1,7 @@
 """Tests for the offline preparation: orderings, analysis, prepare()."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,47 @@ class TestPrepare:
         ps = tiny_prepared.prepared_segment(12, 0)
         assert ps.entry.quality == 12
         assert ps.curve.points
+
+
+def _curve_digest(prepared) -> str:
+    """sha256 over every PreparedSegment's ordering, order and points."""
+    digest = hashlib.sha256()
+    for level in prepared.prepared:
+        for ps in level:
+            digest.update(
+                f"{ps.ordering.value}|{list(ps.curve.order)}".encode()
+            )
+            for p in ps.curve.points:
+                digest.update(
+                    f"|{p.dropped},{p.frames_delivered},{p.bytes_needed},"
+                    f"{float.hex(p.score)}".encode()
+                )
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestPrepGoldens:
+    """Prep output, byte for byte.  The manifest does not serialize the
+    drop curves, so their points are pinned by a digest of their own."""
+
+    GOLDENS = {
+        "tinytest": (
+            "1964f55152f5ed33463cb22075c0717106c0a30d643539214c9be07e48a7fc47",
+            "98a55c03dfe326b91b6ddabea72739c4926f76b0a6a3e637109593057649b1df",
+        ),
+        # The manifest digest equals perfbench's ``bbb`` golden.
+        "bbb": (
+            "45b942cd29ed086c14b162b41b7cd783dbfdb9758eb6837ba17f1404f7c2abc0",
+            "9d09dc0262731d9ad18a07e85c2b37f2315ce9f41e4b80d1775da831f02dbdb8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_manifest_and_curves(self, name, tiny_prepared):
+        from repro.prep.prepare import get_prepared
+
+        prepared = tiny_prepared if name == "tinytest" else get_prepared(name)
+        manifest = hashlib.sha256(
+            prepared.manifest.serialize().encode("utf-8")
+        ).hexdigest()
+        assert (manifest, _curve_digest(prepared)) == self.GOLDENS[name]
