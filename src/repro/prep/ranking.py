@@ -51,7 +51,7 @@ class Ordering(enum.Enum):
 
 def original_order(frames: SegmentFrames) -> List[int]:
     """Decode order: frames 1..N-1 as the encoder emitted them."""
-    return [frame.index for frame in frames if frame.index != 0]
+    return list(range(1, len(frames)))
 
 
 def unreferenced_tail_order(frames: SegmentFrames) -> List[int]:
@@ -62,16 +62,9 @@ def unreferenced_tail_order(frames: SegmentFrames) -> List[int]:
     for dropping and they are dropped from the end.
     """
     referenced = set(frames.referenced_indices())
-    head = [
-        frame.index
-        for frame in frames
-        if frame.index != 0 and frame.index in referenced
-    ]
-    tail = [
-        frame.index
-        for frame in frames
-        if frame.index != 0 and frame.index not in referenced
-    ]
+    candidates = range(1, len(frames))
+    head = [idx for idx in candidates if idx in referenced]
+    tail = [idx for idx in candidates if idx not in referenced]
     return head + tail
 
 
@@ -83,14 +76,13 @@ def reference_rank_order(frames: SegmentFrames) -> List[int]:
     motion (cheapest to conceal) go last.
     """
     influence = frames.transitive_reference_weight()
-    candidates = [frame for frame in frames if frame.index != 0]
+    motion = frames.motion.tolist()
+    candidates = list(range(1, len(frames)))
     # Sort key: primary = influence descending; secondary = drop cost
     # (motion) descending, so the cheapest-to-drop frames are last;
     # tertiary = display order for stability.
-    candidates.sort(
-        key=lambda frame: (-influence[frame.index], -frame.motion, frame.index)
-    )
-    return [frame.index for frame in candidates]
+    candidates.sort(key=lambda idx: (-influence[idx], -motion[idx], idx))
+    return candidates
 
 
 def qoe_rank_order(frames: SegmentFrames) -> List[int]:
@@ -106,13 +98,14 @@ def qoe_rank_order(frames: SegmentFrames) -> List[int]:
     # 0.75 mirrors the QoE model's default propagation decay; the ranking
     # only needs the relative order, so the exact constant is uncritical.
     decay = 0.75
+    motion = frames.motion.tolist()
 
-    def drop_cost(frame) -> float:
-        return frame.motion * (1.0 + decay * influence[frame.index])
+    def drop_cost(idx: int) -> float:
+        return motion[idx] * (1.0 + decay * influence[idx])
 
-    candidates = [frame for frame in frames if frame.index != 0]
-    candidates.sort(key=lambda frame: (-drop_cost(frame), frame.index))
-    return [frame.index for frame in candidates]
+    candidates = list(range(1, len(frames)))
+    candidates.sort(key=lambda idx: (-drop_cost(idx), idx))
+    return candidates
 
 
 _BUILDERS: Dict[Ordering, Callable[[SegmentFrames], List[int]]] = {

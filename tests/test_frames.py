@@ -104,6 +104,47 @@ class TestSegmentFrames:
         assert seg[1].ftype is FrameType.P
         assert len(list(seg)) == len(seg) == 3
 
+    def test_frames_round_trip_through_columns(self):
+        seg = _mini_segment()
+        frames = seg.frames
+        assert frames == list(seg) == [seg[i] for i in range(len(seg))]
+        assert frames[2] == Frame(
+            2, FrameType.B, 200, references=((1, 0.5), (0, 0.2)), motion=0.1
+        )
+        assert type(frames[2].size) is int and type(frames[2].motion) is float
+        assert seg[-1] == frames[2] and seg[1:] == frames[1:]
+        with pytest.raises(IndexError):
+            seg[3]
+        rebuilt = SegmentFrames(frames, duration=0.125, fps=24.0)
+        assert rebuilt == seg and rebuilt is not seg
+
+    def test_columns_are_read_only(self):
+        seg = _mini_segment()
+        with pytest.raises(ValueError):
+            seg.sizes[0] = 1
+        with pytest.raises(ValueError):
+            seg.motion[0] = 1.0
+
+    def test_from_columns_shares_its_inputs(self):
+        seg = _mini_segment()
+        other = SegmentFrames.from_columns(
+            seg.types, [900, 400, 100], seg.references, seg.motion,
+            duration=0.125, fps=24.0,
+        )
+        assert other.types is seg.types
+        assert other.references is seg.references
+        assert other.motion is seg.motion
+        assert other.total_bytes == 1400 and other != seg
+
+    def test_rejects_sizes_out_of_range(self):
+        seg = _mini_segment()
+        for sizes in ([1000, -1, 200], [1000, 2**31, 200]):
+            with pytest.raises(ValueError, match="frame sizes"):
+                SegmentFrames.from_columns(
+                    seg.types, sizes, seg.references, seg.motion,
+                    duration=0.125, fps=24.0,
+                )
+
 
 class TestValidation:
     def test_valid_graph_passes(self):

@@ -119,6 +119,18 @@ class TestGop:
             for seg in tiny_video.segments[quality]:
                 assert seg.frames.total_bytes == seg.total_bytes
 
+    def test_rungs_share_their_structure(self, tiny_video):
+        """Types, references and motion are built once per segment; each
+        rung adds only its sizes."""
+        for index in range(tiny_video.num_segments):
+            first = tiny_video.segment(0, index).frames
+            for quality in range(1, tiny_video.num_levels):
+                frames = tiny_video.segment(quality, index).frames
+                assert frames.types is first.types
+                assert frames.references is first.references
+                assert frames.motion is first.motion
+                assert frames.sizes is not first.sizes
+
     def test_reference_graph_valid(self, tiny_video):
         for quality in (0, 12):
             for seg in tiny_video.segments[quality]:
