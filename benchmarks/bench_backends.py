@@ -52,10 +52,12 @@ def test_backend_agreement(benchmark):
     for trace_name in ("constant:10.5", "verizon"):
         round_row = by[(trace_name, "round")]
         packet_row = by[(trace_name, "packet")]
-        # Same stall regime (within 3 percentage points of bufRatio)...
+        # Same stall regime (within half a percentage point of
+        # bufRatio: verizon reads 0.38 % and 0.51 %; a packet clock
+        # frozen during downloads read 2.26 %)...
         assert abs(
             round_row["buf_ratio_pct"] - packet_row["buf_ratio_pct"]
-        ) < 3.0
+        ) < 0.5
         # ...and the same quality regime.
         assert abs(round_row["ssim"] - packet_row["ssim"]) < 0.06
 

@@ -17,8 +17,9 @@ from the fork's memory snapshot.  The layer provides:
   workers, bounded retry with exponential backoff, and poison-task
   quarantine once the attempt budget is exhausted.  Failures carry
   the task's *label* ("shard 3", "cell bbb/bola/…"), never a bare
-  ``BrokenProcessPool``.  Results fold in task order, so ``workers=K``
-  stays byte-identical to serial execution.
+  ``BrokenProcessPool``.  Results fold in task order, and so does the
+  metrics registry each task records into, so ``workers=K`` stays
+  byte-identical to serial execution, ``--metrics`` included.
 * :class:`CheckpointStore` — a crash-safe spool: each completed task's
   mergeable artifact is written atomically (temp file + ``os.replace``)
   under a content-derived ``run_key``, so an interrupted campaign
@@ -51,6 +52,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ioutil import atomic_write_json
+from repro.obs.metrics import get_registry, scoped_registry
 
 #: Exit code of a CLI run that completed with quarantined (degraded)
 #: tasks: partial statistics were produced and reported, but the run
@@ -326,7 +328,8 @@ def fault_injection_active() -> bool:
 # ---------------------------------------------------------------------------
 # Crash-safe checkpoint spool.
 # ---------------------------------------------------------------------------
-CHECKPOINT_VERSION = 1
+#: Version 2: a task file holds the task's result and its metrics state.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -339,13 +342,16 @@ class CheckpointStore:
     Layout: ``<root>/manifest.json`` binds the directory to one
     ``run_key`` (a content hash of everything that determines the task
     list and row shape) and task count; ``<root>/task-<i>.json`` holds
-    task *i*'s JSON-serializable result.  Every file is written via
-    temp-file + ``os.replace``, so a file either exists whole or not
-    at all — a crashed run leaves a valid spool.
+    task *i*'s JSON-serializable result (under :func:`execute`, the
+    pair of the task's result and its metrics state).  Every file is
+    written via temp-file + ``os.replace``, so a file either exists
+    whole or not at all — a crashed run leaves a valid spool.
 
-    Opening an existing spool with a different ``run_key`` raises
-    :class:`CheckpointError`: resuming folds stored artifacts into a
-    new run, which is only sound when the runs are identical.
+    Opening an existing spool written by another
+    :data:`CHECKPOINT_VERSION`, or with a different ``run_key`` or task
+    count, raises :class:`CheckpointError`: resuming folds stored
+    artifacts into a new run, which is only sound when the runs are
+    identical.
     """
 
     def __init__(self, root: str, run_key: str, tasks: int):
@@ -363,12 +369,18 @@ class CheckpointStore:
                     f"checkpoint manifest {manifest_path!r} is "
                     f"unreadable: {exc}"
                 ) from None
-            stale = (
-                manifest.get("checkpoint_version") != CHECKPOINT_VERSION
-                or manifest.get("run_key") != run_key
+            version = manifest.get("checkpoint_version")
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"checkpoint dir {self.root!r} was written with "
+                    f"checkpoint version {version!r}; this run writes "
+                    f"version {CHECKPOINT_VERSION} — use a fresh "
+                    f"directory"
+                )
+            if (
+                manifest.get("run_key") != run_key
                 or manifest.get("tasks") != tasks
-            )
-            if stale:
+            ):
                 raise CheckpointError(
                     f"checkpoint dir {self.root!r} belongs to a "
                     f"different run (run_key "
@@ -453,6 +465,11 @@ def _child_main(worker, task, index: int, attempt: int, conn) -> None:
     gc.freeze()
     injector = active_fault_injector()
     inject = injector is not None and injector.applies(index, attempt)
+    # The fault targets this task, not a fan-out nested in it (a sweep
+    # cell's repetitions): that one runs serially here, as it would
+    # under a serial parent.
+    install_worker_fault(None)
+    os.environ.pop(FAULT_ENV, None)
     if inject and injector.mode == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     if inject and injector.mode == "hang":
@@ -741,10 +758,23 @@ def execute(
     ``workers=1`` with no supervision request (no policy, no
     checkpoint, no fault injector) runs tasks serially in-process —
     the degenerate case every byte-identity claim is anchored to, and
-    the only mode where non-mergeable in-process observers can be fed
-    directly.  Anything else goes through :func:`supervised_map`.
+    the only mode where in-process observers can be fed directly.
+    Anything else goes through :func:`supervised_map`.
+
+    Either way each task runs in its own metrics scope, whose state
+    travels with the task's result (and into the checkpoint spool).
+    After the map the states of completed tasks fold into the caller's
+    registry in task order — quarantined tasks fold nothing — and
+    ``results`` holds the bare results.  So the caller's registry ends
+    the same at any worker count, and after a resume.
     """
     workers = validate_workers(workers)
+
+    def scoped(task):
+        with scoped_registry(merge=False) as registry:
+            result = worker(task)
+        return result, registry.state()
+
     if (
         workers == 1
         and policy is None
@@ -755,21 +785,29 @@ def execute(
         results: List[Any] = []
         try:
             for task in tasks:
-                results.append(worker(task))
+                results.append(scoped(task))
         except KeyboardInterrupt:
             raise ExecutionInterrupted(
                 completed=len(results), total=len(tasks)
             )
-        return MapOutcome(
+        outcome = MapOutcome(
             results=results,
             failures=[],
             requested_workers=workers,
             effective_workers=min(workers, len(tasks)),
         )
-    return supervised_map(
-        worker, tasks, workers=workers, policy=policy, labels=labels,
-        checkpoint=checkpoint,
-    )
+    else:
+        outcome = supervised_map(
+            scoped, tasks, workers=workers, policy=policy, labels=labels,
+            checkpoint=checkpoint,
+        )
+    registry = get_registry()
+    for index, entry in enumerate(outcome.results):
+        if entry is not None:  # None: a quarantined task
+            result, state = entry
+            registry.merge_state(state)
+            outcome.results[index] = result
+    return outcome
 
 
 __all__ = [

@@ -12,25 +12,20 @@ are equally usable from tests, benchmarks, and the examples.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.spec import ScenarioSpec, reliability_mode
-from repro.experiments.runner import run_trials
-from repro.network.traces import (
-    constant_trace,
-    riiser_3g_corpus,
-    step_trace,
-)
-from repro.player.session import SessionConfig, StreamingSession
+from repro.experiments.runner import run_single, run_trials
+from repro.experiments.sweep import _run_cells
+from repro.network.traces import riiser_3g_corpus
 from repro.prep.analysis import compute_drop_curve, droppable_positions
-from repro.prep.prepare import get_prepared
+from repro.prep.prepare import PreparedVideo, get_prepared
 from repro.prep.ranking import Ordering
 from repro.qoe.metrics import PSNR, SSIM, VMAF
 from repro.qoe.model import pristine_score
 from repro.video.library import get_video
-from repro.abr import make_abr
 
 # The four canonical videos of Tab. 1 and the showcased YouTube videos.
 CANONICAL = ("bbb", "ed", "sintel", "tos")
@@ -241,6 +236,79 @@ def fig2cd_virtual_levels(
 
 
 # ----------------------------------------------------------------------
+# Session figures: (keys, spec) cells on the sweep's cell engine.
+# ----------------------------------------------------------------------
+
+def _figure_cell(
+    spec: ScenarioSpec,
+    prepared: Optional[PreparedVideo],
+    observers: List,
+) -> Dict:
+    """A figure cell's body: its repetitions, reduced to what figures fold."""
+    summary = run_trials(spec, prepared=prepared, observers=observers)
+    return {
+        "row": summary.row(),
+        "ssim": summary.ssim_samples().tolist(),
+        "residual_loss": summary.mean_residual_loss,
+    }
+
+
+def _run_figure(
+    cells: Sequence[Tuple[Dict, ScenarioSpec]],
+) -> List[Tuple[Dict, Dict]]:
+    """Run ``(keys, spec)`` cells in order; ``(keys, result)`` pairs."""
+    specs = [spec for _, spec in cells]
+    results = _run_cells(
+        specs, _figure_cell, kind="figure",
+        identities=[{}] * len(specs),
+        labels=[f"cell {spec.label()}" for spec in specs],
+    )
+    return [(keys, result) for (keys, _), result in zip(cells, results)]
+
+
+def _rows(cells: Sequence[Tuple[Dict, ScenarioSpec]]) -> List[Dict]:
+    """One table row per cell: its keys, then its summary row."""
+    return [
+        dict(keys, **result["row"]) for keys, result in _run_figure(cells)
+    ]
+
+
+def _system_rows(
+    traces: Sequence[str],
+    videos: Sequence[str],
+    buffers: Sequence[int],
+    systems: Callable[[str], Dict[str, Dict]],
+    **fields,
+) -> List[Dict]:
+    """Rows over (trace, video, buffer, system), in that nesting.
+
+    ``systems(trace)`` maps each system label to its spec overrides;
+    ``fields`` apply to every cell.
+    """
+    return _rows([
+        (
+            {"video": video, "trace": trace, "buffer": buffer_segments,
+             "system": label},
+            ScenarioSpec(
+                video=video, trace=trace, buffer_segments=buffer_segments,
+                **fields, **overrides,
+            ),
+        )
+        for trace in traces
+        for video in videos
+        for buffer_segments in buffers
+        for label, overrides in systems(trace).items()
+    ])
+
+
+#: The two systems of Figs. 11-13 and 16.
+_BOLA_VS_VOXEL = {
+    "BOLA": {"abr": "bola", "reliability": "quic"},
+    "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
+}
+
+
+# ----------------------------------------------------------------------
 # Fig. 3/4/5: vanilla ABR algorithms over QUIC vs QUIC*.
 # ----------------------------------------------------------------------
 
@@ -252,31 +320,24 @@ def fig3_fig4_vanilla_quicstar(
     repetitions: int = 30,
 ) -> List[Dict]:
     """Fig. 3 (bufRatio) and Fig. 4 (bitrate): ABRs on QUIC vs QUIC*."""
-    rows = []
-    for video in videos:
-        prepared = get_prepared(video)
-        for abr in abrs:
-            for trace in traces:
-                for buffer_segments in buffers:
-                    for partially_reliable in (False, True):
-                        spec = ScenarioSpec(
-                            video=video, abr=abr, trace=trace,
-                            buffer_segments=buffer_segments,
-                            reliability=reliability_mode(partially_reliable),
-                            repetitions=repetitions,
-                        )
-                        summary = run_trials(spec, prepared=prepared)
-                        rows.append(
-                            {
-                                "video": video,
-                                "abr": abr,
-                                "trace": trace,
-                                "buffer": buffer_segments,
-                                "transport": "Q*" if partially_reliable else "Q",
-                                **summary.row(),
-                            }
-                        )
-    return rows
+    return _rows([
+        (
+            {"video": video, "abr": abr, "trace": trace,
+             "buffer": buffer_segments,
+             "transport": "Q*" if partially_reliable else "Q"},
+            ScenarioSpec(
+                video=video, abr=abr, trace=trace,
+                buffer_segments=buffer_segments,
+                reliability=reliability_mode(partially_reliable),
+                repetitions=repetitions,
+            ),
+        )
+        for video in videos
+        for abr in abrs
+        for trace in traces
+        for buffer_segments in buffers
+        for partially_reliable in (False, True)
+    ])
 
 
 def fig5_cross_traffic_vanilla(
@@ -287,31 +348,24 @@ def fig5_cross_traffic_vanilla(
     repetitions: int = 5,
 ) -> List[Dict]:
     """Fig. 5: vanilla ABRs with QUIC* under Harpoon-style cross traffic."""
-    rows = []
-    for video in videos:
-        prepared = get_prepared(video)
-        for abr in abrs:
-            for buffer_segments in buffers:
-                for partially_reliable in (False, True):
-                    spec = ScenarioSpec(
-                        video=video, abr=abr, trace="constant:20",
-                        buffer_segments=buffer_segments,
-                        reliability=reliability_mode(partially_reliable),
-                        repetitions=repetitions,
-                        cross_traffic_mbps=cross_mbps,
-                    )
-                    summary = run_trials(spec, prepared=prepared)
-                    rows.append(
-                        {
-                            "video": video,
-                            "abr": abr,
-                            "buffer": buffer_segments,
-                            "cross_mbps": cross_mbps,
-                            "transport": "Q*" if partially_reliable else "Q",
-                            **summary.row(),
-                        }
-                    )
-    return rows
+    return _rows([
+        (
+            {"video": video, "abr": abr, "buffer": buffer_segments,
+             "cross_mbps": cross_mbps,
+             "transport": "Q*" if partially_reliable else "Q"},
+            ScenarioSpec(
+                video=video, abr=abr, trace="constant:20",
+                buffer_segments=buffer_segments,
+                reliability=reliability_mode(partially_reliable),
+                repetitions=repetitions,
+                cross_traffic_mbps=cross_mbps,
+            ),
+        )
+        for video in videos
+        for abr in abrs
+        for buffer_segments in buffers
+        for partially_reliable in (False, True)
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -346,30 +400,11 @@ def fig6_bufratio(
     tuned_voxel: bool = True,
 ) -> List[Dict]:
     """Fig. 6 (and 18a, 17c): 90th-pct bufRatio of BOLA/BETA/VOXEL."""
-    rows = []
-    for trace in traces:
-        variants = _abr_variants(trace, tuned_voxel=tuned_voxel)
-        for video in videos:
-            prepared = get_prepared(video)
-            for buffer_segments in buffers:
-                for label, overrides in variants.items():
-                    spec = ScenarioSpec(
-                        video=video, trace=trace,
-                        buffer_segments=buffer_segments,
-                        repetitions=repetitions,
-                        **{k: v for k, v in overrides.items()},
-                    )
-                    summary = run_trials(spec, prepared=prepared)
-                    rows.append(
-                        {
-                            "video": video,
-                            "trace": trace,
-                            "buffer": buffer_segments,
-                            "system": label,
-                            **summary.row(),
-                        }
-                    )
-    return rows
+    return _system_rows(
+        traces, videos, buffers,
+        lambda trace: _abr_variants(trace, tuned_voxel=tuned_voxel),
+        repetitions=repetitions,
+    )
 
 
 def fig7_metric_agnostic(
@@ -383,49 +418,35 @@ def fig7_metric_agnostic(
     Returns bufRatio rows per metric plus the SSIM and VMAF CDFs of the
     BOLA and VOXEL(SSIM) runs.
     """
-    prepared = get_prepared(video)
-    rows = []
-    cdfs: Dict[str, Dict] = {}
-    metric_objects = {"ssim": SSIM, "vmaf": VMAF, "psnr": PSNR}
-    for buffer_segments in buffers:
-        bola = run_trials(
+    systems = {"BOLA": {"abr": "bola", "reliability": "quic"}}
+    for name, metric in (("ssim", SSIM), ("vmaf", VMAF), ("psnr", PSNR)):
+        systems[f"VOXEL/{name.upper()}"] = {
+            "abr": "abr_star", "abr_kwargs": {"metric": metric},
+        }
+    results = _run_figure([
+        (
+            {"system": label, "buffer": buffer_segments},
             ScenarioSpec(
-                video=video, abr="bola", trace=trace,
-                buffer_segments=buffer_segments,
-                reliability="quic", repetitions=repetitions,
+                video=video, trace=trace, buffer_segments=buffer_segments,
+                repetitions=repetitions, **overrides,
             ),
-            prepared=prepared,
         )
-        rows.append(
-            {"system": "BOLA", "buffer": buffer_segments, **bola.row()}
-        )
-        for metric_name, metric in metric_objects.items():
-            summary = run_trials(
-                ScenarioSpec(
-                    video=video, abr="abr_star", trace=trace,
-                    buffer_segments=buffer_segments, repetitions=repetitions,
-                    abr_kwargs={"metric": metric},
-                ),
-                prepared=prepared,
+        for buffer_segments in buffers
+        for label, overrides in systems.items()
+    ])
+    first = {
+        keys["system"]: result["ssim"]
+        for keys, result in results
+        if keys["buffer"] == buffers[0]
+    }
+    cdfs: Dict[str, Dict] = {}
+    for label, system in (("VOXEL", "VOXEL/SSIM"), ("BOLA", "BOLA")):
+        if system in first:
+            cdfs[f"{label}/ssim"] = _cdf(first[system])
+            cdfs[f"{label}/vmaf"] = _cdf(
+                [VMAF.from_ssim(s) for s in first[system]]
             )
-            rows.append(
-                {
-                    "system": f"VOXEL/{metric_name.upper()}",
-                    "buffer": buffer_segments,
-                    **summary.row(),
-                }
-            )
-            if buffer_segments == buffers[0]:
-                ssims = summary.ssim_samples()
-                if metric_name == "ssim":
-                    cdfs["VOXEL/ssim"] = _cdf(ssims)
-                    cdfs["VOXEL/vmaf"] = _cdf(
-                        [VMAF.from_ssim(s) for s in ssims]
-                    )
-        if buffer_segments == buffers[0]:
-            ssims = bola.ssim_samples()
-            cdfs["BOLA/ssim"] = _cdf(ssims)
-            cdfs["BOLA/vmaf"] = _cdf([VMAF.from_ssim(s) for s in ssims])
+    rows = [dict(keys, **result["row"]) for keys, result in results]
     return {"rows": rows, "cdfs": cdfs}
 
 
@@ -436,25 +457,21 @@ def fig7d_data_skipped(
     repetitions: int = 10,
 ) -> List[Dict]:
     """Fig. 7d: percent of segment data skipped by VOXEL vs buffer size."""
-    rows = []
-    for video in videos:
-        prepared = get_prepared(video)
-        for buffer_segments in buffers:
-            summary = run_trials(
-                ScenarioSpec(
-                    video=video, abr="abr_star", trace=trace,
-                    buffer_segments=buffer_segments, repetitions=repetitions,
-                ),
-                prepared=prepared,
-            )
-            rows.append(
-                {
-                    "video": video,
-                    "buffer": buffer_segments,
-                    "data_skipped_pct": summary.mean_data_skipped * 100.0,
-                }
-            )
-    return rows
+    results = _run_figure([
+        (
+            {"video": video, "buffer": buffer_segments},
+            ScenarioSpec(
+                video=video, abr="abr_star", trace=trace,
+                buffer_segments=buffer_segments, repetitions=repetitions,
+            ),
+        )
+        for video in videos
+        for buffer_segments in buffers
+    ])
+    return [
+        dict(keys, data_skipped_pct=result["row"]["data_skipped"] * 100.0)
+        for keys, result in results
+    ]
 
 
 def fig8_bitrates(
@@ -464,30 +481,15 @@ def fig8_bitrates(
     repetitions: int = 30,
 ) -> List[Dict]:
     """Fig. 8 (and 17a/b, 18b): average bitrates, VOXEL vs BOLA."""
-    rows = []
-    for trace in traces:
-        for video in videos:
-            prepared = get_prepared(video)
-            for buffer_segments in buffers:
-                for label, overrides in _abr_variants(trace).items():
-                    if label == "BETA":
-                        continue
-                    spec = ScenarioSpec(
-                        video=video, trace=trace,
-                        buffer_segments=buffer_segments,
-                        repetitions=repetitions, **overrides,
-                    )
-                    summary = run_trials(spec, prepared=prepared)
-                    rows.append(
-                        {
-                            "video": video,
-                            "trace": trace,
-                            "buffer": buffer_segments,
-                            "system": label,
-                            **summary.row(),
-                        }
-                    )
-    return rows
+    return _system_rows(
+        traces, videos, buffers,
+        lambda trace: {
+            label: overrides
+            for label, overrides in _abr_variants(trace).items()
+            if label != "BETA"
+        },
+        repetitions=repetitions,
+    )
 
 
 def fig9_ssim_cdfs(
@@ -501,23 +503,24 @@ def fig9_ssim_cdfs(
     tuned_voxel: bool = True,
 ) -> Dict[str, Dict[str, Dict]]:
     """Fig. 9 (and 17d): per-segment SSIM CDFs of BOLA/BETA/VOXEL."""
-    out: Dict[str, Dict[str, Dict]] = {}
-    for video, trace, buffer_segments in combos:
-        prepared = get_prepared(video)
-        series = {}
+    results = _run_figure([
+        (
+            {"combo": f"{video}-{trace}", "system": label},
+            ScenarioSpec(
+                video=video, trace=trace, buffer_segments=buffer_segments,
+                repetitions=repetitions, **overrides,
+            ),
+        )
+        for video, trace, buffer_segments in combos
         for label, overrides in _abr_variants(
             trace, tuned_voxel=tuned_voxel
-        ).items():
-            summary = run_trials(
-                ScenarioSpec(
-                    video=video, trace=trace,
-                    buffer_segments=buffer_segments,
-                    repetitions=repetitions, **overrides,
-                ),
-                prepared=prepared,
-            )
-            series[label] = _cdf(summary.ssim_samples())
-        out[f"{video}-{trace}"] = series
+        ).items()
+    ])
+    out: Dict[str, Dict[str, Dict]] = {}
+    for keys, result in results:
+        out.setdefault(keys["combo"], {})[keys["system"]] = _cdf(
+            result["ssim"]
+        )
     return out
 
 
@@ -548,8 +551,6 @@ def fig10_components(
                 reliability=reliability_mode(partially_reliable),
                 repetitions=1, abr_kwargs=kwargs,
             )
-            from repro.experiments.runner import run_single
-
             sessions.append(
                 run_single(spec, prepared=prepared, trace=trace)
             )
@@ -573,38 +574,35 @@ def fig11_synthetic(
     buffer_segments: int = 7,
     repetitions: int = 3,
 ) -> Dict[str, Dict]:
-    """Fig. 11a-c: SSIM progression and distribution on synthetic traces."""
-    prepared = get_prepared(video)
-    out: Dict[str, Dict] = {}
-    for trace_label, trace in (
-        ("const", constant_trace(10.5)),
-        ("step", step_trace()),
-    ):
-        for system, (abr, partially_reliable) in {
-            "BOLA": ("bola", False),
-            "VOXEL": ("abr_star", True),
-        }.items():
-            spec = ScenarioSpec(
-                video=video, abr=abr, buffer_segments=buffer_segments,
-                reliability=reliability_mode(partially_reliable),
-                repetitions=repetitions,
-            )
-            from repro.experiments.runner import run_single
+    """Fig. 11a-c: SSIM progression and distribution on synthetic traces.
 
-            sessions = [
-                run_single(spec, shift_s=i * 7.0, prepared=prepared,
-                           trace=trace)
-                for i in range(repetitions)
-            ]
-            scores = sessions[0].scores
-            # Accumulated average SSIM over playback (Fig. 11a).
-            progression = np.cumsum(scores) / np.arange(1, len(scores) + 1)
-            all_scores = np.concatenate([s.scores for s in sessions])
-            out[f"{system}/{trace_label}"] = {
-                "progression": progression,
-                "cdf": _cdf(all_scores),
-                "perfect_fraction": float(np.mean(all_scores >= 0.9999)),
-            }
+    Session ``i`` of a series runs the trace shifted by ``7 * i`` s.
+    """
+    results = _run_figure([
+        (
+            {"series": f"{system}/{label}"},
+            ScenarioSpec(
+                video=video, trace=trace, buffer_segments=buffer_segments,
+                trace_shift_s=7.0 * i, **overrides,
+            ),
+        )
+        for label, trace in (("const", "constant:10.5"), ("step", "step"))
+        for system, overrides in _BOLA_VS_VOXEL.items()
+        for i in range(repetitions)
+    ])
+    sessions: Dict[str, List[List[float]]] = {}
+    for keys, result in results:
+        sessions.setdefault(keys["series"], []).append(result["ssim"])
+    out: Dict[str, Dict] = {}
+    for series, scores in sessions.items():
+        # Accumulated average SSIM over playback (Fig. 11a).
+        progression = np.cumsum(scores[0]) / np.arange(1, len(scores[0]) + 1)
+        all_scores = np.concatenate(scores)
+        out[series] = {
+            "progression": progression,
+            "cdf": _cdf(all_scores),
+            "perfect_fraction": float(np.mean(all_scores >= 0.9999)),
+        }
     return out
 
 
@@ -618,33 +616,24 @@ def fig11d_fig13_wild(
     repetitions: int = 10,
 ) -> Dict[str, object]:
     """Fig. 11d and Fig. 13: in-the-wild-like trials (WiFi path)."""
-    rows = []
-    cdfs: Dict[str, Dict] = {}
-    for video in videos:
-        prepared = get_prepared(video)
-        for buffer_segments in buffers:
-            for label, overrides in {
-                "BOLA": {"abr": "bola", "reliability": "quic"},
-                "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
-            }.items():
-                summary = run_trials(
-                    ScenarioSpec(
-                        video=video, trace="wild",
-                        buffer_segments=buffer_segments,
-                        repetitions=repetitions, **overrides,
-                    ),
-                    prepared=prepared,
-                )
-                rows.append(
-                    {
-                        "video": video,
-                        "buffer": buffer_segments,
-                        "system": label,
-                        **summary.row(),
-                    }
-                )
-                if buffer_segments == 1 and video in ("bbb", "tos"):
-                    cdfs[f"{video}/{label}"] = _cdf(summary.ssim_samples())
+    results = _run_figure([
+        (
+            {"video": video, "buffer": buffer_segments, "system": label},
+            ScenarioSpec(
+                video=video, trace="wild", buffer_segments=buffer_segments,
+                repetitions=repetitions, **overrides,
+            ),
+        )
+        for video in videos
+        for buffer_segments in buffers
+        for label, overrides in _BOLA_VS_VOXEL.items()
+    ])
+    cdfs: Dict[str, Dict] = {
+        f"{keys['video']}/{keys['system']}": _cdf(result["ssim"])
+        for keys, result in results
+        if keys["buffer"] == 1 and keys["video"] in ("bbb", "tos")
+    }
+    rows = [dict(keys, **result["row"]) for keys, result in results]
     return {"rows": rows, "cdfs": cdfs}
 
 
@@ -659,33 +648,19 @@ def fig12_cross_traffic(
     repetitions: int = 5,
 ) -> List[Dict]:
     """Fig. 12: bufRatio and bitrate with 20 Mbps competing traffic."""
-    rows = []
-    for video in videos:
-        prepared = get_prepared(video)
-        for buffer_segments in buffers:
-            for label, overrides in {
-                "BOLA": {"abr": "bola", "reliability": "quic"},
-                "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
-            }.items():
-                summary = run_trials(
-                    ScenarioSpec(
-                        video=video, trace="constant:20",
-                        buffer_segments=buffer_segments,
-                        repetitions=repetitions,
-                        cross_traffic_mbps=cross_mbps,
-                        **overrides,
-                    ),
-                    prepared=prepared,
-                )
-                rows.append(
-                    {
-                        "video": video,
-                        "buffer": buffer_segments,
-                        "system": label,
-                        **summary.row(),
-                    }
-                )
-    return rows
+    return _rows([
+        (
+            {"video": video, "buffer": buffer_segments, "system": label},
+            ScenarioSpec(
+                video=video, trace="constant:20",
+                buffer_segments=buffer_segments, repetitions=repetitions,
+                cross_traffic_mbps=cross_mbps, **overrides,
+            ),
+        )
+        for video in videos
+        for buffer_segments in buffers
+        for label, overrides in _BOLA_VS_VOXEL.items()
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -700,34 +675,10 @@ def fig16_long_queue(
     repetitions: int = 10,
 ) -> List[Dict]:
     """Fig. 16: BOLA vs VOXEL behind a 750-packet droptail queue."""
-    rows = []
-    for trace in traces:
-        for video in videos:
-            prepared = get_prepared(video)
-            for buffer_segments in buffers:
-                for label, overrides in {
-                    "BOLA": {"abr": "bola", "reliability": "quic"},
-                    "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
-                }.items():
-                    summary = run_trials(
-                        ScenarioSpec(
-                            video=video, trace=trace,
-                            buffer_segments=buffer_segments,
-                            queue_packets=queue_packets,
-                            repetitions=repetitions, **overrides,
-                        ),
-                        prepared=prepared,
-                    )
-                    rows.append(
-                        {
-                            "video": video,
-                            "trace": trace,
-                            "buffer": buffer_segments,
-                            "system": label,
-                            **summary.row(),
-                        }
-                    )
-    return rows
+    return _system_rows(
+        traces, videos, buffers, lambda trace: _BOLA_VS_VOXEL,
+        queue_packets=queue_packets, repetitions=repetitions,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -741,36 +692,14 @@ def fig18cd_reliability_ablation(
     repetitions: int = 10,
 ) -> List[Dict]:
     """Fig. 18c/d: VOXEL with unreliable streams disabled ("VOXEL rel")."""
-    rows = []
-    for trace in traces:
-        for video in videos:
-            prepared = get_prepared(video)
-            for buffer_segments in buffers:
-                for label, force_reliable in (
-                    ("VOXEL", False),
-                    ("VOXEL rel", True),
-                ):
-                    summary = run_trials(
-                        ScenarioSpec(
-                            video=video, abr="abr_star", trace=trace,
-                            buffer_segments=buffer_segments,
-                            reliability=reliability_mode(
-                                True, force_reliable
-                            ),
-                            repetitions=repetitions,
-                        ),
-                        prepared=prepared,
-                    )
-                    rows.append(
-                        {
-                            "video": video,
-                            "trace": trace,
-                            "buffer": buffer_segments,
-                            "system": label,
-                            **summary.row(),
-                        }
-                    )
-    return rows
+    systems = {
+        "VOXEL": {"reliability": reliability_mode(True)},
+        "VOXEL rel": {"reliability": reliability_mode(True, True)},
+    }
+    return _system_rows(
+        traces, videos, buffers, lambda trace: systems,
+        abr="abr_star", repetitions=repetitions,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -784,23 +713,20 @@ def selective_retransmission_residual(
     repetitions: int = 10,
 ) -> List[Dict]:
     """§4.2: remaining loss per buffer size after selective retx."""
-    prepared = get_prepared(video)
-    rows = []
-    for buffer_segments in buffers:
-        summary = run_trials(
+    results = _run_figure([
+        (
+            {"buffer": buffer_segments},
             ScenarioSpec(
                 video=video, abr="abr_star", trace=trace,
                 buffer_segments=buffer_segments, repetitions=repetitions,
             ),
-            prepared=prepared,
         )
-        rows.append(
-            {
-                "buffer": buffer_segments,
-                "residual_loss_pct": summary.mean_residual_loss * 100.0,
-            }
-        )
-    return rows
+        for buffer_segments in buffers
+    ])
+    return [
+        dict(keys, residual_loss_pct=result["residual_loss"] * 100.0)
+        for keys, result in results
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,6 @@ from repro.experiments.execution import (
 from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
 from repro.obs import spans
 from repro.obs.attribution import FleetAttributor, format_attribution
-from repro.obs.metrics import scoped_registry
 from repro.obs.rollup import TraceRollup, format_rollup
 from repro.prep.prepare import PreparedVideo, get_prepared
 
@@ -400,14 +399,11 @@ def _shard_worker(
 ) -> Dict:
     """Pool entry point for one shard (bound to its inputs by partial).
 
-    Runs inside a throwaway metrics scope so serial and forked
-    execution leave the parent's process-wide registry in the same
-    state; under ``profile`` the shard records its own span tree,
-    returned for the parent's in-order fold.
+    Under ``profile`` the shard records its own span tree, returned for
+    the parent's in-order fold.
     """
     with (spans.profiled() if profile else nullcontext()) as prof:
-        with scoped_registry(merge=False):
-            out = _run_shard(spec, shard, prepared_map, keep_rows)
+        out = _run_shard(spec, shard, prepared_map, keep_rows)
     if profile:
         out["spans"] = prof.to_dict()
     return out

@@ -12,15 +12,14 @@ average bitrates, CDFs of per-segment scores.
 Repetitions are independent simulations, so :func:`run_trials` can fan
 them out over worker processes (``workers=K``) through
 :func:`~repro.experiments.execution.execute`.  Parallel execution is
-*deterministic*: each repetition runs inside its own metrics scope (in
-both modes) and the parent folds the per-repetition registries back in
-repetition order, so aggregates, metrics dumps, and traces are
-byte-identical to a serial run.
+*deterministic*: ``execute`` runs each repetition inside its own
+metrics scope (in both modes) and folds the scopes back in repetition
+order, so aggregates, metrics dumps, and traces are byte-identical to a
+serial run.
 """
 
 from __future__ import annotations
 
-import copy
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +35,7 @@ from repro.experiments.execution import (
 )
 from repro.network.traces import NetworkTrace
 from repro.obs import spans
-from repro.obs.metrics import MetricsRegistry, get_registry, scoped_registry
+from repro.obs.metrics import get_registry, scoped_registry
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
 from repro.prep.prepare import PreparedVideo, get_prepared
@@ -135,18 +134,16 @@ def _rep_session(
     collect_trace: bool,
     observers: Optional[Sequence] = None,
     profile: bool = False,
-) -> Tuple[SessionMetrics, MetricsRegistry, Optional[str], Optional[Dict]]:
-    """Run one repetition in its own metrics scope.
+) -> Tuple[SessionMetrics, Optional[str], Optional[Dict]]:
+    """Run one repetition.
 
-    Returns the session metrics, the repetition's registry (for the
-    parent to merge in repetition order — the key to serial/parallel
-    metric identity), the JSONL trace if requested, and the
+    Returns the session metrics, the JSONL trace if requested, and the
     repetition's serialized span tree when ``profile`` is set (folded
-    by the parent in repetition order too, so span trees — like
-    metrics — are identical at any worker count).  ``observers`` see
-    every trace event; without ``collect_trace`` they are served by a
-    buffer-less :class:`StreamingTracer`, so fleet rollups cost no
-    per-event history.
+    by the parent in repetition order, so span trees — like metrics —
+    are identical at any worker count).  ``observers`` see every trace
+    event; without ``collect_trace`` they are served by a buffer-less
+    :class:`StreamingTracer`, so fleet rollups cost no per-event
+    history.
     """
     # The profiler is installed before the tracer and the stack are
     # built: hot components capture it at construction.
@@ -157,36 +154,12 @@ def _rep_session(
             tracer = StreamingTracer(observers=observers)
         else:
             tracer = None
-        with scoped_registry(merge=False) as registry:
-            metrics = run_single(
-                spec, shift_s=shift_s, prepared=prepared, trace=trace,
-                tracer=tracer,
-            )
+        metrics = run_single(
+            spec, shift_s=shift_s, prepared=prepared, trace=trace,
+            tracer=tracer,
+        )
     jsonl = tracer.to_jsonl() if collect_trace else None
-    return metrics, registry, jsonl, (prof.to_dict() if profile else None)
-
-
-def _observer_algebra(
-    observer,
-) -> Optional[Tuple[object, Optional[str]]]:
-    """The mergeable state object behind a trace observer, or None.
-
-    Bound-method observers (``rollup.feed``) resolve to their instance;
-    callable objects resolve to themselves.  "Mergeable" means the
-    object carries the fold algebra — ``merge``, ``to_dict``, and
-    ``from_dict`` — so per-repetition state can cross a fork boundary
-    as plain data and fold back in repetition order.  Returns the
-    object plus the bound method's name (to rebuild the callback on a
-    copy), or None for observers without the algebra.
-    """
-    obj = getattr(observer, "__self__", observer)
-    if all(
-        callable(getattr(obj, name, None))
-        for name in ("merge", "to_dict", "from_dict")
-    ):
-        attr = observer.__name__ if obj is not observer else None
-        return obj, attr
-    return None
+    return metrics, jsonl, (prof.to_dict() if profile else None)
 
 
 def run_trials(
@@ -209,36 +182,17 @@ def run_trials(
         collect_traces: record a JSONL trace per repetition on the
             summary's ``traces``.
         observers: trace-event callbacks attached to every repetition's
-            tracer (streaming rollups, attributors).  With
-            ``workers > 1`` each observer must expose the merge algebra
-            (``merge``/``to_dict``/``from_dict`` on the observer or the
-            instance behind a bound method): workers feed an isolated
-            copy per repetition and the parent folds the serialized
-            states back in repetition order — byte-identical to serial
-            when the observers start empty (fresh instances; pre-seeded
-            state would be double-counted) and per-repetition
-            distributions stay under the histogram reservoir threshold.
-            Plain callables without the algebra still require
-            ``workers=1``.
+            tracer (streaming rollups, attributors).  They require
+            ``workers=1``: observer state lives in this process.  A
+            sweep fans out across cells instead, each cell's
+            repetitions feeding its own observers.
     """
     workers = validate_workers(workers)
-    algebra: Optional[List[Tuple[object, Optional[str]]]] = None
     if observers and workers > 1:
-        resolved = [_observer_algebra(observer) for observer in observers]
-        if any(entry is None for entry in resolved):
-            bad = [
-                repr(observer)
-                for observer, entry in zip(observers, resolved)
-                if entry is None
-            ]
-            raise ValueError(
-                "trace observers without a merge algebra require "
-                "workers=1 (observer state lives in this process; "
-                "forked repetitions cannot feed it).  Expose "
-                "merge/to_dict/from_dict to fold across workers; "
-                f"non-mergeable: {', '.join(bad)}"
-            )
-        algebra = resolved
+        raise ValueError(
+            "trace observers require workers=1 (observer state lives "
+            "in this process; forked repetitions cannot feed it)"
+        )
     if prepared is None:
         prepared = get_prepared(spec.video)
     trace = StackBuilder(spec).resolve_trace()
@@ -254,49 +208,28 @@ def run_trials(
     profile = parent_prof is not None
 
     def repetition(shift: float):
-        if algebra is None:
-            return (*_rep_session(spec, shift, prepared, trace,
-                                  collect_traces, observers, profile),
-                    None)
-        # A forked repetition feeds private copies of the observer
-        # state and ships the serialized states back for the fold.
-        states = [copy.deepcopy(obj) for obj, _ in algebra]
-        callbacks = [
-            obj if attr is None else getattr(obj, attr)
-            for obj, (_, attr) in zip(states, algebra)
-        ]
-        outcome = _rep_session(spec, shift, prepared, trace,
-                               collect_traces, callbacks, profile)
-        return (*outcome, [obj.to_dict() for obj in states])
+        return _rep_session(spec, shift, prepared, trace, collect_traces,
+                            observers, profile)
 
     # Each trial runs inside its own registry scope so its metrics dump
-    # reflects only these sessions; the scope merges back into the
-    # parent on exit, keeping process-wide totals intact.
+    # reflects only these sessions (execute folds the repetitions into
+    # it); the scope merges back into the parent on exit, keeping
+    # process-wide totals intact.
     with scoped_registry() as registry:
-        if workers == 1:
-            outcomes = [repetition(shift) for shift in shifts]
-        else:
-            outcome = execute(
-                repetition, shifts, workers=workers,
-                labels=[f"repetition {i}" for i in range(reps)],
-            )
-            if outcome.failures:
-                raise ExecutionError(outcome.failures, total=reps)
-            outcomes = outcome.results
+        outcome = execute(
+            repetition, shifts, workers=workers,
+            labels=[f"repetition {i}" for i in range(reps)],
+        )
+        if outcome.failures:
+            raise ExecutionError(outcome.failures, total=reps)
         sessions = []
         traces: List[str] = []
-        for metrics, rep_registry, jsonl, prof_state, states in outcomes:
+        for metrics, jsonl, prof_state in outcome.results:
             sessions.append(metrics)
-            registry.merge(rep_registry)
             if jsonl is not None:
                 traces.append(jsonl)
             if prof_state is not None:
                 parent_prof.merge_dict(prof_state)
-            if states is not None:
-                # Fold each repetition's observer state into the
-                # caller's live objects, in repetition order.
-                for (obj, _attr), state in zip(algebra, states):
-                    obj.merge(type(obj).from_dict(state))
         metrics_dump = registry.dump()
     return TrialSummary(
         config=spec,

@@ -47,7 +47,6 @@ from repro.experiments.runner import run_trials
 from repro.obs import spans as _spans
 from repro.obs.attribution import FleetAttributor
 from repro.obs.ledger import build_ledger
-from repro.obs.metrics import scoped_registry
 from repro.obs.rollup import TraceRollup
 from repro.prep.prepare import PreparedVideo, get_prepared
 
@@ -215,9 +214,9 @@ def _run_cells(
 
     Validates every cell and pre-warms the catalog videos, then runs
     ``body(spec, prepared, observers)`` per cell through
-    :func:`~repro.experiments.execution.execute`, each cell in an
-    isolated metrics scope (as a forked child's registry dies with the
-    child), so any worker count computes identical rows.  A row is the
+    :func:`~repro.experiments.execution.execute`, which folds each
+    cell's metrics into the caller's registry in cell order, so any
+    worker count computes identical rows and metrics.  A row is the
     cell's ``identities`` entry plus the body's keys, plus ``rollup``
     and ``attribution`` (a streaming rollup and causal attributor
     handed to the body as ``observers``) under ``rollup`` and a
@@ -259,8 +258,7 @@ def _run_cells(
         # The cell profiler is installed before the body builds any
         # component: spans capture their profiler at construction.
         with (_spans.profiled() if profile else nullcontext()) as prof:
-            with scoped_registry(merge=False):
-                result = body(spec, prepared, observers)
+            result = body(spec, prepared, observers)
         wall_s = time.perf_counter() - t0
         row = dict(identities[index], **result)
         if rollup:

@@ -262,14 +262,43 @@ class MetricsRegistry:
         self._histograms.clear()
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters add, gauges take the
-        other's latest value, histograms merge sample reservoirs."""
-        for (name, labels), metric in other._counters.items():
-            self.counter(name, **dict(labels)).inc(metric.value)
-        for (name, labels), metric in other._gauges.items():
-            self.gauge(name, **dict(labels)).set(metric.value)
-        for (name, labels), metric in other._histograms.items():
-            self.histogram(name, **dict(labels)).merge(metric)
+        """Fold another registry in (see :meth:`merge_state`)."""
+        self.merge_state(other.state())
+
+    def state(self) -> Dict[str, List]:
+        """JSON-ready snapshot of every series, for :meth:`merge_state`.
+
+        Each series is ``[name, [[label, value], ...], payload]``, the
+        payload a counter's or gauge's value or a histogram's
+        :meth:`Histogram.state_dict`.  A forked task ships its scope's
+        state to the parent, which folds it in.
+        """
+        return {
+            "counters": [
+                [name, labels, metric.value]
+                for (name, labels), metric in self._counters.items()
+            ],
+            "gauges": [
+                [name, labels, metric.value]
+                for (name, labels), metric in self._gauges.items()
+            ],
+            "histograms": [
+                [name, labels, metric.state_dict()]
+                for (name, labels), metric in self._histograms.items()
+            ],
+        }
+
+    def merge_state(self, state: Dict[str, List]) -> None:
+        """Fold a :meth:`state` snapshot in: counters add, gauges take
+        the snapshot's value, histograms merge sample reservoirs."""
+        for name, labels, value in state["counters"]:
+            self.counter(name, **dict(labels)).inc(value)
+        for name, labels, value in state["gauges"]:
+            self.gauge(name, **dict(labels)).set(value)
+        for name, labels, payload in state["histograms"]:
+            self.histogram(name, **dict(labels)).merge(
+                Histogram.from_state(payload)
+            )
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()

@@ -44,9 +44,6 @@ class NullTracer:
     def emit(self, type_: str, **fields) -> None:
         pass
 
-    def emit_at(self, t: float, type_: str, **fields) -> None:
-        pass
-
     def emit_fields(self, t, type_: str, fields) -> None:
         pass
 
@@ -84,11 +81,10 @@ class StreamingTracer:
 
     def __init__(
         self,
-        clock=None,
         validate: bool = True,
         observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
     ):
-        self.clock = clock
+        self.clock = None
         self.validate = validate
         self._seq = 0
         self._observers: List[Callable[[TraceEvent], None]] = list(
@@ -112,22 +108,14 @@ class StreamingTracer:
         """Record one event, stamped with the current simulation time."""
         return self.emit_fields(None, type_, fields)
 
-    def emit_at(self, t: float, type_: str, **fields) -> TraceEvent:
-        """Record one event with an explicit simulation timestamp.
-
-        Program code stamps events with the bound kernel's time through
-        :meth:`emit`; an explicit ``t`` builds timed traces without a
-        kernel (analysis fixtures, replayed streams).
-        """
-        return self.emit_fields(t, type_, fields)
-
     def emit_fields(self, t, type_: str, fields) -> TraceEvent:
         """Record one event taking ownership of an already-built dict.
 
-        The single emission path: ``emit``/``emit_at`` and the
-        per-session wrapper all funnel here, so one payload dict is built
-        per event regardless of how many wrappers the call went through.
-        ``t=None`` stamps the current simulation time.
+        The single emission path: ``emit`` and the per-session wrapper
+        funnel here, so one payload dict is built per event regardless of
+        how many wrappers the call went through.  ``t=None`` stamps the
+        bound clock's time; an explicit ``t`` builds timed traces without
+        a kernel (analysis fixtures, replayed streams).
         """
         if t is None:
             clock = self.clock
@@ -166,9 +154,10 @@ class Tracer(StreamingTracer):
     The ring buffer is the first observer, so every event is stored
     before any other observer sees it.
 
+    Timestamps come from the clock bound with :meth:`bind_clock` (a
+    streaming session binds its kernel).
+
     Args:
-        clock: object whose ``now`` supplies timestamps.  The streaming
-            session binds its kernel via :meth:`bind_clock`.
         capacity: ring-buffer size; the oldest events are dropped once
             exceeded (``dropped`` counts them).
         validate: check each event against the schema on emission
@@ -180,7 +169,6 @@ class Tracer(StreamingTracer):
 
     def __init__(
         self,
-        clock=None,
         capacity: int = DEFAULT_CAPACITY,
         validate: bool = True,
         observers: Optional[Iterable[Callable[[TraceEvent], None]]] = None,
@@ -190,7 +178,7 @@ class Tracer(StreamingTracer):
         self.capacity = capacity
         self._buffer: deque = deque(maxlen=capacity)
         super().__init__(
-            clock, validate, [self._buffer.append, *(observers or ())]
+            validate, [self._buffer.append, *(observers or ())]
         )
 
     @property
@@ -262,10 +250,6 @@ class SessionTracer:
     def emit(self, type_: str, **fields):
         fields.setdefault("session_id", self.session_id)
         return self._forward(None, type_, fields)
-
-    def emit_at(self, t: float, type_: str, **fields):
-        fields.setdefault("session_id", self.session_id)
-        return self._forward(t, type_, fields)
 
     def emit_fields(self, t, type_: str, fields):
         fields.setdefault("session_id", self.session_id)

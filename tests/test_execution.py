@@ -38,6 +38,7 @@ from repro.experiments.chaos import run_chaos
 from repro.experiments.fleet import ClientGroup, FleetSpec, run_fleet
 from repro.experiments.runner import run_trials
 from repro.experiments.sweep import run_sweep
+from repro.obs.metrics import get_registry, scoped_registry
 
 # Mirrors tests/test_fleet.py — an independent anchor for the claim
 # that supervision, retry, and resume are invisible in clean output.
@@ -56,6 +57,12 @@ def _square(x):
 def _sleepy_square(x):
     time.sleep(0.15)
     return x * x
+
+
+def _counted(x):
+    get_registry().counter("probe", task=x).inc(x + 1)
+    get_registry().gauge("last").set(x)
+    return x
 
 
 @pytest.fixture
@@ -399,6 +406,15 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="different run"):
             CheckpointStore(root, "run-b", 3)
 
+    def test_version_mismatch_named(self, tmp_path):
+        root = tmp_path / "ckpt"
+        CheckpointStore(str(root), "run-a", 3)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["checkpoint_version"] = 1
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="checkpoint version 1"):
+            CheckpointStore(str(root), "run-a", 3)
+
     def test_task_count_mismatch_rejected(self, tmp_path):
         root = str(tmp_path / "ckpt")
         CheckpointStore(root, "run-a", 3)
@@ -544,6 +560,66 @@ class TestExecuteDispatch:
         assert seen == []
 
 
+    def test_fault_spares_the_fan_out_nested_in_a_task(self, fault):
+        # The injected error hits task 0's first attempt only; the
+        # fan-out inside each task runs serially in that task's process.
+        fault(mode="error", task=0, attempts=1)
+
+        def nested(x):
+            inner = execute(lambda _: os.getpid(), range(2), workers=1)
+            return os.getpid(), inner.results
+
+        outcome = execute(nested, range(2), workers=1, policy=FAST)
+        assert outcome.ok and outcome.retries == 1
+        for pid, inner in outcome.results:
+            assert inner == [pid, pid]
+
+
+# ---------------------------------------------------------------------------
+# execute() folds each task's metrics scope into the caller's registry.
+# ---------------------------------------------------------------------------
+class TestMetricsFold:
+    EXPECTED = {
+        "counters": {f"probe{{task={i}}}": float(i + 1) for i in range(4)},
+        "gauges": {"last": 3.0},
+        "histograms": {},
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_fold_in_task_order(self, workers):
+        with scoped_registry() as registry:
+            outcome = execute(_counted, range(4), workers=workers)
+        assert outcome.results == [0, 1, 2, 3]
+        assert registry.dump() == self.EXPECTED
+
+    def test_quarantined_task_folds_nothing(self, fault):
+        fault(mode="error", task=1, attempts=99)
+        with scoped_registry() as registry:
+            outcome = execute(_counted, range(4), workers=2, policy=FAST)
+        assert [f.index for f in outcome.failures] == [1]
+        assert outcome.results[1] is None
+        counters = registry.dump()["counters"]
+        assert "probe{task=1}" not in counters
+        assert counters["probe{task=2}"] == 3.0
+
+    def test_resumed_run_folds_the_same_metrics(self, tmp_path):
+        root = str(tmp_path / "ckpt")
+        with scoped_registry() as first:
+            execute(
+                _counted, range(4), workers=2,
+                checkpoint=CheckpointStore(root, "run-a", 4),
+            )
+        os.unlink(os.path.join(root, "task-00002.json"))
+        with scoped_registry() as resumed:
+            outcome = execute(
+                _counted, range(4), workers=2,
+                checkpoint=CheckpointStore(root, "run-a", 4),
+            )
+        assert outcome.resumed == 3
+        assert outcome.results == [0, 1, 2, 3]
+        assert resumed.dump() == first.dump() == self.EXPECTED
+
+
 # ---------------------------------------------------------------------------
 # Fleet-level goldens: the headline byte-identity guarantees.
 # ---------------------------------------------------------------------------
@@ -596,6 +672,29 @@ class TestFleetResilience:
         assert resumed.degraded is None
         assert "degraded" not in resumed.report()
         assert resumed.fleet_hash() == GOLDEN_TINY_FLEET_HASH
+
+    def test_resumed_fleet_folds_the_uninterrupted_metrics(
+        self, fault, tiny_prepared, tmp_path
+    ):
+        root = str(tmp_path / "ckpt")
+        spec = _tiny_spec(tiny_prepared, clients=6, shards=2)
+        prepared = {tiny_prepared.name: tiny_prepared}
+        with scoped_registry() as clean:
+            run_fleet(spec, workers=2, prepared_map=prepared)
+        fault(mode="kill", task=1, attempts=99)
+        run_fleet(
+            spec, workers=2, prepared_map=prepared, policy=FAST,
+            checkpoint_dir=root, strict=False,
+        )
+        install_worker_fault(None)
+        with scoped_registry() as resumed:
+            result = run_fleet(
+                spec, workers=2, prepared_map=prepared,
+                checkpoint_dir=root,
+            )
+        assert result.resumed == 1
+        assert resumed.dump() == clean.dump()
+        assert resumed.dump()["counters"]
 
     def test_checkpoint_dir_bound_to_spec(
         self, tiny_prepared, tmp_path

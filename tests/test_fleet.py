@@ -19,8 +19,7 @@ from repro.experiments.fleet import (
     shard_clients,
 )
 from repro.experiments.runner import run_trials
-from repro.obs.attribution import FleetAttributor
-from repro.obs.rollup import TraceRollup
+from repro.obs.metrics import scoped_registry
 
 
 def _tiny_groups(tiny_prepared):
@@ -225,6 +224,23 @@ class TestFleetMerge:
         # Rows don't perturb the merged artifacts.
         assert full.fleet_hash() == lean.fleet_hash()
 
+    def test_shard_metrics_fold_identically(self, tiny_prepared):
+        # Every shard's registry folds into the caller's, in shard
+        # order, at any worker count.
+        spec = _tiny_spec(tiny_prepared, clients=6, shards=2)
+        prepared = {tiny_prepared.name: tiny_prepared}
+        dumps = []
+        for workers in (1, 2):
+            with scoped_registry() as registry:
+                run_fleet(spec, workers=workers, prepared_map=prepared)
+            dumps.append(registry.dump())
+        assert dumps[0] == dumps[1]
+        segments = sum(
+            value for series, value in dumps[0]["counters"].items()
+            if series.startswith("session.segments{")
+        )
+        assert segments == spec.clients * tiny_prepared.video.num_segments
+
     def test_format_fleet_report(self, tiny_prepared):
         spec = _tiny_spec(tiny_prepared, clients=6, shards=2)
         result = run_fleet(
@@ -237,7 +253,7 @@ class TestFleetMerge:
 
 
 # ---------------------------------------------------------------------------
-# run_trials observer fold (the lifted workers>1 restriction).
+# run_trials observers: in-process state, so serial only.
 # ---------------------------------------------------------------------------
 class TestObserverFold:
     def _config(self, tiny_prepared):
@@ -249,32 +265,12 @@ class TestObserverFold:
             repetitions=3,
         )
 
-    def test_mergeable_observers_fold_identically(self, tiny_prepared):
-        config = self._config(tiny_prepared)
-        artifacts = []
-        for workers in (1, 2):
-            rollup = TraceRollup()
-            attributor = FleetAttributor()
-            run_trials(
-                config,
-                prepared=tiny_prepared,
-                workers=workers,
-                observers=[rollup.feed, attributor.feed],
-            )
-            artifacts.append((
-                json.dumps(rollup.to_dict(), sort_keys=True),
-                json.dumps(
-                    attributor.combined().to_dict(), sort_keys=True
-                ),
-            ))
-        assert artifacts[0] == artifacts[1]
-
     def test_non_mergeable_observer_still_requires_serial(
         self, tiny_prepared
     ):
         config = self._config(tiny_prepared)
         events = []
-        with pytest.raises(ValueError, match="merge algebra"):
+        with pytest.raises(ValueError, match="require workers=1"):
             run_trials(
                 config,
                 prepared=tiny_prepared,

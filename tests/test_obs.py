@@ -239,29 +239,51 @@ class TestScopedRegistry:
         assert snap["counters"]["c"] == 3.0  # counters add
         assert snap["gauges"]["g"] == 9.0  # gauges take the latest
 
+    def test_state_survives_json_and_folds_like_merge(self):
+        from repro.obs.metrics import HISTOGRAM_RESERVOIR
+
+        b = MetricsRegistry()
+        b.counter("c", abr="bola").inc(2.5)
+        b.gauge("g").set(9.0)
+        for i in range(HISTOGRAM_RESERVOIR + 500):  # past the reservoir
+            b.histogram("h", layer="x").observe(i * 0.1)
+        a = MetricsRegistry()
+        a.counter("c", abr="bola").inc(1.0)
+        a.histogram("h", layer="x").observe(7.0)
+        expected = Histogram()
+        expected.observe(7.0)
+        expected.merge(b.histogram("h", layer="x"))
+        a.merge_state(json.loads(json.dumps(b.state())))
+        snap = a.dump()
+        assert snap["counters"]["c{abr=bola}"] == 3.5
+        assert snap["gauges"]["g"] == 9.0
+        assert snap["histograms"]["h{layer=x}"] == expected.summary()
+
 
 class TestTracerObservers:
     def test_observer_sees_every_event(self):
         seen = []
         tracer = Tracer(observers=[seen.append])
-        tracer.emit_at(0.0, ev.STALL, duration=0.5, segment=1)
-        tracer.emit_at(1.0, ev.STALL, duration=0.25, segment=2)
+        tracer.emit_fields(0.0, ev.STALL, {"duration": 0.5, "segment": 1})
+        tracer.emit_fields(1.0, ev.STALL, {"duration": 0.25, "segment": 2})
         assert [e.seq for e in seen] == [0, 1]
 
     def test_observer_sees_evicted_events(self):
         seen = []
         tracer = Tracer(capacity=2, observers=[seen.append])
         for i in range(5):
-            tracer.emit_at(float(i), ev.STALL, duration=0.1, segment=i)
+            tracer.emit_fields(
+                float(i), ev.STALL, {"duration": 0.1, "segment": i}
+            )
         assert len(tracer) == 2  # ring buffer kept only the tail
         assert len(seen) == 5  # the observer saw everything
 
     def test_add_observer_after_construction(self):
         seen = []
         tracer = Tracer()
-        tracer.emit_at(0.0, ev.STALL, duration=0.1, segment=0)
+        tracer.emit_fields(0.0, ev.STALL, {"duration": 0.1, "segment": 0})
         tracer.add_observer(seen.append)
-        tracer.emit_at(1.0, ev.STALL, duration=0.1, segment=1)
+        tracer.emit_fields(1.0, ev.STALL, {"duration": 0.1, "segment": 1})
         assert [e.seq for e in seen] == [1]
 
     def test_null_tracer_accepts_observers(self):
@@ -325,15 +347,27 @@ class TestTracer:
     def test_ring_buffer_overflow(self):
         tracer = Tracer(capacity=4, validate=False)
         for i in range(10):
-            tracer.emit_at(float(i), ev.STALL, duration=0.0, segment=i)
+            tracer.emit_fields(
+                float(i), ev.STALL, {"duration": 0.0, "segment": i}
+            )
         assert len(tracer) == 4
         assert tracer.dropped == 6
         assert tracer.events[0].fields["segment"] == 6
 
-    def test_emit_at_overrides_clock(self):
+    def test_emit_fields_overrides_clock(self):
+        class Clock:
+            now = 5.0
+
         tracer = Tracer()
-        event = tracer.emit_at(42.0, ev.STALL, duration=0.0, segment=0)
+        tracer.bind_clock(Clock())
+        event = tracer.emit_fields(
+            42.0, ev.STALL, {"duration": 0.0, "segment": 0}
+        )
         assert event.t == 42.0
+        event = tracer.emit_fields(
+            None, ev.STALL, {"duration": 0.0, "segment": 1}
+        )
+        assert event.t == 5.0
 
     def test_write_and_read_jsonl(self, tmp_path):
         tracer = Tracer()
@@ -361,7 +395,7 @@ class TestTracer:
     def test_null_tracer_is_inert(self):
         assert not NULL_TRACER.enabled
         NULL_TRACER.emit(ev.STALL, duration=1.0)  # no validation, no state
-        NULL_TRACER.emit_at(0.0, "whatever")
+        NULL_TRACER.emit_fields(0.0, "whatever", {})
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.events == []
         assert NULL_TRACER.write_jsonl("/nonexistent/ignored") == 0

@@ -112,6 +112,12 @@ class TestPerObjectCaches:
 
     @staticmethod
     def _reuse(make_first, make_second, warm):
+        """The second object, made where a warmed first one was freed.
+
+        Skips the test when the allocator never hands out the freed
+        address: no stale entry was offered, so a pass would mean
+        nothing.
+        """
         for _ in range(200):
             first = make_first()
             warm(first)
@@ -119,8 +125,11 @@ class TestPerObjectCaches:
             del first
             second = make_second()
             if id(second) == address:
-                break
-        return second
+                return second
+        pytest.skip(
+            "the second object never took the freed first one's "
+            "address in 200 tries"
+        )
 
     def test_decode_context_follows_its_frames(self, tiny_video):
         from repro.qoe.model import _context

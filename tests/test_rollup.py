@@ -328,8 +328,8 @@ class TestStreamingTracer:
     def test_dispatches_without_buffering(self):
         seen = []
         tracer = StreamingTracer(observers=[seen.append])
-        tracer.emit_at(0.0, ev.STALL, duration=0.5, segment=0)
-        tracer.emit_at(1.0, ev.STALL, duration=0.25, segment=1)
+        tracer.emit_fields(0.0, ev.STALL, {"duration": 0.5, "segment": 0})
+        tracer.emit_fields(1.0, ev.STALL, {"duration": 0.25, "segment": 1})
         assert len(seen) == 2
         assert tracer.enabled
         assert len(tracer) == 0
