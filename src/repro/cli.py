@@ -25,7 +25,7 @@
 
 Every command prints human-readable text; ``--json`` switches to
 machine-readable output where applicable; ``--metrics`` appends the
-process metrics registry.  Per-layer wall time comes from the span
+process metrics registry.  Per-layer CPU time comes from the sampling
 profiler: ``repro profile``, or ``--profile`` on ``fleet``, ``sweep``
 and ``faults``.  Unknown video/ABR/trace names exit with status 2 and
 a one-line message.
@@ -1071,6 +1071,28 @@ def _add_rollup_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_observability_flags(
+    parser: argparse.ArgumentParser,
+    metrics: bool = True,
+    profile: bool = False,
+) -> None:
+    """``--metrics`` and ``--profile``, shared by the commands that run
+    sessions (``sweep`` takes ``--profile`` only)."""
+    if metrics:
+        parser.add_argument(
+            "--metrics", action="store_true",
+            help="print the metrics registry after the run",
+        )
+    if profile:
+        parser.add_argument(
+            "--profile", action="store_true",
+            help="profile the run: a perf ledger of sampled CPU time "
+            "per subsystem and the player's simulated-time spans, "
+            "printed by fleet and added to every row as 'ledger' by "
+            "sweep and faults (results are unchanged)",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1102,8 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None, metavar="PATH",
         help="record a structured session trace to this JSONL file",
     )
-    p_stream.add_argument("--metrics", action="store_true",
-                          help="print the metrics registry after the run")
+    _add_observability_flags(p_stream)
     p_stream.add_argument(
         "--check-invariants", action="store_true",
         help="audit trace invariants inline during the session; "
@@ -1177,8 +1198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="run a scenario under the span profiler and emit a perf "
-        "ledger (subsystem attribution, hotspots, collapsed stacks)",
+        help="run a scenario under the profiler and emit a perf ledger "
+        "(sampled CPU per subsystem, hotspots, collapsed stacks)",
     )
     p_profile.add_argument("video", nargs="?", default=None)
     p_profile.add_argument(
@@ -1236,8 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the repetitions (results are "
         "byte-identical to --workers 1)",
     )
-    p_compare.add_argument("--metrics", action="store_true",
-                           help="print the metrics registry after the run")
+    _add_observability_flags(p_compare)
 
     p_mc = sub.add_parser(
         "multiclient",
@@ -1264,8 +1284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit the interleaved trace inline (per-session laws + "
         "shared-link conservation); exit 1 on any violation",
     )
-    p_mc.add_argument("--metrics", action="store_true",
-                      help="print the metrics registry after the run")
+    _add_observability_flags(p_mc)
     _add_rollup_flags(p_mc)
 
     p_fleet = sub.add_parser(
@@ -1302,14 +1321,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument("--sample-seed", type=int, default=0,
                          help="seed of the session-sampling hash")
-    p_fleet.add_argument(
-        "--profile", action="store_true",
-        help="fold per-shard span trees and print the perf ledger",
-    )
     p_fleet.add_argument("--out", default=None, metavar="PATH",
                          help="write the fleet report JSON to this file")
-    p_fleet.add_argument("--metrics", action="store_true",
-                         help="print the metrics registry after the run")
+    _add_observability_flags(p_fleet, profile=True)
     _add_resilience_flags(p_fleet)
 
     p_figure = sub.add_parser(
@@ -1320,8 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--light", action="store_true",
         help="reduced workload (fewer videos/repetitions)",
     )
-    p_figure.add_argument("--metrics", action="store_true",
-                          help="print the metrics registry after the run")
+    _add_observability_flags(p_figure)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -1363,11 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate an existing sweep JSONL against the row schema "
         "(spec hash round-trip included); exit 1 on violation",
     )
-    p_sweep.add_argument(
-        "--profile", action="store_true",
-        help="run every cell under the span profiler; rows gain a "
-        "'ledger' key (works at any --workers count)",
-    )
+    _add_observability_flags(p_sweep, metrics=False, profile=True)
     _add_rollup_flags(p_sweep)
     _add_resilience_flags(p_sweep)
 
@@ -1405,13 +1414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-profiles", action="store_true",
         help="list the named chaos profiles and exit",
     )
-    p_faults.add_argument("--metrics", action="store_true",
-                          help="print the metrics registry after the run")
-    p_faults.add_argument(
-        "--profile", action="store_true",
-        help="run every cell under the span profiler; rows gain a "
-        "'ledger' key (works at any --workers count)",
-    )
+    _add_observability_flags(p_faults, profile=True)
     _add_rollup_flags(p_faults)
     _add_resilience_flags(p_faults)
 
@@ -1419,8 +1422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--clips", type=int, default=8)
     p_survey.add_argument("--participants", type=int, default=54)
     p_survey.add_argument("--seed", type=int, default=0)
-    p_survey.add_argument("--metrics", action="store_true",
-                          help="print the metrics registry after the run")
+    _add_observability_flags(p_survey)
 
     return parser
 

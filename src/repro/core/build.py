@@ -26,6 +26,7 @@ from repro.network.crosstraffic import (
     generate_cross_demand,
 )
 from repro.network.traces import TRACES, NetworkTrace, get_trace
+from repro.obs.metrics import get_registry
 from repro.player.session import SessionConfig, StreamingSession
 from repro.prep.prepare import PreparedVideo, get_prepared
 from repro.qoe.metrics import get_metric
@@ -201,6 +202,10 @@ class StackBuilder:
     ) -> StreamingSession:
         """Assemble the ready-to-run session.
 
+        Every session is counted here, as ``experiments.sessions``
+        labelled with the spec's ABR and trace names, whichever engine
+        runs it.
+
         Args:
             network_trace: explicit trace object overriding the spec's
                 named trace (already shifted; the builder applies no
@@ -216,6 +221,9 @@ class StackBuilder:
             network_trace if network_trace is not None
             else self.resolve_trace()
         )
+        get_registry().counter(
+            "experiments.sessions", abr=self.spec.abr, trace=self.spec.trace
+        ).inc()
         return StreamingSession(
             self.prepared_video(),
             self.make_abr(),

@@ -158,7 +158,7 @@ def run_chaos(
             row content stays byte-identical).
         sample_rate: per-session head-sampling rate for the rollups.
         sample_seed: seed of the sampling hash.
-        profile: run every cell under a span profiler; rows gain a
+        profile: run every cell under a profiler; rows gain a
             ``ledger`` key (same shape as sweep ledgers).
         policy: supervision knobs (per-cell deadline, retry budget,
             backoff) for the resilient pool.

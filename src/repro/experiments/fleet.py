@@ -399,8 +399,8 @@ def _shard_worker(
 ) -> Dict:
     """Pool entry point for one shard (bound to its inputs by partial).
 
-    Under ``profile`` the shard records its own span tree, returned for
-    the parent's in-order fold.
+    Under ``profile`` the shard records its own profiler state (span
+    tree and CPU samples), returned for the parent's in-order fold.
     """
     with (spans.profiled() if profile else nullcontext()) as prof:
         out = _run_shard(spec, shard, prepared_map, keep_rows)
@@ -520,10 +520,10 @@ def run_fleet(
             :attr:`FleetResult.degraded`, and the partial statistics
             remain valid for the shards that completed.
 
-    An ambient span profiler (:func:`~repro.obs.spans.profiled`) means
-    "profile every shard": each shard records its own tree and the
-    parent folds them in shard order, byte-identical at any worker
-    count.
+    An ambient profiler (:func:`~repro.obs.spans.profiled`) means
+    "profile every shard": each shard records its own profiler and the
+    parent folds them in shard order; the span tree is byte-identical
+    at any worker count.
     """
     parent_prof = spans.current()
     profile = parent_prof is not None
@@ -539,12 +539,13 @@ def run_fleet(
     if checkpoint_dir is not None:
         # keep_rows/profile change the artifact shape, so they are part
         # of the spool identity: resuming a --profile run from a plain
-        # spool would silently fold span-less shards.
+        # spool would silently fold span-less shards.  A profiled key
+        # names the profiler-state version, so no older state folds.
         checkpoint = CheckpointStore(
             checkpoint_dir,
             run_key=(
                 f"fleet:{spec.spec_hash()}:rows={int(keep_rows)}:"
-                f"profile={int(profile)}"
+                f"profile={spans.SPANS_VERSION if profile else 0}"
             ),
             tasks=spec.shards,
         )

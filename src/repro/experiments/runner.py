@@ -35,7 +35,7 @@ from repro.experiments.execution import (
 )
 from repro.network.traces import NetworkTrace
 from repro.obs import spans
-from repro.obs.metrics import get_registry, scoped_registry
+from repro.obs.metrics import scoped_registry
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
 from repro.prep.prepare import PreparedVideo, get_prepared
@@ -111,19 +111,11 @@ def run_single(
     """
     if shift_s:
         spec = spec.with_(trace_shift_s=spec.trace_shift_s + shift_s)
-    get_registry().counter(
-        "experiments.sessions", abr=spec.abr, trace=spec.trace
-    ).inc()
     if trace is not None:
         trace = trace.shifted(shift_s)
-    session = StackBuilder(spec, prepared=prepared).build(
+    return StackBuilder(spec, prepared=prepared).build(
         network_trace=trace, tracer=tracer
-    )
-    prof = spans.current()
-    if prof is None:
-        return session.run()
-    with prof.span("experiment.run_single"):
-        return session.run()
+    ).run()
 
 
 def _rep_session(
@@ -138,15 +130,15 @@ def _rep_session(
     """Run one repetition.
 
     Returns the session metrics, the JSONL trace if requested, and the
-    repetition's serialized span tree when ``profile`` is set (folded
+    repetition's serialized profiler when ``profile`` is set (folded
     by the parent in repetition order, so span trees — like metrics —
     are identical at any worker count).  ``observers`` see every trace
     event; without ``collect_trace`` they are served by a buffer-less
     :class:`StreamingTracer`, so fleet rollups cost no per-event
     history.
     """
-    # The profiler is installed before the tracer and the stack are
-    # built: hot components capture it at construction.
+    # The profiler is installed before the session is built: the
+    # session captures it at construction.
     with (spans.profiled() if profile else nullcontext()) as prof:
         if collect_trace:
             tracer = Tracer(observers=observers)
@@ -200,10 +192,10 @@ def run_trials(
     shift_step = trace.duration / reps
     shifts = [i * shift_step for i in range(reps)]
 
-    # An ambient span profiler means "profile every repetition": each
-    # rep records into its own profiler (serial and parallel alike) and
-    # the trees fold back into the ambient one in repetition order, so
-    # the merged tree is byte-identical at any worker count.
+    # An ambient profiler means "profile every repetition": each rep
+    # records into its own profiler (serial and parallel alike) and
+    # they fold back into the ambient one in repetition order, so the
+    # merged tree is byte-identical at any worker count.
     parent_prof = spans.current()
     profile = parent_prof is not None
 

@@ -180,12 +180,14 @@ def sweep_run_key(
     Covers every input that determines the task list or the shape of a
     row: the ordered cell hashes plus the rollup/sampling/profile
     knobs.  A spool written under one key cannot be resumed under
-    another — that would fold rows from a different run.
+    another — that would fold rows from a different run.  A profiled
+    key names the profiler-state version, so no older ledger folds.
     """
+    profile_key = _spans.SPANS_VERSION if profile else 0
     digest = hashlib.sha256()
     digest.update(
         f"{kind}:rollup={int(rollup)}:rate={float(sample_rate)!r}:"
-        f"seed={int(sample_seed)}:profile={int(profile)}".encode()
+        f"seed={int(sample_seed)}:profile={profile_key}".encode()
     )
     for spec in specs:
         digest.update(b"|")
@@ -256,7 +258,7 @@ def _run_cells(
             observers = [trace_rollup.feed, fleet.feed]
         t0 = time.perf_counter()
         # The cell profiler is installed before the body builds any
-        # component: spans capture their profiler at construction.
+        # session: a session captures the profiler at construction.
         with (_spans.profiled() if profile else nullcontext()) as prof:
             result = body(spec, prepared, observers)
         wall_s = time.perf_counter() - t0
@@ -322,8 +324,8 @@ def run_sweep(
         sample_rate: per-session head-sampling rate for the rollups
             (hash-keyed, so the sampled set is worker-count invariant).
         sample_seed: seed of the sampling hash.
-        profile: run every cell under a span profiler; rows gain a
-            ``ledger`` key (per-subsystem attribution, hotspots, span
+        profile: run every cell under a profiler; rows gain a
+            ``ledger`` key (sampled CPU per subsystem, hotspots, span
             tree — ``summary`` stays byte-identical to a plain run,
             and the ledger's ``deterministic`` block is worker-count
             invariant).

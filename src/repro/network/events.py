@@ -32,12 +32,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from time import perf_counter
 from typing import (
     Callable, Generator, Iterable, List, Sequence, Tuple, Union,
 )
-
-from repro.obs.spans import current as _current_profiler
 
 _INF = float("inf")
 
@@ -94,7 +91,6 @@ class EventScheduler:
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self._cancelled: set = set()
-        self._prof = _current_profiler()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run ``delay`` seconds from now.
@@ -155,16 +151,7 @@ class EventScheduler:
         return not self._heap
 
     def step(self) -> bool:
-        """Run the next event; returns False when nothing is pending.
-
-        Under a span profiler, the pre-callback heap machinery (pop,
-        cancellation filtering, time update) is metered as the flat
-        ``kernel.step`` span.  The callback itself is not wrapped: it
-        resumes processes that open and close their *own* spans (some
-        held across yields), which a stack span here would corrupt.
-        """
-        prof = self._prof
-        t0 = perf_counter() if prof is not None else 0.0
+        """Run the next event; returns False when nothing is pending."""
         heap = self._heap
         cancelled = self._cancelled
         heappop = heapq.heappop
@@ -181,8 +168,6 @@ class EventScheduler:
                     f"event scheduled in the past: event time {etime:.9f} "
                     f"precedes kernel time {now:.9f}"
                 )
-            if prof is not None:
-                prof.add_flat("kernel.step", "kernel", perf_counter() - t0)
             callback()
             return True
         return False

@@ -23,10 +23,7 @@ service rate instead of each privately assuming all of it, and droptail
 losses emerge from genuine aggregate pressure.  Single-flow simulations
 keep byte-identical results because the latch only trips at two flows.
 
-Both modes run one round body, :meth:`BottleneckLink.offer_round`.  A
-link built while a span profiler is current binds a metered wrapper
-over it (the ``link.offer`` span) onto itself; the body has no profiler
-test.
+Both modes run one round body, :meth:`BottleneckLink.offer_round`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from typing import Optional
 
 from repro.network.traces import NetworkTrace
 from repro.obs.metrics import get_registry
-from repro.obs.spans import current as _current_profiler, metered
 
 MTU = 1500  # bytes
 BASE_RTT = 0.060  # 30 ms each way (§5)
@@ -124,11 +120,6 @@ class BottleneckLink:
         self._ctr_offered = registry.counter("link.packets_offered")
         self._ctr_dropped = registry.counter("link.packets_dropped")
         self._gauge_queue = registry.gauge("link.queue_bytes")
-        self._prof = _current_profiler()
-        if self._prof is not None:
-            self.offer_round = metered(
-                self._prof, "link.offer", "link", self.offer_round
-            )
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -273,12 +264,8 @@ class BottleneckLink:
         """
         if self._shared or dt <= 0:
             return
-        prof = self._prof
-        frame = prof.push("link.drain", "link") if prof is not None else None
         service = self.available_bps(t)
         self.queue_bytes = max(0.0, self.queue_bytes - service * dt / 8.0)
-        if frame is not None:
-            prof.pop(frame)
 
     def reset(self) -> None:
         """Empty the queue (fresh connection on a quiet path)."""

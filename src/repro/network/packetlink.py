@@ -22,7 +22,6 @@ from typing import Callable, Deque, Optional
 
 from repro.network.events import EventScheduler
 from repro.network.traces import NetworkTrace
-from repro.obs.spans import current as _current_profiler, metered
 
 MTU = 1500
 PROPAGATION_ONE_WAY = 0.030  # seconds (§5: 30 ms last mile)
@@ -69,11 +68,6 @@ class PacketRouter:
         self.offered_packets = 0
         self.delivered_packets = 0
         self.dropped_packets = 0
-        self._prof = _current_profiler()
-        if self._prof is not None:
-            self.enqueue = metered(
-                self._prof, "link.enqueue", "link", self.enqueue
-            )
 
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:
@@ -115,9 +109,6 @@ class PacketRouter:
         service_time = packet.size * 8.0 / rate
 
         def finish() -> None:
-            prof = self._prof
-            frame = prof.push("link.service", "link") \
-                if prof is not None else None
             served = self._queue.popleft()
             self.delivered_packets += 1
             # Propagation to the client (stretched by any latency fault
@@ -131,7 +122,5 @@ class PacketRouter:
                 propagation, lambda: served.flow.on_delivered(served)
             )
             self._schedule_service()
-            if frame is not None:
-                prof.pop(frame)
 
         self.scheduler.schedule(service_time, finish)

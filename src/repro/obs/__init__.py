@@ -1,10 +1,9 @@
-"""Observability: structured tracing, metrics registry, span profiler.
+"""Observability: structured tracing, metrics registry, profiler.
 
 The layer is zero-dependency and deterministic: trace timestamps come
 from the simulation clock (never wall time), so the same seed yields a
-byte-identical JSONL trace; the metrics registry and the span
-profiler's wall-time plane live outside the trace and never influence
-the simulation.
+byte-identical JSONL trace; the metrics registry and the profiler's
+CPU samples live outside the trace and never influence the simulation.
 
 Usage::
 

@@ -2,7 +2,7 @@
 
 Compares two perf ledgers (the artifact ``repro profile`` writes) and
 attributes the wall-time delta to subsystems by diffing the ledgers'
-subsystem self-time tables.  The report — markdown and ``--json``
+sampled CPU self-time tables.  The report — markdown and ``--json``
 alike — names the subsystem whose self time grew the most: the prime
 suspect.  A failed verdict exits 1, which makes ``repro diff BASE CUR
 --threshold T`` the perf gate.
@@ -23,10 +23,10 @@ def diff_ledgers(
     """Diff two perf ledgers: totals, throughput, subsystem deltas.
 
     Fails (``failed=True``) when total wall time grew by at least
-    ``threshold_pct`` percent.  ``top`` names the subsystem whose self
-    time grew the most.  ``unattributed_s`` is the share of the wall
-    delta not explained by span self time (interpreter overhead,
-    unspanned code) — a large value means the profiler is missing the
+    ``threshold_pct`` percent.  ``top`` names the subsystem whose
+    sampled self time grew the most.  ``unattributed_s`` is the share
+    of the wall delta not explained by sampled CPU self time (waiting,
+    sampling error) — a large value means the samples miss the
     regression, which is itself a finding.
     """
     if threshold_pct <= 0:
@@ -39,8 +39,8 @@ def diff_ledgers(
     cur_table = current.get("subsystems", {})
     table: Dict[str, Dict[str, float]] = {}
     for name in sorted(set(base_table) | set(cur_table)):
-        b = float((base_table.get(name) or {}).get("self_wall_s", 0.0))
-        c = float((cur_table.get(name) or {}).get("self_wall_s", 0.0))
+        b = float((base_table.get(name) or {}).get("self_s", 0.0))
+        c = float((cur_table.get(name) or {}).get("self_s", 0.0))
         table[name] = {
             "baseline_s": b,
             "current_s": c,
@@ -128,11 +128,11 @@ def format_diff(result: Dict[str, object]) -> str:
         lines.append("")
         lines.append(
             f"**Attribution:** the largest subsystem delta is `{top}` "
-            f"({float(result['top_delta_s']):+.4f}s self time)."
+            f"({float(result['top_delta_s']):+.4f}s sampled self time)."
         )
     lines.append(
         f"Unattributed delta: {float(result['unattributed_s']):+.4f}s "
-        "(outside span self time)."
+        "(outside sampled self time)."
     )
     lines.append("")
     if result["failed"]:

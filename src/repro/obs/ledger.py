@@ -1,31 +1,44 @@
 """Perf ledger: the artifact a ``repro profile`` run emits.
 
-A ledger is the JSON summary of one profiled workload: per-subsystem
-self/cumulative wall-time attribution, simulated-seconds-per-wall-second
-throughput, top-N hotspots, the full span tree, and a ``deterministic``
-block (sim-plane tree + sha256) that is byte-identical across runs and
-worker counts — wall-time fields never enter the hashed view.
+A ledger is the JSON summary of one profiled workload
+(:mod:`repro.obs.spans`):
+
+* ``subsystems`` — per subsystem, the sampled CPU time (``self_s``,
+  ``self_pct``, cumulative ``cum_s``, self ``samples``) beside the
+  span tree's simulated seconds (``sim_s``) and span visits
+  (``count``); only subsystems with samples or spans are listed;
+* ``samples`` and ``cpu_s`` — the sample count and the sampled CPU
+  seconds; a share ``p`` read from ``n`` samples is good to about
+  ±√(p(1−p)/n);
+* ``hotspots`` — the top sampled functions by self time, and
+  ``stacks`` — ``[samples, seconds]`` per collapsed stack;
+* ``wall_s``, ``sim_s`` and their ratio, the run's throughput;
+* ``deterministic`` — the span tree and its sha256, byte-identical
+  across runs and worker counts (samples never enter it).
 
 Builders here; ``repro diff`` (:mod:`repro.obs.diff`) reads two
 ledgers and attributes their wall-time delta to subsystems.  The
 ``meta`` block is the run stamp (:func:`run_stamp`).  The
-collapsed-stack export (:func:`collapsed_stacks`) renders
-``a;b;c <self-microseconds>`` lines, the format both ``flamegraph.pl``
-and speedscope import.
+collapsed-stack export (:func:`collapsed_stacks`) renders the sampled
+stacks as ``a;b;c <microseconds>`` lines, the format both
+``flamegraph.pl`` and speedscope import.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs import spans
 from repro.obs.spans import SpanProfiler
 
-LEDGER_SCHEMA_VERSION = 1
+#: Version 2: subsystem times are sampled CPU seconds (version 1 held
+#: probe wall time).
+LEDGER_SCHEMA_VERSION = 2
 
 
 def run_stamp() -> Dict[str, Optional[str]]:
@@ -62,14 +75,13 @@ def profile_trials(
     workers: int = 1,
 ):
     """Run a :class:`~repro.core.spec.ScenarioSpec`'s repetitions under
-    a fresh span profiler.
+    a fresh profiler.
 
     Returns ``(profiler, summary, wall_s)`` — the folded profiler (rep
-    trees merged in repetition order by the runner), the
+    profilers merged in repetition order by the runner), the
     :class:`~repro.experiments.runner.TrialSummary`, and the run's wall
-    time.  The video is prepared before the wall clock starts, so the
-    ledger's throughput figure measures simulation, not one-time
-    offline analysis.
+    time.  The video is prepared before the profiler starts, so the
+    ledger measures simulation, not one-time offline analysis.
     """
     from repro.experiments.runner import run_trials
 
@@ -95,24 +107,18 @@ def build_ledger(
 ) -> Dict:
     """Assemble the ledger dict from a folded profiler.
 
-    ``wall_s`` is the whole run's wall time (span bookkeeping included),
-    so subsystem shares are reported against the time actually covered
-    by spans, and throughput against the run.
+    ``wall_s`` is the whole run's wall time; subsystem shares are
+    reported against the sampled CPU time.
     """
     table = profiler.subsystem_table()
-    total_self = sum(e["self_wall_s"] for e in table.values())
-    subsystems = {}
-    for name, entry in table.items():
-        subsystems[name] = {
-            "self_wall_s": entry["self_wall_s"],
-            "self_pct": (
-                100.0 * entry["self_wall_s"] / total_self
-                if total_self > 0 else 0.0
-            ),
-            "wall_s": entry["wall_s"],
-            "sim_s": entry["sim_s"],
-            "count": entry["count"],
-        }
+    cpu_s = profiler.cpu_s
+    subsystems = {
+        name: dict(
+            entry,
+            self_pct=100.0 * entry["self_s"] / cpu_s if cpu_s > 0 else 0.0,
+        )
+        for name, entry in table.items()
+    }
     sim_s = profiler.total_sim_s
     ledger = {
         "ledger_version": LEDGER_SCHEMA_VERSION,
@@ -120,15 +126,17 @@ def build_ledger(
         "spec": spec,
         "spec_hash": spec_hash,
         "wall_s": wall_s,
+        "cpu_s": cpu_s,
+        "samples": profiler.sample_count,
         "sim_s": sim_s,
         "sim_s_per_wall_s": sim_s / wall_s if wall_s > 0 else 0.0,
         "spans": profiler.total_spans,
         "span_nodes": profiler.node_count,
         "subsystems": subsystems,
         "hotspots": profiler.hotspots(top),
-        "tree": profiler.to_dict(),
+        "stacks": profiler.to_dict()["samples"],
         "deterministic": {
-            "tree": profiler.to_dict(deterministic=True),
+            "tree": profiler.tree_dict(),
             "hash": profiler.tree_hash(),
         },
     }
@@ -165,25 +173,17 @@ def load_ledger(path: str) -> Dict:
 
 
 def collapsed_stacks(ledger: Dict) -> str:
-    """Collapsed-stack export from a ledger's span tree.
+    """Collapsed-stack export of a ledger's sampled stacks.
 
-    One ``path;to;span <self-microseconds>`` line per tree node with
-    nonzero self time — directly consumable by speedscope or
-    ``flamegraph.pl``.
+    One ``outer;...;inner <microseconds>`` line per sampled stack with
+    nonzero CPU time, outermost frame first — directly consumable by
+    speedscope or ``flamegraph.pl``.
     """
     lines: List[str] = []
-
-    def visit(name: str, node: Dict, path: Tuple[str, ...]) -> None:
-        path = path + (name,)
-        micros = int(round(float(node.get("self_wall_s", 0.0)) * 1e6))
+    for path, (_, seconds) in sorted(ledger.get("stacks", {}).items()):
+        micros = int(round(float(seconds) * 1e6))
         if micros > 0:
-            lines.append(";".join(path) + f" {micros}")
-        for child_name in sorted(node.get("children", {})):
-            visit(child_name, node["children"][child_name], path)
-
-    root = ledger.get("tree", {}).get("tree", {})
-    for child_name in sorted(root.get("children", {})):
-        visit(child_name, root["children"][child_name], ())
+            lines.append(f"{path} {micros}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -196,7 +196,14 @@ def format_ledger(ledger: Dict, top: int = 10) -> str:
         lines.append(f"spec_hash     {ledger['spec_hash']}")
     wall = float(ledger.get("wall_s", 0.0))
     sim = float(ledger.get("sim_s", 0.0))
+    samples = int(ledger.get("samples", 0))
     lines.append(f"wall time     {wall:.3f} s")
+    # The worst-case error of a share: ±√(p(1−p)/n) at p = 1/2.
+    error = 50.0 / math.sqrt(samples) if samples else 100.0
+    lines.append(
+        f"cpu sampled   {float(ledger.get('cpu_s', 0.0)):.3f} s in "
+        f"{samples} samples (shares within ±{error:.1f} points)"
+    )
     lines.append(f"sim time      {sim:.3f} s")
     lines.append(
         f"throughput    {float(ledger.get('sim_s_per_wall_s', 0.0)):.1f} "
@@ -210,21 +217,21 @@ def format_ledger(ledger: Dict, top: int = 10) -> str:
     if det.get("hash"):
         lines.append(f"tree sha256   {det['hash']}")
     lines.append("")
-    lines.append("--- subsystems (self time) ---")
+    lines.append("--- subsystems (sampled CPU self time) ---")
     header = (
         f"{'subsystem':<12s} {'self':>10s} {'self%':>7s} "
-        f"{'cumulative':>11s} {'sim':>10s} {'count':>10s}"
+        f"{'cumulative':>11s} {'samples':>8s} {'sim':>10s} "
+        f"{'spans':>8s}"
     )
     lines.append(header)
     table = ledger.get("subsystems", {})
-    for name in sorted(
-        table, key=lambda n: (-table[n]["self_wall_s"], n)
-    ):
+    for name in sorted(table, key=lambda n: (-table[n]["self_s"], n)):
         entry = table[name]
         lines.append(
-            f"{name:<12s} {entry['self_wall_s']:>9.4f}s "
-            f"{entry['self_pct']:>6.1f}% {entry['wall_s']:>10.4f}s "
-            f"{entry['sim_s']:>9.2f}s {entry['count']:>10d}"
+            f"{name:<12s} {entry['self_s']:>9.4f}s "
+            f"{entry['self_pct']:>6.1f}% {entry['cum_s']:>10.4f}s "
+            f"{entry['samples']:>8d} {entry['sim_s']:>9.2f}s "
+            f"{entry['count']:>8d}"
         )
     hotspots = ledger.get("hotspots", [])
     if hotspots:
@@ -232,8 +239,8 @@ def format_ledger(ledger: Dict, top: int = 10) -> str:
         lines.append(f"--- hotspots (top {min(top, len(hotspots))}) ---")
         for spot in hotspots[:top]:
             lines.append(
-                f"{spot['self_wall_s']:>9.4f}s  {spot['count']:>9d}x  "
-                f"[{spot['subsystem']}] {spot['path']}"
+                f"{spot['self_s']:>9.4f}s  {spot['samples']:>6d}x  "
+                f"[{spot['subsystem']}] {spot['function']}"
             )
     return "\n".join(lines)
 

@@ -1,237 +1,265 @@
-"""Cross-layer span profiler: hierarchical spans on two time planes.
+"""Cross-layer profiler: simulated time from spans, CPU time from samples.
 
-A :class:`SpanProfiler` records a tree of named spans (segment →
-request → transport round), each attributed to one *subsystem*
-(kernel/transport/link/abr/qoe/player/tracing), on two planes at once:
+A :class:`SpanProfiler` answers two questions, each on its own plane:
 
-* **sim plane** — span durations measured on the simulation clock.
-  Pure function of the scenario: byte-identical across runs and worker
-  counts, mergeable like :class:`~repro.obs.rollup.TraceRollup`
-  (per-repetition profilers fold in repetition order), and excluded
-  wall-time noise, so :meth:`SpanProfiler.to_dict` with
-  ``deterministic=True`` is golden-pinnable.
-* **wall plane** — self and cumulative wall time per span (and per
-  subsystem via :meth:`SpanProfiler.subsystem_table`), the "where does
-  the simulator spend its cycles" answer ``repro profile`` renders.
+* **Where simulated time goes** — a tree of named spans (session →
+  segment → request, idle, repair, manifest) that the player opens and
+  closes on its kernel's clock.  Each
+  :class:`~repro.player.session.StreamingSession` records on a
+  :class:`SpanStack` of its own, so the sessions of a shard interleave
+  without nesting in each other.  The tree is a pure function of the
+  scenario: byte-identical across runs and worker counts, mergeable
+  (per-task profilers fold in task order), and golden-pinnable
+  (:meth:`SpanProfiler.tree_hash`).
+* **Where CPU time goes** — samples.  While a profiler is installed, an
+  ``ITIMER_PROF`` timer raises ``SIGPROF`` every
+  :data:`SAMPLE_INTERVAL_S` of process CPU time, and the handler charges
+  the CPU time since the previous sample to the collapsed stack of the
+  interrupted ``repro`` frames.  Subsystems follow from module paths
+  (:func:`subsystem_of`): self time goes to the innermost frame's,
+  cumulative time once to each subsystem on the stack.
 
-The profiler is **off** by default.  Instrumented components capture
-:func:`current` once at construction (the same pattern the metrics
-registry uses), so a disabled span site costs one attribute read.
-Where a span covers a whole method call (the link's round, the
-router's enqueue, the tracer's emit), the component instead binds a
-:func:`metered` wrapper onto the instance, so the method carries no
-profiler test at all.  Install a profiler *before* building the stack
-(the experiment runner does this per repetition) so every layer
-records into it.
-
-This is the one recorder of the layers' wall time: ``repro profile``
-(or ``--profile`` on ``fleet``, ``sweep`` and ``faults``) renders it,
-and the metrics registry holds no timings.
-
-Wall self-time is exact for strictly nested spans — the solo-session
-execution mode every ``repro profile`` run uses.  Interleaved
-multi-session kernels keep working (the span stack unwinds
-defensively) but attribute wall time to whichever session's span is
-innermost; profile one session at a time for exact numbers.
+No layer below the player carries profiler code, so an unprofiled run
+pays nothing.  Install a profiler *before* building the stack (the
+experiment runner installs one per repetition): a session captures it
+at construction.  Samples differ from run to run and never enter the
+hashed tree.  The kernel rounds the timer up to its tick (4 ms at the
+common ``HZ=250``); a share ``p`` read from ``n`` samples is good to
+about ±√(p(1−p)/n).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import signal
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-#: Version of the serialized span-tree layout.
-SPANS_VERSION = 1
+#: Version of the serialized profiler state (span tree + samples).
+SPANS_VERSION = 2
 
-#: The cross-layer subsystems wall time is attributed to.
-SUBSYSTEMS = (
-    "kernel", "transport", "link", "abr", "qoe", "player", "tracing",
-    "other",
+#: Seconds of process CPU time between samples, as requested; each
+#: sample is charged the CPU time that really passed.
+SAMPLE_INTERVAL_S = 0.001
+
+#: Module prefix → subsystem; the first matching prefix wins.
+#: ``repro.prep.manifest`` maps to None, which charges its frames to
+#: their caller's subsystem: prep builds the manifest offline, but the
+#: player and every ABR read it online (manifest lookups are most of an
+#: MPC session's CPU), so an ABR's reads count as abr and prep's build
+#: as prep.  ``repro profile``'s driver sits under each of its samples
+#: and is not tracing.
+_MODULE_SUBSYSTEMS: Tuple[Tuple[str, Optional[str]], ...] = (
+    ("repro.network.events", "kernel"),
+    ("repro.network", "link"),
+    ("repro.transport", "transport"),
+    ("repro.abr", "abr"),
+    ("repro.qoe", "qoe"),
+    ("repro.player", "player"),
+    ("repro.obs.ledger", "other"),
+    ("repro.obs", "tracing"),
+    ("repro.prep.manifest", None),
+    ("repro.prep", "prep"),
+    ("repro.video", "prep"),
+    ("repro.experiments.execution", "pool"),
 )
 
+#: The subsystems CPU time is attributed to.
+SUBSYSTEMS = (
+    "kernel", "link", "transport", "abr", "qoe", "player", "tracing",
+    "prep", "pool", "other",
+)
+
+#: Collapsed stack of a sample taken outside every repro frame.
+_OUTSIDE = "(outside repro)"
+
 _PROFILER: Optional["SpanProfiler"] = None
+#: ``(handler, itimer)`` found when the sampler started; None while off.
+_saved: Optional[tuple] = None
+#: Process CPU time at the previous sample (or when the timer started).
+_cpu_mark = 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def subsystem_of(module: str) -> Optional[str]:
+    """The subsystem a module's frames are charged to (None = caller's)."""
+    for prefix, subsystem in _MODULE_SUBSYSTEMS:
+        if module == prefix or module.startswith(prefix + "."):
+            return subsystem
+    return "other"
 
 
 def current() -> Optional["SpanProfiler"]:
-    """The installed span profiler, or None when span profiling is off."""
+    """The installed profiler, or None when profiling is off."""
     return _PROFILER
 
 
 def install(profiler: Optional["SpanProfiler"]) -> Optional["SpanProfiler"]:
     """Install ``profiler`` as the process-wide profiler (None = off).
 
-    Returns the previously installed profiler so callers can restore
-    it; prefer the :func:`profiled` context manager.
+    A profiler starts the sampler unless it runs; None stops it and
+    restores the signal state found when it started.  Returns the
+    previous profiler; prefer the :func:`profiled` context manager.
     """
     global _PROFILER
     previous = _PROFILER
     _PROFILER = profiler
+    if profiler is None:
+        _disarm()
+    else:
+        _arm()
     return previous
 
 
 @contextmanager
-def profiled(clock=None) -> Iterator["SpanProfiler"]:
+def profiled() -> Iterator["SpanProfiler"]:
     """Run a block under a fresh installed :class:`SpanProfiler`."""
-    profiler = SpanProfiler(clock=clock)
+    profiler = SpanProfiler()
     previous = install(profiler)
     try:
         yield profiler
     finally:
-        profiler.finalize()
         install(previous)
 
 
-def metered(profiler: "SpanProfiler", name: str, subsystem: str,
-            fn: Callable) -> Callable:
-    """``fn`` with every call recorded as the span ``name`` on ``profiler``.
+def _on_sigprof(signum, frame) -> None:
+    global _cpu_mark
+    now = time.process_time()
+    seconds = now - _cpu_mark
+    _cpu_mark = now
+    profiler = _PROFILER
+    if profiler is not None:
+        profiler.sample(frame, seconds)
 
-    Hot objects bind the result onto the instance in ``__init__`` when a
-    profiler is current, in place of the method, so the method itself is
-    the one unmetered body and an unprofiled call pays nothing.
+
+def _arm() -> None:
+    """Start the timer unless it runs.
+
+    Every install calls this: a fork()ed child inherits the installed
+    profiler and the handler, but not the interval timer.
     """
-    push = profiler.push
-    pop = profiler.pop
+    global _saved, _cpu_mark
+    if _saved is None:
+        _saved = (
+            signal.getsignal(signal.SIGPROF),
+            signal.getitimer(signal.ITIMER_PROF),
+        )
+        signal.signal(signal.SIGPROF, _on_sigprof)
+    elif signal.getitimer(signal.ITIMER_PROF)[1] > 0.0:
+        return
+    _cpu_mark = time.process_time()
+    signal.setitimer(
+        signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S
+    )
 
-    def wrapper(*args, **kwargs):
-        frame = push(name, subsystem)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            pop(frame)
 
-    return wrapper
+def _disarm() -> None:
+    """Stop the timer, then restore the handler (the default action of
+    ``SIGPROF`` ends the process) and any timer found before."""
+    global _saved
+    if _saved is None:
+        return
+    handler, (delay, interval) = _saved
+    _saved = None
+    signal.setitimer(signal.ITIMER_PROF, 0.0)
+    signal.signal(signal.SIGPROF, handler)
+    if delay or interval:
+        signal.setitimer(signal.ITIMER_PROF, delay, interval)
 
 
 class SpanNode:
     """One node of the span tree: aggregates of every visit to a path."""
 
-    __slots__ = (
-        "name", "subsystem", "count", "sim_s", "wall_s", "self_wall_s",
-        "children",
-    )
+    __slots__ = ("name", "count", "sim_s", "children")
 
-    def __init__(self, name: str, subsystem: str = "other"):
+    def __init__(self, name: str):
         self.name = name
-        self.subsystem = subsystem
         self.count = 0
         self.sim_s = 0.0
-        self.wall_s = 0.0
-        self.self_wall_s = 0.0
         self.children: Dict[str, "SpanNode"] = {}
 
 
-class SpanProfiler:
-    """Hierarchical sim-clock + wall-clock span recorder.
+class SpanStack:
+    """One session's open spans, timed on its clock.
 
-    Spans open with :meth:`push` (returning a frame handle) and close
-    with :meth:`pop`.  Closing a handle unwinds any spans left open
-    above it, so error paths (transport faults, aborted generators)
-    cannot corrupt the stack.  Generator code may hold a span open
-    across ``yield``s: the sim plane charges the simulated time that
-    passed (that is the *point* — a transport round's span covers its
-    RTT), and the wall plane charges whatever computation ran, which is
-    exact while one session drives the process (the profile mode).
+    :meth:`push` opens a span (returning its frame handle) under the
+    innermost open one; :meth:`pop` closes it, first unwinding any span
+    left open above it, so error paths cannot corrupt the stack.  A span
+    may stay open across ``yield``s: it is charged the simulated time
+    that passed while it was open.
     """
 
-    def __init__(self, clock=None):
-        self._clock = clock
-        self._root = SpanNode("", "other")
-        self._stack: List[list] = []
+    __slots__ = ("_root", "_clock", "_open")
 
-    # -- recording ------------------------------------------------------
-    def bind_clock(self, clock) -> None:
-        """Source sim-plane timestamps from ``clock`` from now on."""
+    def __init__(self, root: SpanNode, clock):
+        self._root = root
         self._clock = clock
+        self._open: List[list] = []
 
-    def push(self, name: str, subsystem: str = "other") -> list:
-        """Open a span under the innermost open span; returns its frame."""
-        stack = self._stack
-        parent = stack[-1][0] if stack else self._root
+    def push(self, name: str) -> list:
+        open_spans = self._open
+        parent = open_spans[-1][0] if open_spans else self._root
         node = parent.children.get(name)
         if node is None:
-            node = parent.children[name] = SpanNode(name, subsystem)
-        clock = self._clock
-        frame = [
-            node,
-            time.perf_counter(),
-            0.0,  # wall seconds spent in closed children
-            clock.now if clock is not None else None,
-        ]
-        stack.append(frame)
+            node = parent.children[name] = SpanNode(name)
+        frame = [node, self._clock.now]
+        open_spans.append(frame)
         return frame
 
     def _close(self, frame: list) -> None:
-        node, t0, child_wall, sim0 = frame
-        wall = time.perf_counter() - t0
+        node, start = frame
         node.count += 1
-        node.wall_s += wall
-        self_wall = wall - child_wall
-        if self_wall > 0.0:
-            node.self_wall_s += self_wall
-        if sim0 is not None and self._clock is not None:
-            node.sim_s += self._clock.now - sim0
-        if self._stack:
-            self._stack[-1][2] += wall
+        node.sim_s += self._clock.now - start
 
-    def pop(self, handle: Optional[list] = None) -> None:
-        """Close a span.
-
-        With no ``handle``, closes the innermost open span.  With one,
-        unwinds (closing) every span opened above it, then closes it —
-        and is a safe no-op if the handle is not on this profiler's
-        stack (a stale frame from an already-finalized scope).
-        """
-        stack = self._stack
-        if not stack:
-            return
-        if handle is None or stack[-1] is handle:
-            self._close(stack.pop())
-            return
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] is handle:
-                while len(stack) > i:
-                    self._close(stack.pop())
+    def pop(self, handle: list) -> None:
+        """Close ``handle`` and every span above it (no-op if absent)."""
+        open_spans = self._open
+        for i in range(len(open_spans) - 1, -1, -1):
+            if open_spans[i] is handle:
+                while len(open_spans) > i:
+                    self._close(open_spans.pop())
                 return
 
-    @contextmanager
-    def span(self, name: str, subsystem: str = "other") -> Iterator[None]:
-        frame = self.push(name, subsystem)
-        try:
-            yield
-        finally:
-            self.pop(frame)
 
-    def add_flat(self, name: str, subsystem: str, wall_s: float,
-                 count: int = 1) -> None:
-        """Accumulate a top-level leaf outside the span stack.
+class SpanProfiler:
+    """The player's span tree and the sampled CPU time.
 
-        The kernel's dispatch overhead is metered this way: the event
-        loop cannot hold a stack span open across a callback (the
-        callback resumes processes that open and close their own
-        spans), so it measures its pre-callback heap work and adds it
-        here.  Flat nodes carry no sim time.
+    Sessions record spans through :meth:`stack`, the sampler through
+    :meth:`sample`.  One table maps each collapsed stack of
+    ``module:function`` entries (outermost first) to its
+    ``[samples, seconds]``; :meth:`subsystem_table` and
+    :meth:`hotspots` are views of it.
+    """
+
+    def __init__(self):
+        self._root = SpanNode("")
+        self._samples: Dict[str, list] = {}
+
+    # -- recording ------------------------------------------------------
+    def stack(self, clock) -> SpanStack:
+        """A span stack of its own for one session, timed on ``clock``."""
+        return SpanStack(self._root, clock)
+
+    def sample(self, frame, seconds: float) -> None:
+        """Charge ``seconds`` of CPU time to the stack ending at ``frame``.
+
+        The body of the ``SIGPROF`` handler; tests drive it directly.
         """
-        node = self._root.children.get(name)
-        if node is None:
-            node = self._root.children[name] = SpanNode(name, subsystem)
-        node.count += count
-        node.wall_s += wall_s
-        node.self_wall_s += wall_s
-
-    def finalize(self) -> None:
-        """Close every span still open (aborted runs, error paths)."""
-        while self._stack:
-            self._close(self._stack.pop())
+        path = []
+        while frame is not None:
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("repro."):
+                path.append(f"{module}:{frame.f_code.co_qualname}")
+            frame = frame.f_back
+        key = ";".join(reversed(path)) if path else _OUTSIDE
+        entry = self._samples.setdefault(key, [0, 0.0])
+        entry[0] += 1
+        entry[1] += seconds
 
     # -- aggregates -----------------------------------------------------
-    @property
-    def total_wall_s(self) -> float:
-        """Wall seconds covered by top-level spans."""
-        return sum(c.wall_s for c in self._root.children.values())
-
     @property
     def total_sim_s(self) -> float:
         """Simulated seconds covered by top-level spans."""
@@ -239,14 +267,20 @@ class SpanProfiler:
 
     @property
     def total_spans(self) -> int:
-        total = 0
-        for node, _ in self._walk():
-            total += node.count
-        return total
+        return sum(node.count for node, _ in self._walk())
 
     @property
     def node_count(self) -> int:
         return sum(1 for _ in self._walk())
+
+    @property
+    def sample_count(self) -> int:
+        return sum(n for n, _ in list(self._samples.values()))
+
+    @property
+    def cpu_s(self) -> float:
+        """Sampled CPU seconds."""
+        return sum(s for _, s in list(self._samples.values()))
 
     def _walk(self) -> Iterator[Tuple[SpanNode, Tuple[str, ...]]]:
         def visit(node: SpanNode, path: Tuple[str, ...]):
@@ -258,115 +292,112 @@ class SpanProfiler:
         for child in self._root.children.values():
             yield from visit(child, ())
 
-    def subsystem_table(self) -> Dict[str, Dict[str, float]]:
-        """Per-subsystem self/cumulative attribution.
+    def _charged(self) -> Iterator[Tuple[str, str, List[str], list]]:
+        """``(path, self subsystem, subsystems on the stack, entry)``."""
+        for path, entry in list(self._samples.items()):
+            found = [
+                subsystem
+                for subsystem in (
+                    subsystem_of(name.partition(":")[0])
+                    for name in path.split(";")
+                )
+                if subsystem is not None
+            ] or ["other"]
+            yield path, found[-1], list(dict.fromkeys(found)), entry
 
-        ``self_wall_s`` partitions the profiled wall time (every span's
-        self time counts toward its own subsystem exactly once);
-        ``wall_s`` is cumulative — a node's whole duration counts when
-        no ancestor already belongs to the same subsystem, so nested
-        same-subsystem spans are not double-counted.
+    def subsystem_table(self) -> Dict[str, Dict[str, float]]:
+        """Per-subsystem CPU samples, and the spans' simulated time.
+
+        ``self_s`` partitions the sampled CPU time (each sample counts
+        toward the subsystem of its innermost frame, ``samples`` counts
+        them); ``cum_s`` counts a sample once for each distinct
+        subsystem on its stack.  The spans are the player's:
+        ``sim_s`` is the simulated time of the top-level spans and
+        ``count`` every span visit.  Only subsystems with samples or
+        spans are listed.
         """
         table: Dict[str, Dict[str, float]] = {}
 
-        def visit(node: SpanNode, seen: frozenset) -> None:
-            entry = table.get(node.subsystem)
-            if entry is None:
-                entry = table[node.subsystem] = {
-                    "self_wall_s": 0.0, "wall_s": 0.0, "sim_s": 0.0,
-                    "count": 0,
-                }
-            entry["self_wall_s"] += node.self_wall_s
-            entry["count"] += node.count
-            if node.subsystem not in seen:
-                entry["wall_s"] += node.wall_s
-                entry["sim_s"] += node.sim_s
-                seen = seen | {node.subsystem}
-            for child in node.children.values():
-                visit(child, seen)
+        def row(name: str) -> Dict[str, float]:
+            return table.setdefault(name, {
+                "self_s": 0.0, "cum_s": 0.0, "samples": 0,
+                "sim_s": 0.0, "count": 0,
+            })
 
-        for child in self._root.children.values():
-            visit(child, frozenset())
+        for _, innermost, on_stack, (n, seconds) in self._charged():
+            row(innermost)["self_s"] += seconds
+            row(innermost)["samples"] += n
+            for name in on_stack:
+                row(name)["cum_s"] += seconds
+        if self._root.children:
+            row("player")["sim_s"] = self.total_sim_s
+            row("player")["count"] = self.total_spans
         return dict(sorted(table.items()))
 
     def hotspots(self, top: int = 12) -> List[Dict[str, object]]:
-        """The ``top`` spans by self wall time (semicolon-joined paths)."""
+        """The ``top`` sampled functions by self CPU time."""
+        spots: Dict[Tuple[str, str], list] = {}
+        for path, innermost, _, (n, seconds) in self._charged():
+            spot = spots.setdefault(
+                (path.rpartition(";")[2], innermost), [0, 0.0]
+            )
+            spot[0] += n
+            spot[1] += seconds
         rows = [
-            {
-                "path": ";".join(path),
-                "subsystem": node.subsystem,
-                "count": node.count,
-                "self_wall_s": node.self_wall_s,
-                "wall_s": node.wall_s,
-                "sim_s": node.sim_s,
-            }
-            for node, path in self._walk()
+            {"function": function, "subsystem": subsystem,
+             "samples": n, "self_s": seconds}
+            for (function, subsystem), (n, seconds) in spots.items()
         ]
-        rows.sort(key=lambda r: (-r["self_wall_s"], r["path"]))
+        rows.sort(key=lambda r: (-r["self_s"], r["function"]))
         return rows[:top]
-
-    def collapsed(self) -> str:
-        """Collapsed-stack export (speedscope / flamegraph compatible).
-
-        One line per span path, ``a;b;c <self-microseconds>`` — the
-        format ``flamegraph.pl`` and speedscope's importer both read.
-        """
-        lines = []
-        for node, path in self._walk():
-            micros = int(round(node.self_wall_s * 1e6))
-            if micros > 0:
-                lines.append(";".join(path) + f" {micros}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
     # -- merge / serialize ---------------------------------------------
     def merge(self, other: "SpanProfiler") -> None:
-        """Fold another profiler's tree in (matching paths add)."""
+        """Fold another profiler in (matching paths and stacks add)."""
         self._merge_node(self._root, other._root)
+        for path, (n, seconds) in other._samples.items():
+            entry = self._samples.setdefault(path, [0, 0.0])
+            entry[0] += n
+            entry[1] += seconds
 
     def merge_dict(self, state: Dict) -> None:
-        """Fold a serialized tree in (forked-worker results)."""
+        """Fold a serialized profiler in (forked-worker results)."""
         self.merge(SpanProfiler.from_dict(state))
 
     @staticmethod
     def _merge_node(dst: SpanNode, src: SpanNode) -> None:
         dst.count += src.count
         dst.sim_s += src.sim_s
-        dst.wall_s += src.wall_s
-        dst.self_wall_s += src.self_wall_s
         for name, child in src.children.items():
             mine = dst.children.get(name)
             if mine is None:
-                mine = dst.children[name] = SpanNode(name, child.subsystem)
+                mine = dst.children[name] = SpanNode(name)
             SpanProfiler._merge_node(mine, child)
 
-    def _node_dict(self, node: SpanNode, deterministic: bool) -> Dict:
-        out: Dict[str, object] = {
-            "subsystem": node.subsystem,
-            "count": node.count,
-            "sim_s": node.sim_s,
-        }
-        if not deterministic:
-            out["wall_s"] = node.wall_s
-            out["self_wall_s"] = node.self_wall_s
+    def _node_dict(self, node: SpanNode) -> Dict:
+        out: Dict[str, object] = {"count": node.count, "sim_s": node.sim_s}
         if node.children:
             out["children"] = {
-                name: self._node_dict(node.children[name], deterministic)
+                name: self._node_dict(node.children[name])
                 for name in sorted(node.children)
             }
         return out
 
-    def to_dict(self, deterministic: bool = False) -> Dict:
-        """JSON-ready span tree.
-
-        ``deterministic=True`` drops every wall-time field, leaving the
-        sim plane (names, subsystems, counts, sim seconds) — the view
-        that is byte-identical across runs and worker counts and safe
-        to hash or golden-pin.
-        """
+    def tree_dict(self) -> Dict:
+        """The JSON-ready span tree, safe to hash or golden-pin."""
         return {
             "spans_version": SPANS_VERSION,
-            "tree": self._node_dict(self._root, deterministic),
+            "tree": self._node_dict(self._root),
         }
+
+    def to_dict(self) -> Dict:
+        """JSON-ready state: the span tree and the sampled stacks."""
+        state = self.tree_dict()
+        state["samples"] = {
+            path: list(entry)
+            for path, entry in sorted(self._samples.items())
+        }
+        return state
 
     @classmethod
     def from_dict(cls, state: Dict) -> "SpanProfiler":
@@ -379,34 +410,34 @@ class SpanProfiler:
         profiler = cls()
 
         def build(data: Dict, node: SpanNode) -> None:
-            node.subsystem = data.get("subsystem", "other")
             node.count = int(data.get("count", 0))
             node.sim_s = float(data.get("sim_s", 0.0))
-            node.wall_s = float(data.get("wall_s", 0.0))
-            node.self_wall_s = float(data.get("self_wall_s", 0.0))
             for name, child in data.get("children", {}).items():
                 node.children[name] = SpanNode(name)
                 build(child, node.children[name])
 
         build(state["tree"], profiler._root)
+        for path, (n, seconds) in state.get("samples", {}).items():
+            profiler._samples[path] = [int(n), float(seconds)]
         return profiler
 
     def tree_hash(self) -> str:
-        """sha256 of the canonical deterministic (sim-plane) tree."""
+        """sha256 of the canonical span tree."""
         text = json.dumps(
-            self.to_dict(deterministic=True),
-            sort_keys=True, separators=(",", ":"),
+            self.tree_dict(), sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 __all__ = [
+    "SAMPLE_INTERVAL_S",
     "SPANS_VERSION",
     "SUBSYSTEMS",
     "SpanNode",
     "SpanProfiler",
+    "SpanStack",
     "current",
     "install",
-    "metered",
     "profiled",
+    "subsystem_of",
 ]

@@ -20,7 +20,6 @@ from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.events import CHECK_SETS as _CHECK_SETS
 from repro.obs.events import TraceEvent, parse_jsonl
-from repro.obs.spans import current as _current_profiler, metered
 
 DEFAULT_CAPACITY = 262_144
 
@@ -70,10 +69,6 @@ class StreamingTracer:
     auditors), and nothing is retained — memory stays O(1) in trace
     length.  ``events`` is always empty and ``write_jsonl`` writes
     nothing; use :class:`Tracer` when the raw stream itself is wanted.
-
-    A tracer built while a span profiler is current binds a metered
-    wrapper over :meth:`emit_fields` (the ``tracing.emit`` span) onto
-    itself; the method has no profiler test.
     """
 
     enabled = True
@@ -90,11 +85,6 @@ class StreamingTracer:
         self._observers: List[Callable[[TraceEvent], None]] = list(
             observers or ()
         )
-        prof = _current_profiler()
-        if prof is not None:
-            self.emit_fields = metered(
-                prof, "tracing.emit", "tracing", self.emit_fields
-            )
 
     def add_observer(self, observer: Callable[[TraceEvent], None]) -> None:
         """Subscribe ``observer`` to every subsequently emitted event."""

@@ -134,11 +134,10 @@ class StreamingSession:
         self.tracer.bind_clock(self.kernel)
         # Span profiler, captured at construction like the registry
         # counters (install the profiler before building the stack).
-        # The session supplies the sim plane: spans opened from here on
-        # are timestamped on this session's kernel.
-        self._prof = _current_profiler()
-        if self._prof is not None:
-            self._prof.bind_clock(self.kernel)
+        # The session's spans go on a stack of its own, timed on its
+        # kernel, so sessions sharing a kernel never nest in each other.
+        prof = _current_profiler()
+        self._spans = prof.stack(self.kernel) if prof is not None else None
         # The transport substrate comes from the backend registry; the
         # link/router pass-throughs let multi-client runs share one
         # bottleneck (on the shard's kernel) across sessions.
@@ -277,9 +276,8 @@ class StreamingSession:
         last_quality: Optional[int] = None
         start_clock = self.kernel.now
 
-        prof = self._prof
-        s_frame = prof.push("session", "player") \
-            if prof is not None else None
+        spans = self._spans
+        s_frame = spans.push("session") if spans is not None else None
 
         if self.tracer.enabled:
             extra = {}
@@ -314,8 +312,7 @@ class StreamingSession:
                     )
         yield from self._before_session()
         for index in range(video.num_segments):
-            seg_frame = prof.push("segment", "player") \
-                if prof is not None else None
+            seg_frame = spans.push("segment") if spans is not None else None
             yield from self._before_segment(index)
             yield from self._wait_for_room()
             yield from self._opportunistic_repair()
@@ -330,7 +327,7 @@ class StreamingSession:
             )
             yield from self._after_segment(index, record)
             if seg_frame is not None:
-                prof.pop(seg_frame)
+                spans.pop(seg_frame)
 
         # Drain the remaining buffer (playback finishes).
         self.buffer.drain(self.buffer.level_s)
@@ -361,7 +358,7 @@ class StreamingSession:
                 segments=len(self._records),
             )
         if s_frame is not None:
-            prof.pop(s_frame)
+            spans.pop(s_frame)
         return metrics
 
     # ------------------------------------------------------------------
@@ -375,13 +372,13 @@ class StreamingSession:
         mode = self.config.manifest_fetch
         if mode == "free":
             return
-        prof = self._prof
-        frame = prof.push("manifest", "player") if prof is not None else None
+        spans = self._spans
+        frame = spans.push("manifest") if spans is not None else None
         try:
             yield from self._fetch_manifest(mode)
         finally:
             if frame is not None:
-                prof.pop(frame)
+                spans.pop(frame)
 
     def _fetch_manifest(self, mode: str):
         total = self.manifest.metadata_bytes()
@@ -559,8 +556,8 @@ class StreamingSession:
 
     def _idle(self, duration: float):
         """Pass ``duration`` seconds of playback, repairing losses."""
-        prof = self._prof
-        frame = prof.push("idle", "player") if prof is not None else None
+        spans = self._spans
+        frame = spans.push("idle") if spans is not None else None
         t0 = self.kernel.now
         deadline = t0 + duration
         if (
@@ -575,17 +572,17 @@ class StreamingSession:
         elapsed = self.kernel.now - t0
         self._record_stall(self.buffer.drain(elapsed))
         if frame is not None:
-            prof.pop(frame)
+            spans.pop(frame)
 
     def _repair_losses(self, deadline: float):
         """Selective retransmission of lost bytes during idle time."""
-        prof = self._prof
-        frame = prof.push("repair", "player") if prof is not None else None
+        spans = self._spans
+        frame = spans.push("repair") if spans is not None else None
         try:
             yield from self._repair_losses_inner(deadline)
         finally:
             if frame is not None:
-                prof.pop(frame)
+                spans.pop(frame)
 
     def _repair_losses_inner(self, deadline: float):
         playhead = self.buffer.media_time()
@@ -643,16 +640,9 @@ class StreamingSession:
 
     # ------------------------------------------------------------------
     def _decide(self, index: int, last_quality: Optional[int]):
-        prof = self._prof
         while True:
             ctx = self._context(index, last_quality)
-            frame = prof.push("abr.choose", "abr") \
-                if prof is not None else None
-            try:
-                decision = self.abr.choose(ctx)
-            finally:
-                if frame is not None:
-                    prof.pop(frame)
+            decision = self.abr.choose(ctx)
             self._ctr_decisions.inc()
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -698,9 +688,8 @@ class StreamingSession:
                     wire_bytes=total_wire,
                     attempt=restarts,
                 )
-            prof = self._prof
-            req_frame = prof.push("request", "player") \
-                if prof is not None else None
+            spans = self._spans
+            req_frame = spans.push("request") if spans is not None else None
             try:
                 # Dispatched here rather than in a helper generator, so
                 # the common VOXEL path adds no delegation frame to every
@@ -723,7 +712,7 @@ class StreamingSession:
                     )
             except RetryBudgetExhausted as exc:
                 if req_frame is not None:
-                    prof.pop(req_frame)
+                    spans.pop(req_frame)
                 wasted += exc.delivered_bytes
                 reconnect = getattr(self.connection, "reconnect", None)
                 if reconnect is not None:
@@ -779,7 +768,7 @@ class StreamingSession:
                 truncated = True
                 break
             if req_frame is not None:
-                prof.pop(req_frame)
+                spans.pop(req_frame)
             if restart_to:
                 wasted += delivery.bytes_delivered
                 restarts += 1
@@ -1028,17 +1017,9 @@ class StreamingSession:
         segment = self.prepared.video.segment(quality, index)
         dropped = [f for f in delivery.dropped_frames if f != 0]
         corruption = delivery.partial_frames
-        prof = self._prof
-        frame = prof.push("decode_segment", "qoe") \
-            if prof is not None else None
-        try:
-            result = decode_segment(
-                segment,
-                params=self.prepared.params,
-                dropped=dropped,
-                corruption=corruption,
-            )
-        finally:
-            if frame is not None:
-                prof.pop(frame)
-        return result.score
+        return decode_segment(
+            segment,
+            params=self.prepared.params,
+            dropped=dropped,
+            corruption=corruption,
+        ).score

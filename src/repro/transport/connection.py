@@ -29,7 +29,6 @@ from repro.network.events import SimKernel
 from repro.network.link import BottleneckLink
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
-from repro.obs.spans import current as _current_profiler
 from repro.obs.tracer import NULL_TRACER
 from repro.transport.base import (
     ByteInterval,
@@ -97,7 +96,6 @@ class QuicConnection:
         self._ctr_delivered = registry.counter("transport.bytes_delivered")
         self._ctr_lost = registry.counter("transport.bytes_lost")
         self._ctr_retx = registry.counter("transport.bytes_retransmitted")
-        self._prof = _current_profiler()
 
     # ------------------------------------------------------------------
     def download(
@@ -150,13 +148,6 @@ class QuicConnection:
 
         self._maybe_idle_restart()
 
-        # Span covers the whole request (held across yields: its sim
-        # plane is the request's simulated duration).  Every exit path —
-        # the final return and each raise inside _fail — pops it.
-        prof = self._prof
-        dl_frame = prof.push("transport.download", "transport") \
-            if prof is not None else None
-
         # Hot-loop handles: all of these are stable for the lifetime of
         # one download (reconnect() only swaps the controller between
         # downloads), so the round loop skips the attribute traffic.
@@ -195,8 +186,6 @@ class QuicConnection:
             self._ctr_delivered.inc(delivered)
             self._ctr_lost.inc(lost_total)
             self._last_active = kernel.now
-            if dl_frame is not None:
-                prof.pop(dl_frame)
             return TransportFault(
                 kind,
                 DownloadResult(
@@ -255,8 +244,6 @@ class QuicConnection:
                 new_packets = 1 if new_budget > 0 else 0
                 retx_packets = burst - new_packets
 
-            rnd_frame = prof.push("transport.round", "transport") \
-                if prof is not None else None
             outcome = link.offer_round(kernel.now, burst)
             rtt = outcome.rtt
             rounds += 1
@@ -371,8 +358,6 @@ class QuicConnection:
                         limit = new_limit
                     if limit < sent_new:
                         limit = sent_new
-            if rnd_frame is not None:
-                prof.pop(rnd_frame)
 
         self._last_active = kernel.now
         lost_intervals = merge_intervals(lost_intervals)
@@ -384,8 +369,6 @@ class QuicConnection:
             sum(end - start for start, end in lost_intervals)
         )
         truncated = limit if limit < nbytes else None
-        if dl_frame is not None:
-            prof.pop(dl_frame)
         return DownloadResult(
             requested=limit,
             delivered=delivered,

@@ -24,7 +24,6 @@ from repro.network.events import SimKernel, Waiter
 from repro.network.packetlink import MTU, Packet, PacketRouter
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
-from repro.obs.spans import current as _current_profiler
 from repro.obs.tracer import NULL_TRACER
 from repro.transport.base import (
     ByteInterval,
@@ -67,7 +66,6 @@ class PacketLevelConnection:
         registry = get_registry()
         self._ctr_delivered = registry.counter("transport.bytes_delivered")
         self._ctr_lost = registry.counter("transport.bytes_lost")
-        self._prof = _current_profiler()
 
         # Per-download state (reset in _arm()).
         self._reliable = True
@@ -111,9 +109,6 @@ class PacketLevelConnection:
 
     def _pump(self) -> None:
         """Send packets while the window allows."""
-        prof = self._prof
-        frame = prof.push("transport.pump", "transport") \
-            if prof is not None else None
         injected = 0
         while (
             len(self._inflight) < max(int(self.cc.cwnd), 1)
@@ -144,8 +139,6 @@ class PacketLevelConnection:
                 cwnd=float(self.cc.cwnd),
                 inflight=len(self._inflight),
             )
-        if frame is not None:
-            prof.pop(frame)
 
     # -- router callbacks --------------------------------------------------
     def on_delivered(self, packet: Packet) -> None:
@@ -347,13 +340,6 @@ class PacketLevelConnection:
         if nbytes == 0:
             return DownloadResult(0, 0, [], 0.0)
 
-        # Span covers the whole request (held across the waiter yield:
-        # the pump/ACK/loss callbacks the event loop runs meanwhile nest
-        # under it, and its sim plane is the request's duration).
-        prof = self._prof
-        dl_frame = prof.push("transport.download", "transport") \
-            if prof is not None else None
-
         requested_limit = nbytes
         latency = self._arm(nbytes, reliable, progress)
         start = self._start_time
@@ -376,8 +362,6 @@ class PacketLevelConnection:
         self._waiter = waiter
         yield waiter
         self._waiter = None
-        if dl_frame is not None:
-            prof.pop(dl_frame)
 
         if self._failed is not None:
             fault = self._failed

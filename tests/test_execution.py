@@ -620,6 +620,36 @@ class TestMetricsFold:
         assert resumed.dump() == first.dump() == self.EXPECTED
 
 
+    def test_every_engine_counts_its_sessions(self, tiny_prepared):
+        # StackBuilder.build counts each session it assembles, so the
+        # engines that never call run_single count theirs too.
+        prepared = {tiny_prepared.name: tiny_prepared}
+        with scoped_registry() as chaos:
+            run_chaos(
+                profiles=["mixed"], seeds=[0],
+                base={"video": tiny_prepared.name}, prepared_map=prepared,
+            )
+        counters = chaos.dump()["counters"]
+        assert counters[
+            "experiments.sessions{abr=abr_star,trace=verizon}"
+        ] == 1.0
+        with scoped_registry() as fleet:
+            run_fleet(
+                _tiny_spec(tiny_prepared, clients=6, shards=2),
+                workers=2, prepared_map=prepared,
+            )
+        sessions = {
+            series: value
+            for series, value in fleet.dump()["counters"].items()
+            if series.startswith("experiments.sessions{")
+        }
+        assert sum(sessions.values()) == 6.0
+        assert set(sessions) == {
+            "experiments.sessions{abr=abr_star,trace=constant:40}",
+            "experiments.sessions{abr=bola,trace=constant:40}",
+        }
+
+
 # ---------------------------------------------------------------------------
 # Fleet-level goldens: the headline byte-identity guarantees.
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Span profiler, perf ledger, and ``repro diff`` attribution."""
+"""Profiler (player spans + CPU sampler), perf ledger, ``repro diff``."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
+import signal
+import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +25,7 @@ from repro.obs.ledger import (
     profile_trials,
     write_ledger,
 )
-from repro.obs.spans import SpanProfiler
+from repro.obs.spans import SpanProfiler, subsystem_of
 
 
 @pytest.fixture(autouse=True)
@@ -36,16 +41,29 @@ class FakeClock:
 
 
 def _tree(prof: SpanProfiler):
-    return prof.to_dict()["tree"].get("children", {})
+    return prof.tree_dict()["tree"].get("children", {})
+
+
+def _fake_frame(*entries):
+    """A frame chain, outermost entry first: ``(module, qualname)``."""
+    frame = None
+    for module, qualname in entries:
+        frame = SimpleNamespace(
+            f_globals={"__name__": module},
+            f_code=SimpleNamespace(co_qualname=qualname),
+            f_back=frame,
+        )
+    return frame
 
 
 class TestSpanProfiler:
     def test_tree_shape_and_counts(self):
         prof = SpanProfiler()
+        stack = prof.stack(FakeClock())
         for _ in range(3):
-            with prof.span("segment", "player"):
-                with prof.span("request", "player"):
-                    pass
+            segment = stack.push("segment")
+            stack.pop(stack.push("request"))
+            stack.pop(segment)
         tree = _tree(prof)
         assert set(tree) == {"segment"}
         assert tree["segment"]["count"] == 3
@@ -55,142 +73,269 @@ class TestSpanProfiler:
 
     def test_self_excludes_children(self):
         prof = SpanProfiler()
-        outer = prof.push("outer", "player")
-        inner = prof.push("inner", "abr")
-        prof.pop(inner)
-        prof.pop(outer)
-        nodes = {node.name: node for node, _ in prof._walk()}
-        assert nodes["outer"].wall_s >= nodes["inner"].wall_s
-        assert nodes["outer"].self_wall_s == pytest.approx(
-            nodes["outer"].wall_s - nodes["inner"].wall_s, abs=1e-9
+        prof.sample(_fake_frame(
+            ("repro.player.session", "StreamingSession.steps"),
+            ("repro.transport.connection", "QuicConnection.download_iter"),
+            ("numpy.core.fromnumeric", "sum"),
+        ), 0.004)
+        prof.sample(_fake_frame(
+            ("repro.player.session", "StreamingSession.steps"),
+            ("repro.abr.bola", "Bola.choose"),
+            ("repro.prep.manifest", "VoxelManifest.segment_sizes"),
+        ), 0.006)
+        prof.sample(_fake_frame(("threading", "run")), 0.002)
+        table = prof.subsystem_table()
+        # Self time goes to the innermost repro frame with a subsystem:
+        # numpy's to transport, the manifest read to the ABR calling it.
+        assert table["transport"]["self_s"] == pytest.approx(0.004)
+        assert table["abr"]["self_s"] == pytest.approx(0.006)
+        assert table["other"]["self_s"] == pytest.approx(0.002)
+        assert table["player"]["self_s"] == 0.0
+        assert table["player"]["cum_s"] == pytest.approx(0.010)
+        assert "prep" not in table
+        assert prof.sample_count == 3
+        assert prof.cpu_s == pytest.approx(0.012)
+        assert set(prof.to_dict()["samples"]) == {
+            "repro.player.session:StreamingSession.steps;"
+            "repro.transport.connection:QuicConnection.download_iter",
+            "repro.player.session:StreamingSession.steps;"
+            "repro.abr.bola:Bola.choose;"
+            "repro.prep.manifest:VoxelManifest.segment_sizes",
+            "(outside repro)",
+        }
+        top = prof.hotspots(1)[0]
+        assert top["function"] == (
+            "repro.prep.manifest:VoxelManifest.segment_sizes"
         )
+        assert top["subsystem"] == "abr" and top["samples"] == 1
 
     def test_sim_plane_uses_bound_clock(self):
         clock = FakeClock()
-        prof = SpanProfiler(clock=clock)
-        frame = prof.push("round", "transport")
         clock.now = 2.5
-        prof.pop(frame)
-        assert _tree(prof)["round"]["sim_s"] == pytest.approx(2.5)
-
-    def test_span_pushed_before_clock_bind_has_no_sim_time(self):
         prof = SpanProfiler()
-        frame = prof.push("early", "player")
+        stack = prof.stack(clock)
+        frame = stack.push("request")
+        clock.now = 4.0
+        stack.pop(frame)
+        assert _tree(prof)["request"]["sim_s"] == pytest.approx(1.5)
+
+    def test_stacks_interleave_without_nesting(self):
+        prof = SpanProfiler()
         clock = FakeClock()
-        clock.now = 9.0
-        prof.bind_clock(clock)
-        prof.pop(frame)
-        assert _tree(prof)["early"]["sim_s"] == 0.0
+        a, b = prof.stack(clock), prof.stack(clock)
+        a_session = a.push("session")
+        b_session = b.push("session")
+        a_segment = a.push("segment")
+        clock.now = 1.0
+        b.pop(b_session)  # must not unwind a's segment
+        assert a._open == [a_session, a_segment]
+        clock.now = 3.0
+        a.pop(a_session)
+        tree = _tree(prof)
+        assert set(tree) == {"session"}
+        assert tree["session"]["count"] == 2
+        assert tree["session"]["sim_s"] == pytest.approx(4.0)
+        assert tree["session"]["children"]["segment"]["count"] == 1
 
     def test_pop_unwinds_to_handle(self):
         prof = SpanProfiler()
-        outer = prof.push("outer", "player")
-        prof.push("mid", "transport")
-        prof.push("leaf", "link")
-        prof.pop(outer)  # closes leaf, mid, then outer
-        assert not prof._stack
+        stack = prof.stack(FakeClock())
+        outer = stack.push("outer")
+        stack.push("mid")
+        stack.push("leaf")
+        stack.pop(outer)  # closes leaf, mid, then outer
+        assert not stack._open
         assert prof.total_spans == 3
 
     def test_pop_stale_handle_is_noop(self):
-        first = SpanProfiler()
-        stale = first.push("request", "player")
-        first.finalize()
-        # A generator finalized later must not unwind the new epoch.
-        second = SpanProfiler()
-        live = second.push("session", "player")
-        second.pop(stale)
-        assert second._stack == [live]
+        prof = SpanProfiler()
+        first = prof.stack(FakeClock())
+        second = prof.stack(FakeClock())
+        foreign = first.push("request")
+        live = second.push("session")
+        second.pop(foreign)
+        assert second._open == [live]
         second.pop(live)
-        assert second.total_spans == 1
-
-    def test_add_flat_top_level(self):
-        prof = SpanProfiler()
-        prof.add_flat("kernel.step", "kernel", 0.25, count=10)
-        prof.add_flat("kernel.step", "kernel", 0.05, count=2)
-        node = _tree(prof)["kernel.step"]
-        assert node["count"] == 12
-        assert prof.total_wall_s == pytest.approx(0.3)
-
-    def test_finalize_closes_open_spans(self):
-        prof = SpanProfiler()
-        prof.push("a", "player")
-        prof.push("b", "player")
-        prof.finalize()
-        assert not prof._stack
-        assert prof.total_spans == 2
+        assert prof.total_spans == 1
 
     def test_merge_and_serialize_roundtrip(self):
         a = SpanProfiler()
-        with a.span("segment", "player"):
-            with a.span("request", "player"):
-                pass
+        stack = a.stack(FakeClock())
+        segment = stack.push("segment")
+        stack.pop(stack.push("request"))
+        stack.pop(segment)
+        a.sample(_fake_frame(("repro.abr.bola", "Bola.choose")), 0.004)
         b = SpanProfiler()
-        with b.span("segment", "player"):
-            pass
+        stack = b.stack(FakeClock())
+        stack.pop(stack.push("segment"))
+        b.sample(_fake_frame(("repro.abr.bola", "Bola.choose")), 0.008)
         merged = SpanProfiler()
         merged.merge_dict(a.to_dict())
         merged.merge_dict(b.to_dict())
         tree = _tree(merged)
         assert tree["segment"]["count"] == 2
         assert tree["segment"]["children"]["request"]["count"] == 1
-        # Round-trip through JSON preserves the hash (floats are exact).
+        assert merged.sample_count == 2
+        assert merged.cpu_s == pytest.approx(0.012)
+        # Round-trip through JSON preserves the state (floats are exact).
         restored = SpanProfiler.from_dict(
             json.loads(json.dumps(merged.to_dict()))
         )
+        assert restored.to_dict() == merged.to_dict()
         assert restored.tree_hash() == merged.tree_hash()
 
     def test_deterministic_dict_excludes_wall_fields(self):
+        # The tree holds no wall or CPU field at all, and samples never
+        # move its hash.
         prof = SpanProfiler()
-        with prof.span("segment", "player"):
-            pass
-        prof.add_flat("kernel.step", "kernel", 0.1)
-
-        def assert_no_wall(node):
-            assert "wall_s" not in node
-            assert "self_wall_s" not in node
-            for child in node.get("children", {}).values():
-                assert_no_wall(child)
-
-        state = prof.to_dict(deterministic=True)
-        assert state["spans_version"] == spans.SPANS_VERSION
-        assert_no_wall(state["tree"])
-        # The full dict does carry them.
-        assert "wall_s" in prof.to_dict()["tree"]["children"]["segment"]
+        stack = prof.stack(FakeClock())
+        stack.pop(stack.push("segment"))
+        before = prof.tree_hash()
+        prof.sample(_fake_frame(("repro.abr.bola", "Bola.choose")), 0.1)
+        assert prof.tree_hash() == before
+        assert "samples" not in prof.tree_dict()
+        node = prof.tree_dict()["tree"]["children"]["segment"]
+        assert set(node) == {"count", "sim_s"}
 
     def test_from_dict_rejects_unknown_version(self):
-        with pytest.raises(ValueError, match="version"):
-            SpanProfiler.from_dict({"spans_version": 99, "tree": {}})
+        # Version 1 is the probe profiler's state (wall-time spans).
+        for version in (1, 99):
+            with pytest.raises(ValueError, match="version"):
+                SpanProfiler.from_dict({"spans_version": version, "tree": {}})
+
+    def test_collapsed_format(self):
+        prof = SpanProfiler()
+        prof.sample(sys._getframe(), 0.004)
+        assert prof.to_dict()["samples"] == {"(outside repro)": [1, 0.004]}
+
+        def sample_here():
+            prof.sample(sys._getframe(), 0.002)
+
+        # A repro frame calling back into this test: the collapsed path
+        # holds only repro frames, outermost first.
+        from repro.obs.tracer import StreamingTracer
+
+        tracer = StreamingTracer(observers=[lambda event: sample_here()])
+        tracer.bind_clock(FakeClock())
+        tracer.emit("session_end", buf_ratio=0.0, total_stall=0.0,
+                    startup_delay=0.0, mean_score=1.0, segments=0)
+        ledger = build_ledger(prof, wall_s=0.1, meta=False)
+        lines = collapsed_stacks(ledger).splitlines()
+        assert lines == [
+            "(outside repro) 4000",
+            "repro.obs.tracer:StreamingTracer.emit;"
+            "repro.obs.tracer:StreamingTracer.emit_fields 2000",
+        ]
 
     def test_subsystem_table_no_same_subsystem_double_count(self):
         clock = FakeClock()
-        prof = SpanProfiler(clock=clock)
-        outer = prof.push("segment", "player")
+        prof = SpanProfiler()
+        stack = prof.stack(clock)
+        outer = stack.push("segment")
         clock.now = 1.0
-        inner = prof.push("idle", "player")
+        inner = stack.push("idle")
         clock.now = 3.0
-        prof.pop(inner)
-        prof.pop(outer)
+        stack.pop(inner)
+        stack.pop(outer)
         table = prof.subsystem_table()
         # Cumulative counts the outer span once, not outer + nested.
         assert table["player"]["sim_s"] == pytest.approx(3.0)
         assert table["player"]["count"] == 2
+        # No samples: only the spans' subsystem is listed.
+        assert set(table) == {"player"}
 
-    def test_collapsed_format(self):
-        prof = SpanProfiler()
-        node = prof.push("session", "player")
-        prof.push("abr.choose", "abr")
-        for _ in range(20000):
+
+_LAYERS = {
+    "repro.network": "link",
+    "repro.transport": "transport",
+    "repro.abr": "abr",
+    "repro.qoe": "qoe",
+    "repro.player": "player",
+}
+
+
+def test_every_layer_module_maps_to_its_layer():
+    seen = 0
+    for package, layer in _LAYERS.items():
+        module = importlib.import_module(package)
+        assert subsystem_of(package) == layer
+        for info in pkgutil.walk_packages(
+            module.__path__, prefix=package + "."
+        ):
+            expected = (
+                "kernel" if info.name == "repro.network.events" else layer
+            )
+            assert subsystem_of(info.name) == expected, info.name
+            seen += 1
+    assert seen > 20
+    assert {
+        subsystem for _, subsystem in spans._MODULE_SUBSYSTEMS if subsystem
+    } | {"other"} == set(spans.SUBSYSTEMS)
+    assert subsystem_of("repro.experiments.execution") == "pool"
+    assert subsystem_of("repro.obs.tracer") == "tracing"
+    assert subsystem_of("repro.prep.manifest") is None
+    assert subsystem_of("repro.prep.prepare") == "prep"
+    assert subsystem_of("repro.video.encoder") == "prep"
+    assert subsystem_of("repro.networking") == "other"
+    assert subsystem_of("repro.cli") == "other"
+
+
+def _signal_state():
+    return (
+        signal.getsignal(signal.SIGPROF),
+        signal.getitimer(signal.ITIMER_PROF),
+    )
+
+
+def test_profiled_restores_the_signal_state():
+    before = _signal_state()
+    with spans.profiled():
+        inside = _signal_state()
+        assert inside[0] is not before[0]
+        assert inside[1][1] > 0.0  # the sampler's timer runs
+        with spans.profiled():
             pass
-        prof.pop(node)
-        collapsed = prof.collapsed()
-        for line in collapsed.strip().splitlines():
-            path, _, micros = line.rpartition(" ")
-            assert path
-            assert int(micros) > 0
-        assert any(
-            line.startswith("session;abr.choose ")
-            for line in collapsed.splitlines()
-        )
+        # The inner exit leaves the outer sampler as it found it.
+        handler, (_, interval) = _signal_state()
+        assert handler is inside[0]
+        assert interval == inside[1][1]
+    assert _signal_state() == before
+    with spans.profiled():
+        pass
+    assert _signal_state() == before
+
+
+def test_sampled_transport_round_stacks_span_the_layers(tiny_prepared):
+    from repro.core.api import stream_spec
+    from repro.obs import events as ev
+    from repro.obs.tracer import StreamingTracer
+
+    prof = SpanProfiler()
+
+    def observer(event):
+        if event.type == ev.TRANSPORT_ROUND:
+            prof.sample(sys._getframe(), 0.001)
+
+    stream_spec(
+        ScenarioSpec(
+            video=tiny_prepared.name, abr="abr_star", trace="verizon",
+            seed=3,
+        ),
+        prepared=tiny_prepared,
+        tracer=StreamingTracer(observers=[observer]),
+    )
+    assert prof.sample_count > 0
+    cumulative = {
+        name for name, row in prof.subsystem_table().items()
+        if row["cum_s"] > 0
+    }
+    assert {"transport", "kernel", "player", "tracing"} <= cumulative
+    # The observer is test code: the tracer's emit is the innermost
+    # repro frame, so tracing holds all the self time.
+    assert set(
+        name for name, row in prof.subsystem_table().items()
+        if row["self_s"] > 0
+    ) == {"tracing"}
 
 
 #: Golden hash of the deterministic span tree for the pinned scenario
@@ -202,7 +347,7 @@ _GOLDEN_SPEC = dict(
     abr="bola", trace="constant:20", repetitions=2, seed=0
 )
 _GOLDEN_TREE_HASH = (
-    "40d501705368f3f37d2c091841c27d28716001e2691baea10b67b855b6df2630"
+    "38b4b96f1471fa3ed81f8a957c939baf8b3480fb3c4d23171bab7253adb4123d"
 )
 
 
@@ -244,34 +389,85 @@ class TestRunnerDeterminism:
         assert forked.total_spans == serial.total_spans > 0
         assert forked.total_sim_s == pytest.approx(serial.total_sim_s)
 
+    def test_forked_repetitions_return_their_samples(self, tiny_prepared):
+        # A fork()ed child inherits the installed profiler but not the
+        # interval timer: each task's install must arm it again.  The
+        # packet backend gives each child about 50 samples' worth of CPU.
+        config = ScenarioSpec(
+            video=tiny_prepared.name, backend="packet",
+            **dict(_GOLDEN_SPEC, repetitions=4),
+        )
+        prof, _, wall_s = profile_trials(
+            config, prepared=tiny_prepared, workers=2
+        )
+        ledger = build_ledger(prof, wall_s, meta=False)
+        assert ledger["samples"] > 0
+        simulated = sum(
+            ledger["subsystems"].get(name, {}).get("self_s", 0.0)
+            for name in ("kernel", "link", "transport", "abr", "qoe",
+                         "player")
+        )
+        assert simulated > 0.0
 
-#: Deterministic span-tree hashes of the profiled runs in
+    def test_interleaved_sessions_keep_their_own_spans(self, tiny_prepared):
+        from repro.experiments.multiclient import (
+            DEFAULT_SPECS,
+            run_multiclient,
+        )
+
+        def nodes(prof):
+            return {path for _, path in prof._walk()}
+
+        # A constant 20 Mbps lets every client idle and repair, so a
+        # solo session visits every node a session can open.
+        fields = dict(video=tiny_prepared.name, trace="constant:20", seed=3)
+        prepared_map = {tiny_prepared.name: tiny_prepared}
+        with spans.profiled() as solo:
+            run_multiclient(
+                [DEFAULT_SPECS[0].with_(**fields)],
+                prepared_map=prepared_map,
+            )
+        with spans.profiled() as shared:
+            result = run_multiclient(
+                [spec.with_(**fields) for spec in DEFAULT_SPECS],
+                prepared_map=prepared_map,
+            )
+        assert nodes(shared) == nodes(solo)
+        assert len(nodes(solo)) == 6
+        session = _tree(shared)["session"]
+        assert session["count"] == len(DEFAULT_SPECS)
+        assert session["sim_s"] == pytest.approx(sum(
+            client.metrics.wall_duration for client in result.clients
+        ))
+        assert shared.total_sim_s == pytest.approx(session["sim_s"])
+
+
+#: Span-tree hashes of the profiled runs in
 #: test_profiling_never_changes_results (tinytest fixture, abr_star for
 #: solo runs, the DEFAULT_SPECS mix for shared-link runs, verizon,
-#: seed 3).  They cover the metered link, router, kernel, transport and
-#: tracer paths of both backends, solo and shared, with and without the
-#: "mixed" chaos profile.
+#: seed 3).  They cover the player's spans over both backends, solo and
+#: on a shared kernel, with and without the "mixed" chaos profile.
 _IDENTITY_TREE_HASH = {
     "solo-round": (
-        "6d20b31e1951255738ecc193ee358ff30ac0ccf3cc1e177178bb0d229ad510fe"
+        "0bd290d3492908c99bc785554d563b48db5b67a2d19af549b472bbc0d7f5ec6f"
     ),
     "solo-packet": (
-        "c304b148b94dec19b2c0fc40e52b087e79837e5152989f61197bc0d433dc20a7"
+        "c14840475e2867153ae59bd2d4116e07374904092f378989d18863bad19eda1e"
     ),
     "solo-round-mixed": (
-        "b75ab3b8d648c46bf230b487d0939b278e9846f7fe01dd2a122a9d09940ac61d"
+        "df9db8731f90a95b5a2a08f26a5c4804bb4333f1414d957bc9b199648771e167"
     ),
     "mix-round": (
-        "9fc064f1cc8dba0f511fccae7d9dd851c4e0ac5eed4d109dec0c8def61deccda"
+        "a3827ab2deb3529facb6bb11cd805b5c93adf8ebc4989fb1de45b2a57521dc68"
     ),
     "mix-round-mixed": (
-        "e9212ca32896ac7150bdcc5798054cd62271f0ab1876f1f08338587a9c35914c"
+        "8f1bf90a24a5dcb51323fb96d94cf35543624eeef74170ab82b1b163cdf8f37f"
     ),
     "mix-packet": (
-        "30562d8c3af147ba2f93b4984e163b981f3f2836fc0144e56edd956225cafb15"
+        "fcc4aa30fef82506ea32e66e161e7fb892e59479aba8f2977e742545d97e4ca4"
     ),
     "mix-packet-mixed": (
-        "bb8d42bc51e686f32e5bbb13055af942702753c2b60c31e8eefeef93cd8c1de8"
+        "ece916cef7aa4ca3f2f502607a7716245953fdcf374a6bea633d2dfd119a060d"
     ),
 }
 
@@ -314,11 +510,25 @@ def test_profiling_never_changes_results(tiny_prepared, case):
     assert tree == _IDENTITY_TREE_HASH[case]
 
 
+_ABR_STACK = (
+    "repro.player.session:StreamingSession.steps;"
+    "repro.abr.bola:Bola.choose"
+)
+_TRANSPORT_STACK = (
+    "repro.player.session:StreamingSession.steps;"
+    "repro.transport.connection:QuicConnection.download_iter"
+)
+
+
 def _mini_profiler(abr_s: float, transport_s: float) -> SpanProfiler:
-    prof = SpanProfiler()
-    prof.add_flat("abr.choose", "abr", abr_s, count=10)
-    prof.add_flat("transport.round", "transport", transport_s, count=20)
-    return prof
+    return SpanProfiler.from_dict({
+        "spans_version": spans.SPANS_VERSION,
+        "tree": {},
+        "samples": {
+            _ABR_STACK: [10, abr_s],
+            _TRANSPORT_STACK: [20, transport_s],
+        },
+    })
 
 
 #: Valid JSON in another perf-file shape: no ``ledger_version``.
@@ -337,18 +547,24 @@ class TestLedgerAndDiff:
             prof, wall_s=0.5, label="cell", spec_hash="abc123",
             meta=False,
         )
-        assert ledger["ledger_version"] == 1
+        assert ledger["ledger_version"] == 2
         assert ledger["wall_s"] == pytest.approx(0.5)
-        assert ledger["subsystems"]["abr"]["self_wall_s"] == (
-            pytest.approx(0.2)
+        assert ledger["samples"] == 30
+        assert ledger["cpu_s"] == pytest.approx(0.3)
+        abr = ledger["subsystems"]["abr"]
+        assert abr["self_s"] == pytest.approx(0.2)
+        assert abr["self_pct"] == pytest.approx(200.0 / 3.0)
+        assert abr["samples"] == 10
+        assert ledger["subsystems"]["player"]["cum_s"] == pytest.approx(0.3)
+        assert set(ledger["subsystems"]) == {"abr", "player", "transport"}
+        assert ledger["hotspots"][0]["function"] == (
+            "repro.abr.bola:Bola.choose"
         )
-        assert ledger["subsystems"]["abr"]["self_pct"] == (
-            pytest.approx(200.0 / 3.0)
-        )
-        assert ledger["hotspots"][0]["path"] == "abr.choose"
         assert ledger["deterministic"]["hash"] == prof.tree_hash()
+        assert "tree" not in ledger
         text = format_ledger(ledger)
         assert "perf ledger" in text and "abr" in text
+        assert "30 samples" in text
         path = tmp_path / "ledger.json"
         write_ledger(str(path), ledger)
         assert load_ledger(str(path))["label"] == "cell"
@@ -360,19 +576,13 @@ class TestLedgerAndDiff:
             load_ledger(str(path))
 
     def test_collapsed_stacks_from_ledger(self):
-        prof = SpanProfiler()
-        frame = prof.push("session", "player")
-        prof.push("abr.choose", "abr")
-        for _ in range(20000):
-            pass
-        prof.pop(frame)
-        ledger = build_ledger(prof, wall_s=0.1, meta=False)
-        lines = collapsed_stacks(ledger).strip().splitlines()
-        assert lines
-        for line in lines:
-            path, _, micros = line.rpartition(" ")
-            assert int(micros) > 0
-        assert any(l.startswith("session;abr.choose ") for l in lines)
+        ledger = build_ledger(
+            _mini_profiler(0.2, 0.1), wall_s=0.5, meta=False
+        )
+        assert collapsed_stacks(ledger).splitlines() == [
+            f"{_ABR_STACK} 200000",
+            f"{_TRANSPORT_STACK} 100000",
+        ]
 
     def test_diff_ledgers_attributes_top_subsystem(self):
         base = build_ledger(
@@ -472,7 +682,9 @@ class TestCLI:
         assert payload["top"] == "abr"
         assert payload["failed"] is True
 
-    @pytest.mark.parametrize("bad", ["absent", "not_json", "bench_shaped"])
+    @pytest.mark.parametrize(
+        "bad", ["absent", "not_json", "bench_shaped", "version_1"]
+    )
     def test_cli_diff_bad_baseline_exits_2_in_one_line(
         self, bad, tmp_path, capsys
     ):
@@ -483,6 +695,11 @@ class TestCLI:
             path.write_text("{not json")
         elif bad == "bench_shaped":
             path.write_text(json.dumps(_NON_LEDGER))
+        elif bad == "version_1":
+            # A ledger of probe wall time, before the sampler.
+            path.write_text(json.dumps({
+                "ledger_version": 1, "wall_s": 0.5, "subsystems": {},
+            }))
         ledger = tmp_path / "ledger.json"
         write_ledger(
             str(ledger),
@@ -520,9 +737,65 @@ class TestCLI:
         assert rc == 0
         assert "perf ledger" in capsys.readouterr().out
         ledger = load_ledger(str(out))
+        # One tinytest repetition takes a handful of samples at the
+        # kernel's tick, too few to cover every layer (the sampled
+        # attribution test does that); the spans always cover the
+        # player.
+        assert ledger["ledger_version"] == 2
         assert ledger["spans"] > 0
-        assert set(ledger["subsystems"]) >= {"abr", "transport", "player"}
-        assert folded.read_text().strip()
+        assert isinstance(ledger["samples"], int)
+        assert ledger["subsystems"]["player"]["count"] == ledger["spans"]
+        for key in ("cpu_s", "hotspots", "stacks", "deterministic"):
+            assert key in ledger
+        assert len(ledger["deterministic"]["hash"]) == 64
+        if ledger["samples"]:
+            assert folded.read_text().strip()
+
+
+def test_profile_spool_of_the_probe_profiler_is_refused(
+    tiny_prepared, tmp_path, monkeypatch
+):
+    from repro.experiments.execution import CheckpointError
+    from repro.experiments.fleet import ClientGroup, FleetSpec, run_fleet
+    from repro.experiments.sweep import SweepSpec, run_sweep
+
+    prepared = {tiny_prepared.name: tiny_prepared}
+    fleet = FleetSpec(
+        clients=2, shards=2, trace="constant:20",
+        groups=(ClientGroup(abr="bola", video=tiny_prepared.name),),
+    )
+    sweep = SweepSpec(
+        base={"video": tiny_prepared.name, "repetitions": 1,
+              "trace": "constant:20"},
+        grid={"abr": ["bola"]},
+    )
+    fleet_dir = str(tmp_path / "fleet")
+    sweep_dir = str(tmp_path / "sweep")
+
+    def run():
+        with spans.profiled():
+            run_fleet(fleet, prepared_map=prepared, checkpoint_dir=fleet_dir)
+        run_sweep(sweep, prepared_map=prepared, profile=True,
+                  checkpoint_dir=sweep_dir)
+
+    # Version 1 writes the spools a --profile run wrote before the
+    # sampler: the same run keys and version-1 profiler states.
+    with monkeypatch.context() as patch:
+        patch.setattr(spans, "SPANS_VERSION", 1)
+        run()
+    for resume in (
+        lambda: run_fleet(
+            fleet, prepared_map=prepared, checkpoint_dir=fleet_dir
+        ),
+        lambda: run_sweep(
+            sweep, prepared_map=prepared, profile=True,
+            checkpoint_dir=sweep_dir,
+        ),
+    ):
+        with spans.profiled() as prof:
+            with pytest.raises(CheckpointError, match="different run"):
+                resume()
+        assert prof.total_spans == 0
 
 
 class TestSweepLedgers:
