@@ -34,6 +34,7 @@ import functools
 import hashlib
 import json
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -67,11 +68,15 @@ _MODULE_SUBSYSTEMS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("repro.experiments.execution", "pool"),
 )
 
-#: The subsystems CPU time is attributed to.
-SUBSYSTEMS = (
-    "kernel", "link", "transport", "abr", "qoe", "player", "tracing",
-    "prep", "pool", "other",
-)
+#: The subsystems CPU time is attributed to: the table's, then other.
+SUBSYSTEMS = tuple(dict.fromkeys(
+    subsystem for _, subsystem in _MODULE_SUBSYSTEMS
+    if subsystem not in (None, "other")
+)) + ("other",)
+
+#: The code attribute naming a sampled frame's function:
+#: ``Class.method`` from Python 3.11, the bare function name before.
+_CODE_NAME = "co_qualname" if sys.version_info >= (3, 11) else "co_name"
 
 #: Collapsed stack of a sample taken outside every repro frame.
 _OUTSIDE = "(outside repro)"
@@ -252,7 +257,7 @@ class SpanProfiler:
         while frame is not None:
             module = frame.f_globals.get("__name__", "")
             if module.startswith("repro."):
-                path.append(f"{module}:{frame.f_code.co_qualname}")
+                path.append(f"{module}:{getattr(frame.f_code, _CODE_NAME)}")
             frame = frame.f_back
         key = ";".join(reversed(path)) if path else _OUTSIDE
         entry = self._samples.setdefault(key, [0, 0.0])
