@@ -22,7 +22,7 @@ the published details):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.abr.base import (
     ABRAlgorithm,
@@ -33,7 +33,7 @@ from repro.abr.base import (
 )
 from repro.prep.manifest import VoxelManifest
 from repro.prep.prepare import PreparedVideo
-from repro.qoe.model import QoEParams, decode_segment
+from repro.qoe.model import decode_segment
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,15 @@ class BetaABR(ABRAlgorithm):
     def __init__(self, prepared: PreparedVideo, safety: float = 1.0):
         self.prepared = prepared
         self.safety = safety
-        self._table: Dict[Tuple[int, int], BetaLevel] = {}
+        # A level depends only on the prepared video (its segments and
+        # QoE params), so every BETA streaming it shares one (quality,
+        # index) table, cached on the video itself: it lives exactly as
+        # long as the video, where a table keyed by ``id()`` would serve
+        # a freed video's levels to the next object at its address.
+        try:
+            self._table = prepared._beta_levels
+        except AttributeError:
+            self._table = prepared._beta_levels = {}
         self._restarted: Optional[int] = None
         self._current_decision: Optional[Decision] = None
 
@@ -63,7 +71,7 @@ class BetaABR(ABRAlgorithm):
 
     # ------------------------------------------------------------------
     def _level(self, quality: int, index: int) -> BetaLevel:
-        """BETA's precomputed b-drop variant (built lazily, cached)."""
+        """BETA's b-drop variant (built lazily, once per prepared video)."""
         key = (quality, index)
         cached = self._table.get(key)
         if cached is not None:
@@ -71,15 +79,13 @@ class BetaABR(ABRAlgorithm):
         segment = self.prepared.video.segment(quality, index)
         frames = segment.frames
         unreferenced = tuple(frames.unreferenced_indices())
-        bdrop_bytes = segment.total_bytes - sum(
-            frames[idx].payload_bytes for idx in unreferenced
-        )
+        skipped = frames.payload_sizes()[list(unreferenced)]
         score = decode_segment(
             segment, params=self.prepared.params, dropped=list(unreferenced)
         ).score
         level = BetaLevel(
             full_bytes=segment.total_bytes,
-            bdrop_bytes=bdrop_bytes,
+            bdrop_bytes=segment.total_bytes - int(skipped.sum()),
             bdrop_score=score,
             bdrop_frames=unreferenced,
         )
@@ -145,11 +151,3 @@ class BetaABR(ABRAlgorithm):
         self._restarted = progress.segment_index
         self._count_control("restart")
         return ControlAction.restart(0)
-
-    def beta_target_bytes(self, quality: int, index: int) -> int:
-        """Size of BETA's b-dropped variant (exposed for the session)."""
-        return self._level(quality, index).bdrop_bytes
-
-    def beta_dropped_frames(self, quality: int, index: int) -> Tuple[int, ...]:
-        """Frames omitted by BETA's variant (the session skips them)."""
-        return self._level(quality, index).bdrop_frames

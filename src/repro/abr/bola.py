@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.abr.base import (
@@ -40,12 +40,16 @@ from repro.abr.base import (
 from repro.prep.manifest import VoxelManifest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One download option BOLA scores.
 
     ``target_bytes`` is ``None`` for a full-segment download, otherwise
     the partial-download budget realizing a virtual quality level.
+
+    ``_hash`` is the dataclass hash of the other five fields, computed
+    once at construction: every decision puts the feasible candidates
+    in a set.  Equality compares the five fields only.
     """
 
     quality: int
@@ -53,6 +57,16 @@ class Candidate:
     utility: float
     expected_score: float
     target_bytes: Optional[int] = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((
+            self.quality, self.size_bytes, self.utility,
+            self.expected_score, self.target_bytes,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Shared candidate memo.  :meth:`Bola.candidates` (and every override in

@@ -47,11 +47,18 @@ class RobustMPC(ABRAlgorithm):
         self.rebuffer_penalty = rebuffer_penalty
         self.switch_penalty = switch_penalty
         self._manifest: Optional[VoxelManifest] = None
+        self._bits: List[List[float]] = []
         self._past_errors: List[float] = []
         self._last_prediction: Optional[float] = None
 
     def setup(self, manifest: VoxelManifest, buffer_capacity_s: float) -> None:
         self._manifest = manifest
+        # Every rollout step reads segment sizes, so they are converted
+        # to bits once per session, not once per read.
+        self._bits = [
+            [size * 8.0 for size in manifest.segment_sizes(quality)]
+            for quality in range(manifest.num_levels)
+        ]
         self._past_errors = []
         self._last_prediction = None
 
@@ -75,9 +82,8 @@ class RobustMPC(ABRAlgorithm):
         return prediction
 
     def _segment_bits(self, quality: int, index: int) -> float:
-        assert self._manifest is not None
-        sizes = self._manifest.segment_sizes(quality)
-        return sizes[min(index, len(sizes) - 1)] * 8.0
+        bits = self._bits[quality]
+        return bits[min(index, len(bits) - 1)]
 
     def _bitrate_mbps(self, quality: int, index: int) -> float:
         return self._segment_bits(quality, index) / 4e6  # 4 s segments

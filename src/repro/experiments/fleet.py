@@ -479,6 +479,24 @@ class FleetResult:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def prewarm_catalog(
+    spec: FleetSpec,
+    prepared_map: Optional[Dict[str, PreparedVideo]] = None,
+) -> None:
+    """Prepare every catalog video the population of ``spec`` streams.
+
+    Forked workers inherit the process cache, and the serial path skips
+    repeated prepares.  ``repro fleet`` calls this before it starts its
+    clock and profiler, so a ``--profile`` ledger covers the same work
+    as a ``repro profile`` one: the simulation, not the offline prep.
+    """
+    names = {group.video for group in spec.groups}
+    if prepared_map:
+        names -= set(prepared_map)
+    for name in sorted(names):
+        get_prepared(name)
+
+
 def run_fleet(
     spec: FleetSpec,
     workers: int = 1,
@@ -527,13 +545,7 @@ def run_fleet(
     """
     parent_prof = spans.current()
     profile = parent_prof is not None
-    # Pre-warm every catalog video the population needs: forked workers
-    # inherit the cache, and the serial path skips repeated prepares.
-    names = {group.video for group in spec.groups}
-    if prepared_map:
-        names -= set(prepared_map)
-    for name in sorted(names):
-        get_prepared(name)
+    prewarm_catalog(spec, prepared_map)
 
     checkpoint = None
     if checkpoint_dir is not None:

@@ -3,9 +3,9 @@
 Compares two perf ledgers (the artifact ``repro profile`` writes) and
 attributes the wall-time delta to subsystems by diffing the ledgers'
 sampled CPU self-time tables.  The report — markdown and ``--json``
-alike — names the subsystem whose self time grew the most: the prime
-suspect.  A failed verdict exits 1, which makes ``repro diff BASE CUR
---threshold T`` the perf gate.
+alike — names the subsystem whose self time grew the most, the prime
+suspect, when any grew at all.  A failed verdict exits 1, which makes
+``repro diff BASE CUR --threshold T`` the perf gate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ def diff_ledgers(
 
     Fails (``failed=True``) when total wall time grew by at least
     ``threshold_pct`` percent.  ``top`` names the subsystem whose
-    sampled self time grew the most.  ``unattributed_s`` is the share
+    sampled self time grew the most; it is ``None`` (and
+    ``top_delta_s`` 0.0) when none grew, as in a self-diff or a diff
+    where every subsystem shrank.  ``unattributed_s`` is the share
     of the wall delta not explained by sampled CPU self time (waiting,
     sampling error) — a large value means the samples miss the
     regression, which is itself a finding.
@@ -47,8 +49,9 @@ def diff_ledgers(
             "delta_s": c - b,
             "delta_pct": (c - b) / b * 100.0 if b > 0 else 0.0,
         }
+    grown = [name for name in table if table[name]["delta_s"] > 0]
     top = max(
-        table, key=lambda n: (table[n]["delta_s"], n), default=None
+        grown, key=lambda n: (table[n]["delta_s"], n), default=None
     )
     attributed = sum(entry["delta_s"] for entry in table.values())
     return {

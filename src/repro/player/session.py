@@ -903,18 +903,19 @@ class StreamingSession:
             # reliability the skip-frames request degrades to a
             # full-segment fetch, so the announced wire bytes must be the
             # full segment too.
-            segment = self.prepared.video.segment(decision.quality, entry.index)
-            skipped_payload = sum(
-                segment.frames[idx].payload_bytes
-                for idx in decision.skip_frames
-            )
-            return entry.total_bytes - skipped_payload
+            return self._skip_frames_bytes(entry, decision)
         if not self.http.voxel_capable:
             return entry.total_bytes
         if decision.target_bytes is None:
             return entry.total_bytes
         return min(max(decision.target_bytes, entry.reliable_size),
                    entry.total_bytes)
+
+    def _skip_frames_bytes(self, entry, decision: Decision) -> int:
+        """The segment's bytes without the payloads of its skipped frames."""
+        segment = self.prepared.video.segment(decision.quality, entry.index)
+        skipped = segment.frames.payload_sizes()[list(decision.skip_frames)]
+        return entry.total_bytes - int(skipped.sum())
 
     def _make_progress(
         self,
@@ -974,21 +975,15 @@ class StreamingSession:
     def _fetch_skip_frames(self, entry, decision: Decision, progress,
                            retry=None):
         """BETA-style request: the segment minus specific frames, reliable."""
-        segment = self.prepared.video.segment(decision.quality, entry.index)
-        skip = tuple(decision.skip_frames or ())
-        skipped_payload = sum(
-            segment.frames[idx].payload_bytes for idx in skip
-        )
-        nbytes = entry.total_bytes - skipped_payload
         result = yield from resilient_download_iter(
-            self.connection, nbytes, reliable=True, progress=progress,
-            retry=retry,
+            self.connection, self._skip_frames_bytes(entry, decision),
+            reliable=True, progress=progress, retry=retry,
         )
         return SegmentDelivery(
             entry=entry,
             bytes_requested=result.requested,
             bytes_delivered=result.delivered,
-            skipped_frames=sorted(skip),
+            skipped_frames=sorted(decision.skip_frames),
             corruption={},
             elapsed=result.elapsed,
             unreliable=False,
@@ -1014,11 +1009,14 @@ class StreamingSession:
     def _score_delivery(
         self, quality: int, index: int, delivery: SegmentDelivery
     ) -> float:
-        segment = self.prepared.video.segment(quality, index)
         dropped = [f for f in delivery.dropped_frames if f != 0]
         corruption = delivery.partial_frames
+        if not dropped and not corruption:
+            # Loss-free: the offline analysis decoded exactly this as
+            # the k = 0 point of the segment's drop curve.
+            return self.prepared.prepared[quality][index].curve.pristine_score
         return decode_segment(
-            segment,
+            self.prepared.video.segment(quality, index),
             params=self.prepared.params,
             dropped=dropped,
             corruption=corruption,

@@ -1,5 +1,7 @@
 """Tests for the ABR algorithms."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.abr import make_abr
@@ -13,7 +15,7 @@ from repro.abr.base import (
     safe_throughput,
 )
 from repro.abr.beta import BetaABR
-from repro.abr.bola import Bola
+from repro.abr.bola import Bola, Candidate
 from repro.abr.mpc import RobustMPC
 from repro.abr.throughput import ThroughputABR
 from repro.qoe.metrics import SSIM, VMAF
@@ -177,6 +179,26 @@ class TestBola:
             _progress(sent=1_900_000, total=2_000_000, buffer_s=0.2, tput=1e5)
         )
         assert action.verb is ControlVerb.CONTINUE
+
+
+class TestCandidate:
+    @pytest.mark.parametrize("target", [None, 12_345])
+    def test_hash_is_the_dataclass_hash_of_its_fields(self, target):
+        option = Candidate(
+            quality=3, size_bytes=1000, utility=0.25,
+            expected_score=0.97, target_bytes=target,
+        )
+        assert hash(option) == hash((3, 1000, 0.25, 0.97, target))
+        twin = Candidate(3, 1000, 0.25, 0.97, target)
+        assert twin == option and hash(twin) == hash(option)
+        assert {option, twin} == {option}
+
+    def test_changed_field_changes_equality_and_hash(self):
+        option = Candidate(3, 1000, 0.25, 0.97)
+        other = replace(option, utility=0.5)
+        assert other != option
+        assert hash(other) == hash((3, 1000, 0.5, 0.97, None))
+        assert other not in {option}
 
 
 class TestMpc:

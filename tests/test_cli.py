@@ -343,6 +343,30 @@ class TestFleetCli:
         data = json.loads(capsys.readouterr().out)
         assert data["clients"] == 4
 
+    def test_fleet_profile_prepares_before_the_profiler(
+        self, monkeypatch, capsys
+    ):
+        import importlib
+
+        from repro.obs import spans
+
+        # The package re-exports the function under the module's name.
+        prepare_module = importlib.import_module("repro.prep.prepare")
+
+        bbb = prepare_module.get_prepared("bbb")
+        profilers = []
+
+        def prepare(name, params=prepare_module.DEFAULT_PARAMS):
+            profilers.append(spans.current())
+            return bbb
+
+        # A cold cache, so the fleet's one prepare of bbb happens here.
+        monkeypatch.setattr(prepare_module, "_PREPARED_CACHE", {})
+        monkeypatch.setattr(prepare_module, "prepare", prepare)
+        assert main(self._ARGS + ["--profile"]) == 0
+        assert profilers == [None]
+        assert "perf ledger" in capsys.readouterr().out
+
     def test_fleet_bad_spec_exits_2(self, capsys):
         assert main(["fleet", "--spec", "{\"shardz\": 3}"]) == 2
         assert "unknown" in capsys.readouterr().err.lower()

@@ -9,7 +9,8 @@ or the fan-out plumbing cannot move a byte unnoticed:
 * the default 4-client multiclient mix: per-client rows and the
   interleaved session trace;
 * ``compare()`` summaries and their scoped metrics dumps, at workers 1
-  and 2.
+  and 2;
+* the summaries of two RobustMPC sessions on ``bbb``.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import json
 
 import pytest
 
+from repro.core.api import stream_spec
 from repro.core.spec import ScenarioSpec
 from repro.experiments.chaos import run_chaos
 from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
@@ -39,6 +41,15 @@ GOLDEN_MULTICLIENT_TRACE_SHA = (
 GOLDEN_COMPARE_SHA = (
     "cd251d3dd9a1783c47978d4757347002c489af7dad91c05841559d6731c18fb1"
 )
+
+#: (trace, reliability, buffer segments) -> sha256 of the session's
+#: ``summary()`` JSON, as perfbench digests a session op.
+GOLDEN_MPC_SUMMARY_SHA = {
+    ("verizon", "quic*", 3):
+        "de16b50ed407d5b1587f7a9c7553955f9a290de22e5553a8d7eef3177bff676b",
+    ("tmobile", "quic", 1):
+        "f0e878b29ba85160b14056760b951bd92b61ba92da17b5b0426bfa1c7ff33928",
+}
 
 
 def _sha(text: str) -> str:
@@ -89,3 +100,14 @@ def test_compare_summaries_golden(tiny_prepared, workers):
         for label, summary in summaries.items()
     }
     assert _sha(json.dumps(payload, sort_keys=True)) == GOLDEN_COMPARE_SHA
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_MPC_SUMMARY_SHA))
+def test_mpc_session_summary_golden(cell):
+    trace, reliability, buffer_segments = cell
+    metrics = stream_spec(ScenarioSpec(
+        video="bbb", abr="mpc", trace=trace, reliability=reliability,
+        buffer_segments=buffer_segments,
+    )).metrics
+    summary = json.dumps(metrics.summary(), sort_keys=True)
+    assert _sha(summary) == GOLDEN_MPC_SUMMARY_SHA[cell]

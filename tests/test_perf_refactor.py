@@ -11,9 +11,9 @@ Three families of checks keep the fast paths honest:
 * Vectorized QoE — the numpy decode pipeline must equal the scalar
   reference bit for bit on randomized ladders and loss patterns, and
   the fleet merge must stay byte-identical at any worker count.
-* Per-object caches — a segment's decode context and a manifest
-  entry's wire layout belong to that object, even when a freed object's
-  address is reused by the next allocation.
+* Per-object caches — a segment's decode context, a manifest entry's
+  wire layout and a prepared video's BETA levels belong to that object,
+  even when a freed object's address is reused by the next allocation.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ HOT_SLOTTED_CLASSES = [
     ("repro.abr.base", "Decision"),
     ("repro.abr.base", "DownloadProgress"),
     ("repro.abr.base", "DecisionContext"),
+    ("repro.abr.bola", "Candidate"),
     ("repro.player.metrics", "SegmentRecord"),
     ("repro.player.session", "_PendingRepair"),
     ("repro.player.buffer", "PlaybackBuffer"),
@@ -163,6 +164,26 @@ class TestPerObjectCaches:
         sizes, cumulative = _wire_layout(second)
         assert sizes == [end - start for start, end in b.unreliable_ranges]
         assert cumulative[-1] == sum(sizes)
+
+    def test_beta_levels_follow_their_prepared_video(self, tiny_prepared):
+        from dataclasses import replace
+
+        from repro.abr.beta import BetaABR
+        from repro.qoe.model import QoEParams
+
+        params = QoEParams(freeze_cost=0.4)
+        second = self._reuse(
+            lambda: replace(tiny_prepared),
+            lambda: replace(tiny_prepared, params=params),
+            lambda prepared: BetaABR(prepared)._level(12, 0),
+        )
+        level = BetaABR(second)._level(12, 0)
+        # The first video's level scores the drop under other params,
+        # so a level served to the wrong video fails this.
+        assert level.bdrop_score == decode_segment(
+            second.video.segment(12, 0), params=params,
+            dropped=list(level.bdrop_frames),
+        ).score
 
 
 class TestSlotsLint:

@@ -615,6 +615,46 @@ class TestLedgerAndDiff:
         assert "`abr`" in markdown
         assert "FAIL" in markdown
 
+    def test_self_diff_names_no_prime_suspect(self):
+        ledger = build_ledger(
+            _mini_profiler(0.2, 0.1), wall_s=0.5, meta=False
+        )
+        result = diff_ledgers(ledger, ledger)
+        assert all(
+            entry["delta_s"] == 0.0
+            for entry in result["subsystems"].values()
+        )
+        assert result["top"] is None
+        assert result["top_delta_s"] == 0.0
+        assert "Attribution" not in format_diff(result)
+
+    def test_all_shrunk_diff_names_no_prime_suspect(self):
+        base = build_ledger(
+            _mini_profiler(0.6, 0.3), wall_s=1.0, meta=False
+        )
+        cur = build_ledger(
+            _mini_profiler(0.2, 0.25), wall_s=0.5, meta=False
+        )
+        result = diff_ledgers(base, cur)
+        table = result["subsystems"]
+        assert table["abr"]["delta_s"] < table["transport"]["delta_s"] < 0
+        assert all(entry["delta_s"] <= 0.0 for entry in table.values())
+        assert result["top"] is None
+        assert result["top_delta_s"] == 0.0
+        assert "Attribution" not in format_diff(result)
+
+    def test_one_grown_subsystem_is_the_prime_suspect(self):
+        base = build_ledger(
+            _mini_profiler(0.2, 0.3), wall_s=0.5, meta=False
+        )
+        cur = build_ledger(
+            _mini_profiler(0.25, 0.1), wall_s=0.4, meta=False
+        )
+        result = diff_ledgers(base, cur)
+        assert result["top"] == "abr"
+        assert result["top_delta_s"] == pytest.approx(0.05)
+        assert "`abr`" in format_diff(result)
+
     def test_diff_ledgers_under_threshold_passes(self):
         base = build_ledger(
             _mini_profiler(0.2, 0.1), wall_s=0.5, meta=False
@@ -678,6 +718,7 @@ class TestCLI:
         assert "`abr`" in out and "FAIL" in out
         rc = main(["diff", str(base), str(base)])
         assert rc == 0
+        assert "Attribution" not in capsys.readouterr().out
 
     def test_cli_diff_json_names_subsystem(self, tmp_path, capsys):
         from repro.cli import main
