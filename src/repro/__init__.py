@@ -40,7 +40,6 @@ _API_NAMES = (
     "StreamResult",
     "available_abrs",
     "available_backends",
-    "available_link_models",
     "available_traces",
     "available_videos",
     "prepare_video",

@@ -64,7 +64,6 @@ class BetaABR(ABRAlgorithm):
         except AttributeError:
             self._table = prepared._beta_levels = {}
         self._restarted: Optional[int] = None
-        self._current_decision: Optional[Decision] = None
 
     def setup(self, manifest: VoxelManifest, buffer_capacity_s: float) -> None:
         self._buffer_capacity_s = buffer_capacity_s
@@ -97,10 +96,8 @@ class BetaABR(ABRAlgorithm):
         self._restarted = None
         budget_bits = ctx.throughput_bps * self.safety * ctx.segment_duration
         if ctx.throughput_bps <= 0:
-            decision = Decision(quality=0, unreliable=False,
-                                expected_score=ctx.entry(0).pristine_score)
-            self._current_decision = decision
-            return decision
+            return Decision(quality=0, unreliable=False,
+                            expected_score=ctx.entry(0).pristine_score)
 
         # Highest quality whose FULL segment fits the budget.
         full_choice = 0
@@ -127,15 +124,13 @@ class BetaABR(ABRAlgorithm):
             if target is not None
             else None
         )
-        decision = Decision(
+        return Decision(
             quality=chosen_quality,
             target_bytes=target,
             unreliable=False,  # BETA never uses unreliable delivery
             expected_score=expected,
             skip_frames=skip,
         )
-        self._current_decision = decision
-        return decision
 
     # ------------------------------------------------------------------
     def control(self, progress: DownloadProgress) -> ControlAction:

@@ -51,7 +51,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from repro import available_videos
     from repro.abr import ABRS
     from repro.faults import FAULTS
-    from repro.network.linkmodels import LINK_MODELS
     from repro.network.traces import TRACES
     from repro.obs import CAUSE_DESCRIPTIONS
     from repro.transport.backends import BACKENDS
@@ -65,7 +64,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "abrs": ABRS.describe(),
         "traces": TRACES.describe(),
         "backends": BACKENDS.describe(),
-        "link_models": LINK_MODELS.describe(),
         "faults": FAULTS.describe(),
         "stall_causes": dict(CAUSE_DESCRIPTIONS),
     }
@@ -73,8 +71,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(json.dumps(data, indent=2))
         return 0
     print(f"videos: {', '.join(data['videos'])}")
-    for kind in ("abrs", "traces", "backends", "link_models", "faults",
-                 "stall_causes"):
+    for kind in ("abrs", "traces", "backends", "faults", "stall_causes"):
         print(f"{kind}:")
         for name, description in data[kind].items():
             print(f"  {name:14s} {description}")

@@ -19,7 +19,6 @@ _API_NAMES = {
     "StreamResult": "repro.core.api",
     "available_abrs": "repro.core.api",
     "available_backends": "repro.core.api",
-    "available_link_models": "repro.core.api",
     "available_traces": "repro.core.api",
     "available_videos": "repro.core.api",
     "prepare_video": "repro.core.api",

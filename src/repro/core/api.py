@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 from repro.abr import ABR_NAMES
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec, reliability_mode
-from repro.network.linkmodels import LINK_MODELS
 from repro.network.traces import TRACE_NAMES, NetworkTrace
 from repro.player.metrics import SessionMetrics
 from repro.player.session import SessionConfig
@@ -77,11 +76,6 @@ def available_traces() -> List[str]:
 def available_backends() -> List[str]:
     """Transport backend names usable with ``ScenarioSpec(backend=...)``."""
     return BACKENDS.names()
-
-
-def available_link_models() -> List[str]:
-    """Link-model names a transport backend can sit on."""
-    return LINK_MODELS.names()
 
 
 def prepare_video(name: str, cached: bool = True) -> PreparedVideo:

@@ -9,8 +9,8 @@ traffic), maps the spec onto a
 historical ad-hoc wiring in ``stream()`` / the experiment runner.
 
 Multi-client runs use the same builder with shared plumbing: pass the
-shard's ``kernel`` plus the shared ``link`` (round backend) or
-``router`` (packet backend) and spawn each session's
+shard's ``kernel`` and its ``bottleneck`` (built by the spec's
+transport backend) and spawn each session's
 :meth:`~repro.player.session.StreamingSession.steps` on the kernel.
 """
 
@@ -29,8 +29,7 @@ from repro.network.traces import TRACES, NetworkTrace, get_trace
 from repro.obs.metrics import get_registry
 from repro.player.session import SessionConfig, StreamingSession
 from repro.prep.prepare import PreparedVideo, get_prepared
-from repro.qoe.metrics import get_metric
-from repro.transport.backends import BACKENDS
+from repro.transport.backends import make_backend
 
 
 class StackBuilder:
@@ -74,11 +73,7 @@ class StackBuilder:
         trace_key = self.spec.trace.lower()
         if not trace_key.startswith("constant") and trace_key != "step":
             TRACES.canonical(trace_key)
-        if self.spec.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown transport backend {self.spec.backend!r}; "
-                f"known: {', '.join(BACKENDS.names())}"
-            )
+        make_backend(self.spec.backend)
         validate_fault_spec(self.spec.fault_spec())
 
     # ------------------------------------------------------------------
@@ -180,7 +175,6 @@ class StackBuilder:
             retx_buffer_threshold=spec.retx_buffer_threshold,
             queue_packets=spec.queue_packets,
             base_rtt=spec.base_rtt,
-            metric=get_metric(spec.metric),
             transport_backend=spec.backend,
             manifest_fetch=spec.manifest_fetch,
             manifest_window_segments=spec.manifest_window_segments,
@@ -197,8 +191,7 @@ class StackBuilder:
         tracer=None,
         kernel=None,
         session_id: Optional[str] = None,
-        link=None,
-        router=None,
+        bottleneck=None,
     ) -> StreamingSession:
         """Assemble the ready-to-run session.
 
@@ -214,8 +207,8 @@ class StackBuilder:
             kernel: the shard's kernel for multi-client runs (None =
                 the session builds its own).
             session_id: tag for events in shared traces.
-            link / router: shared transport substrate for sessions
-                contending on one bottleneck.
+            bottleneck: the shard's shared link or router (None = the
+                session builds its own through its backend).
         """
         trace = (
             network_trace if network_trace is not None
@@ -230,11 +223,10 @@ class StackBuilder:
             trace,
             self.session_config(fault_plan=self.fault_plan(trace)),
             cross_demand=self.cross_demand(trace),
-            link=link,
+            bottleneck=bottleneck,
             tracer=tracer,
             kernel=kernel,
             session_id=session_id,
-            router=router,
             spec_hash=self.spec.spec_hash(),
         )
 

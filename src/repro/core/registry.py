@@ -1,8 +1,8 @@
 """String-keyed component registries: the catalog half of the spine.
 
 Every pluggable component family — ABR algorithms, network traces,
-transport backends, link models — lives in a :class:`Registry`: a flat
-``name -> factory`` map with a one-line description captured at the
+transport backends, fault injectors — lives in a :class:`Registry`: a
+flat ``name -> factory`` map with a one-line description captured at the
 registration site.  A :class:`~repro.core.spec.ScenarioSpec` names its
 components by these strings, the :class:`~repro.core.build.StackBuilder`
 resolves them, and ``repro list`` enumerates every registry so the CLI
@@ -30,7 +30,7 @@ class Registry:
 
     Args:
         kind: human-readable component-family name ("ABR", "trace",
-            "transport backend", "link model") — used in error messages
+            "transport backend", "fault") — used in error messages
             and the CLI catalog.
     """
 

@@ -106,6 +106,8 @@ class ScenarioSpec:
     retx_buffer_threshold: float = 0.5
     manifest_fetch: str = "free"
     manifest_window_segments: int = 4
+    # Kept for the canonical JSON (every spec hash includes it); only
+    # "ssim" is accepted, since sessions score SSIM whatever ABR* optimizes.
     metric: str = "ssim"
     server_voxel_aware: bool = True
     client_voxel_aware: bool = True
@@ -126,10 +128,10 @@ class ScenarioSpec:
                 f"unknown reliability mode {self.reliability!r}; known: "
                 f"{', '.join(RELIABILITY_MODES)}"
             )
-        if self.metric.lower() not in METRICS:
+        if self.metric.lower() != "ssim":
             raise ValueError(
-                f"unknown QoE metric {self.metric!r}; known: "
-                f"{', '.join(sorted(METRICS))}"
+                f"sessions are scored on SSIM, not {self.metric!r}: choose "
+                "ABR*'s optimization metric with abr_kwargs={'metric': ...}"
             )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")

@@ -23,7 +23,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.network.events import SimKernel
-from repro.network.linkmodels import LINK_MODELS
+from repro.network.packetlink import PacketRouter
 from repro.network.traces import NetworkTrace, constant_trace
 from repro.transport.packet_connection import PacketLevelConnection
 
@@ -121,9 +121,7 @@ def run_fairness(
     the_trace = trace if trace is not None else constant_trace(
         link_mbps, duration=3600
     )
-    router = LINK_MODELS.get("packet-router")(
-        kernel, the_trace, queue_packets=queue_packets
-    )
+    router = PacketRouter(kernel, the_trace, queue_packets=queue_packets)
 
     waiters = []
     for label, reliable in flow_specs:

@@ -29,12 +29,12 @@ import numpy as np
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
 from repro.network.events import SimKernel
-from repro.network.linkmodels import LINK_MODELS
 from repro.network.traces import NetworkTrace
 from repro.obs import events as ev
 from repro.player.metrics import SessionMetrics
 from repro.player.session import StreamingSession
 from repro.prep.prepare import PreparedVideo
+from repro.transport.backends import make_backend
 
 
 def client_label(spec: ScenarioSpec, index: Optional[int] = None) -> str:
@@ -173,14 +173,9 @@ class Shard:
     specs: List[ScenarioSpec]
     trace_name: str
     backend: str
-    link: Optional[object] = None
-    router: Optional[object] = None
+    #: The shared contention point (a link or a router, by backend).
+    bottleneck: object
     tracer: Optional[object] = None
-
-    @property
-    def bottleneck(self):
-        """The shared contention point, whichever backend built it."""
-        return self.link if self.link is not None else self.router
 
     def run(self) -> List[SessionMetrics]:
         """Drive all sessions concurrently; metrics in client order.
@@ -206,29 +201,6 @@ class Shard:
                 flows=len(self.sessions),
             )
         return [w.value for w in waiters]
-
-
-def _run_fault_plan(specs, trace, prepared_map):
-    """Run-level fault plan over the longest client's playback window
-    (mirrors StackBuilder.fault_plan); None when no faults configured."""
-    network = specs[0]
-    if not network.faults:
-        return None
-    from repro.faults import FaultSpec, build_plan
-    from repro.prep.prepare import get_prepared
-
-    def _duration(video: str) -> float:
-        if prepared_map is not None and video in prepared_map:
-            return prepared_map[video].video.duration
-        return get_prepared(video).video.duration
-
-    horizon = min(
-        trace.duration, max(_duration(s.video) for s in specs)
-    )
-    return build_plan(
-        FaultSpec.from_dict(network.faults), horizon=horizon,
-        scenario_seed=network.seed,
-    )
 
 
 def build_shard(
@@ -265,36 +237,19 @@ def build_shard(
         )
     else:
         trace = network_trace
-    run_plan = _run_fault_plan(specs, trace, prepared_map)
-    if run_plan is not None:
-        from repro.faults import FaultedTrace
-
-        trace = FaultedTrace(trace, run_plan)
-
+    builders = [
+        StackBuilder(spec, prepared_map=prepared_map) for spec in specs
+    ]
     kernel = SimKernel()
-    shared_link = None
-    shared_router = None
-    backend = network.backend
-    # The shared bottleneck all clients contend for, from the link-model
-    # registry: the round backend shares one fluid BottleneckLink, the
-    # packet backend one droptail router on the kernel's event loop.
-    if backend == "round":
-        shared_link = LINK_MODELS.get("droptail")(
-            trace,
-            queue_packets=network.queue_packets,
-            base_rtt=network.base_rtt,
-        )
-        if run_plan is not None:
-            shared_link.fault_plan = run_plan
-    elif backend == "packet":
-        shared_router = LINK_MODELS.get("packet-router")(
-            kernel, trace, queue_packets=network.queue_packets,
-            propagation_s=network.base_rtt / 2.0,
-        )
-        if run_plan is not None:
-            shared_router.fault_plan = run_plan
-    else:
-        raise ValueError(f"unknown multiclient backend {backend!r}")
+    # The one bottleneck all clients contend for, built by their backend
+    # as a solo session builds its own.  The clients share the fault
+    # spec and seed, so the longest-playing client's plan spreads the
+    # run-level faults over every client's playback.
+    longest = max(builders, key=lambda b: b.prepared_video().video.duration)
+    bottleneck = make_backend(network.backend).bottleneck(
+        kernel, trace, network.queue_packets, network.base_rtt,
+        fault_plan=longest.fault_plan(trace),
+    )
 
     if session_ids is None:
         session_ids = default_session_ids(specs)
@@ -304,15 +259,14 @@ def build_shard(
         )
 
     sessions: List[StreamingSession] = [
-        StackBuilder(spec, prepared_map=prepared_map).build(
+        builder.build(
             network_trace=trace,
-            link=shared_link,
             tracer=tracer,
             kernel=kernel,
             session_id=session_id,
-            router=shared_router,
+            bottleneck=bottleneck,
         )
-        for spec, session_id in zip(specs, session_ids)
+        for builder, session_id in zip(builders, session_ids)
     ]
     return Shard(
         kernel=kernel,
@@ -320,9 +274,8 @@ def build_shard(
         session_ids=list(session_ids),
         specs=list(specs),
         trace_name=network.trace,
-        backend=backend,
-        link=shared_link,
-        router=shared_router,
+        backend=network.backend,
+        bottleneck=bottleneck,
         tracer=tracer,
     )
 

@@ -32,6 +32,7 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     SchemaError,
     TraceEvent,
+    iter_trace_events,
 )
 from repro.obs.invariants import (
     INVARIANTS,
@@ -76,7 +77,6 @@ from repro.obs.spans import (
 from repro.obs.rollup import (
     TraceRollup,
     format_rollup,
-    iter_trace_events,
     merge_rollups,
     session_sample_key,
     session_sampled,
@@ -104,6 +104,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaError",
     "TraceEvent",
+    "iter_trace_events",
     "INVARIANTS",
     "AuditReport",
     "MultiSessionAuditor",
@@ -138,7 +139,6 @@ __all__ = [
     "report_to_json",
     "TraceRollup",
     "format_rollup",
-    "iter_trace_events",
     "merge_rollups",
     "session_sample_key",
     "session_sampled",

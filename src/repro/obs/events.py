@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import IO, Dict, Iterable, Iterator, Union
 
 SCHEMA_VERSION = 1
 
@@ -215,11 +215,29 @@ class TraceEvent:
         return event
 
 
-def parse_jsonl(lines: Iterable[str]) -> List[TraceEvent]:
-    """Parse (and validate) a JSONL trace."""
-    events = []
-    for line in lines:
+def iter_trace_events(
+    source: Union[str, IO[str], Iterable[str]],
+) -> Iterator[TraceEvent]:
+    """Yield events from a JSONL trace one line at a time, O(1) memory.
+
+    ``source`` is a path, open file object, or iterable of lines.  Blank
+    lines are skipped.  A malformed line raises :class:`SchemaError`
+    naming the 1-based line number, so CLI error messages can point at
+    the exact spot in a multi-gigabyte trace.
+    """
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as handle:
+            yield from _iter_lines(handle)
+        return
+    yield from _iter_lines(source)
+
+
+def _iter_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
-        if line:
-            events.append(TraceEvent.from_json(line))
-    return events
+        if not line:
+            continue
+        try:
+            yield TraceEvent.from_json(line)
+        except SchemaError as exc:
+            raise SchemaError(f"line {number}: {exc}") from None

@@ -15,24 +15,10 @@ already hold the events.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs import events as ev
 from repro.obs.events import TraceEvent
-from repro.obs.tracer import read_jsonl
-
-
-def load_trace(path: str) -> List[TraceEvent]:
-    """Read and schema-validate a JSONL trace file."""
-    return read_jsonl(path)
-
-
-def filter_events(
-    events: Sequence[TraceEvent], type_: Optional[str] = None
-) -> List[TraceEvent]:
-    if type_ is None:
-        return list(events)
-    return [e for e in events if e.type == type_]
 
 
 # ---------------------------------------------------------------------------

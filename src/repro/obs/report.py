@@ -29,14 +29,13 @@ from repro.obs.attribution import (
     AttributionResult,
     FleetAttributor,
 )
-from repro.obs.events import SchemaError
+from repro.obs.events import SchemaError, iter_trace_events
 from repro.obs.invariants import MultiSessionAuditor
 from repro.obs.metrics import Histogram
 from repro.obs.rollup import (
     DISTRIBUTIONS,
     TraceRollup,
     _distribution,
-    iter_trace_events,
 )
 
 REPORT_VERSION = 1

@@ -21,10 +21,11 @@ boundaries for a deterministic fleet-wide aggregate.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, IO, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs import events as ev
-from repro.obs.events import SchemaError, TraceEvent
+from repro.obs.events import TraceEvent
+from repro.obs.events import iter_trace_events  # noqa: F401 - re-exported
 from repro.obs.metrics import HISTOGRAM_RESERVOIR, Histogram
 
 ROLLUP_VERSION = 1
@@ -43,37 +44,6 @@ DISTRIBUTIONS = (
 _TRACKED_TYPES = frozenset(
     (ev.STALL, ev.DOWNLOAD_END, ev.SESSION_START, ev.SESSION_END)
 )
-
-
-# ---------------------------------------------------------------------------
-# Streaming JSONL reader (shared by rollup, report, and ``repro trace``).
-# ---------------------------------------------------------------------------
-def iter_trace_events(
-    source: Union[str, IO[str], Iterable[str]],
-) -> Iterator[TraceEvent]:
-    """Yield events from a JSONL trace one line at a time, O(1) memory.
-
-    ``source`` is a path, open file object, or iterable of lines.  Blank
-    lines are skipped.  A malformed line raises :class:`SchemaError`
-    naming the 1-based line number, so CLI error messages can point at
-    the exact spot in a multi-gigabyte trace.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from _iter_lines(handle)
-        return
-    yield from _iter_lines(source)
-
-
-def _iter_lines(lines: Iterable[str]) -> Iterator[TraceEvent]:
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield TraceEvent.from_json(line)
-        except SchemaError as exc:
-            raise SchemaError(f"line {number}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from collections import deque
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.events import CHECK_SETS as _CHECK_SETS
-from repro.obs.events import TraceEvent, parse_jsonl
+from repro.obs.events import TraceEvent, iter_trace_events
 
 DEFAULT_CAPACITY = 262_144
 
@@ -258,7 +258,4 @@ class SessionTracer:
 
 def read_jsonl(source: Union[str, IO[str], Iterable[str]]) -> List[TraceEvent]:
     """Read a JSONL trace from a path, file object, or iterable of lines."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_jsonl(handle)
-    return parse_jsonl(source)
+    return list(iter_trace_events(source))

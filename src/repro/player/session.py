@@ -29,7 +29,6 @@ from repro.abr.base import (
     safe_throughput,
 )
 from repro.network.events import SimKernel
-from repro.network.link import BottleneckLink
 from repro.network.traces import NetworkTrace
 from repro.obs import events as ev
 from repro.obs.metrics import get_registry
@@ -38,7 +37,6 @@ from repro.obs.tracer import NULL_TRACER, SessionTracer
 from repro.player.buffer import PlaybackBuffer
 from repro.player.metrics import SegmentRecord, SessionMetrics
 from repro.prep.prepare import PreparedVideo
-from repro.qoe.metrics import SSIM, QoEMetric
 from repro.qoe.model import decode_segment
 from repro.transport.backends import make_backend
 from repro.transport.base import RetryBudgetExhausted, TransportFault
@@ -63,7 +61,6 @@ class SessionConfig:
     retx_buffer_threshold: float = 0.5  # min buffer fill to keep repairing
     queue_packets: Optional[int] = 32
     base_rtt: float = 0.060
-    metric: QoEMetric = SSIM
     # Transport simulation backend: "round" is the fast per-RTT model
     # used for all sweeps; "packet" is the event-driven per-packet
     # backend (orders of magnitude slower) used to validate it.
@@ -109,11 +106,10 @@ class StreamingSession:
         trace: NetworkTrace,
         config: Optional[SessionConfig] = None,
         cross_demand: Optional[NetworkTrace] = None,
-        link: Optional[BottleneckLink] = None,
+        bottleneck=None,
         tracer=None,
         kernel: Optional[SimKernel] = None,
         session_id: Optional[str] = None,
-        router=None,
         spec_hash: Optional[str] = None,
     ):
         self.prepared = prepared
@@ -138,21 +134,24 @@ class StreamingSession:
         # kernel, so sessions sharing a kernel never nest in each other.
         prof = _current_profiler()
         self._spans = prof.stack(self.kernel) if prof is not None else None
-        # The transport substrate comes from the backend registry; the
-        # link/router pass-throughs let multi-client runs share one
-        # bottleneck (on the shard's kernel) across sessions.
-        stack = make_backend(
-            self.config.transport_backend,
-            config=self.config,
-            kernel=self.kernel,
-            trace=trace,
-            cross_demand=cross_demand,
-            tracer=self.tracer,
-            link=link,
-            router=router,
+        # The transport substrate comes from the backend registry: a
+        # shard hands every client its one bottleneck (on the shard's
+        # kernel), a solo session builds its own the same way.
+        backend = make_backend(self.config.transport_backend)
+        if bottleneck is None:
+            bottleneck = backend.bottleneck(
+                self.kernel,
+                trace,
+                self.config.queue_packets,
+                self.config.base_rtt,
+                fault_plan=self.config.fault_plan,
+                cross_demand=cross_demand,
+            )
+        self.connection = backend.connection(
+            bottleneck, self.kernel, self.config.partially_reliable,
+            self.tracer,
         )
-        self.link = stack.link
-        self.connection = stack.connection
+        self.connection.fault_plan = self.config.fault_plan
         self.http = VoxelHttp(
             self.connection,
             server_voxel_aware=self.config.server_voxel_aware,

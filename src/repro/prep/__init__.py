@@ -22,7 +22,6 @@ from repro.prep.prepare import (
     PreparedVideo,
     clear_prepared_cache,
     get_prepared,
-    prepare,
 )
 from repro.prep.ranking import (
     Ordering,
@@ -52,7 +51,6 @@ __all__ = [
     "PreparedVideo",
     "clear_prepared_cache",
     "get_prepared",
-    "prepare",
     "Ordering",
     "build_order",
     "original_order",

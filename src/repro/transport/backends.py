@@ -1,7 +1,9 @@
-"""Transport-backend registry: a spec string becomes a ready stack.
+"""Transport-backend registry: a spec string becomes a bottleneck and
+the connections riding it.
 
-A *backend* is the whole transport substrate of a session — the link
-model plus the QUIC(*) connection riding it.  Two ship with the repo:
+A *backend* is the whole transport substrate of a session — the
+bottleneck plus the QUIC(*) connection riding it.  Two ship with the
+repo:
 
 * ``"round"`` — the fast per-RTT fluid model
   (:class:`~repro.network.link.BottleneckLink` +
@@ -12,149 +14,121 @@ model plus the QUIC(*) connection riding it.  Two ship with the repo:
   :class:`~repro.transport.packet_connection.PacketLevelConnection`),
   orders of magnitude slower, used to validate the round model.
 
-:class:`~repro.player.session.StreamingSession` resolves its backend
-here, so a custom transport plugs in with one decorator and is
-immediately usable from ``ScenarioSpec(backend=...)``, ``stream()``,
-and ``repro sweep`` grids.
+Each registered :class:`Backend` is the one place its bottleneck is
+built: a solo :class:`~repro.player.session.StreamingSession` builds
+its own through it, and
+:func:`~repro.experiments.multiclient.build_shard` builds one through
+the same call and hands it to every client.  A custom transport plugs
+in with one registration and is immediately usable from
+``ScenarioSpec(backend=...)``, ``stream()``, and ``repro sweep`` grids.
 
 Factory contract::
 
-    factory(config, kernel, trace, cross_demand=None, tracer=None,
-            link=None, router=None) -> TransportStack
+    bottleneck(kernel, trace, queue_packets, base_rtt,
+               fault_plan=None, cross_demand=None) -> link or router
+    connection(bottleneck, kernel, partially_reliable, tracer)
+        -> connection
 
-``kernel`` is the session's :class:`~repro.network.events.SimKernel`,
-the one time authority the connection (and a packet router) runs on.
-``link``/``router`` allow several sessions to share one bottleneck
-(multi-client runs hand every session the shard's kernel and the
-shared link or router).
+``kernel`` is the cell's :class:`~repro.network.events.SimKernel`, the
+one time authority its connections (and a packet router) run on.
+``fault_plan`` is the cell's realized
+:class:`~repro.faults.plan.FaultPlan`: bandwidth-channel faults reshape
+the trace the bottleneck serves, latency/loss channels hook into the
+bottleneck directly.  Per-connection faults (resets, deadlines) are the
+session's to attach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 from repro.core.registry import Registry
-from repro.network.linkmodels import LINK_MODELS
+from repro.network.crosstraffic import cross_traffic_available
+from repro.network.link import BottleneckLink
+from repro.transport.connection import QuicConnection
 
 #: The transport-backend registry (``ScenarioSpec.backend`` keys).
 BACKENDS = Registry("transport backend")
 
 
-@dataclass
-class TransportStack:
-    """What a backend factory returns: connection plus its substrate."""
+@dataclass(frozen=True)
+class Backend:
+    """One registered backend: its two factories (see the module doc)."""
 
-    connection: object
-    #: The round backend's :class:`BottleneckLink` (None for packet).
-    link: object = None
+    bottleneck: Callable
+    connection: Callable
 
 
-@BACKENDS.register(
+def _faulted(trace, fault_plan):
+    if fault_plan is None:
+        return trace
+    from repro.faults.plan import FaultedTrace
+
+    return FaultedTrace(trace, fault_plan)
+
+
+def _round_bottleneck(kernel, trace, queue_packets, base_rtt,
+                      fault_plan=None, cross_demand=None):
+    link = BottleneckLink(
+        _faulted(trace, fault_plan),
+        cross_demand=cross_demand,
+        queue_packets=queue_packets,
+        base_rtt=base_rtt,
+    )
+    link.fault_plan = fault_plan
+    return link
+
+
+BACKENDS.register(
     "round",
     "fast per-RTT fluid model (BottleneckLink + QuicConnection); "
     "default for all sweeps",
-)
-def _build_round(
-    config,
-    kernel,
-    trace,
-    cross_demand=None,
-    tracer=None,
-    link=None,
-    router=None,
-) -> TransportStack:
-    from repro.obs.tracer import NULL_TRACER
-    from repro.transport.connection import QuicConnection
+)(Backend(_round_bottleneck, QuicConnection))
 
-    plan = getattr(config, "fault_plan", None)
-    if link is None:
-        if plan is not None:
-            # Bandwidth-channel faults reshape the capacity the link
-            # sees; latency/loss channels hook into the link directly.
-            from repro.faults.plan import FaultedTrace
 
-            trace = FaultedTrace(trace, plan)
-        link = LINK_MODELS.get("droptail")(
-            trace,
-            cross_demand=cross_demand,
-            queue_packets=config.queue_packets,
-            base_rtt=config.base_rtt,
-        )
-        if plan is not None:
-            link.fault_plan = plan
-    # A shared (passed-in) link belongs to the multi-client runner, which
-    # wires run-level faults onto it once; only the per-session
-    # connection faults (resets, deadlines) attach here.
-    connection = QuicConnection(
-        link,
+def _packet_bottleneck(kernel, trace, queue_packets, base_rtt,
+                       fault_plan=None, cross_demand=None):
+    # Imported lazily: the packet-level stack is only paid for when used.
+    from repro.network.packetlink import PacketRouter
+
+    if cross_demand is not None:
+        trace = cross_traffic_available(trace.mean_mbps(), cross_demand)
+    router = PacketRouter(
         kernel,
-        partially_reliable=config.partially_reliable,
-        tracer=tracer if tracer is not None else NULL_TRACER,
+        _faulted(trace, fault_plan),
+        queue_packets=32 if queue_packets is None else queue_packets,
+        propagation_s=base_rtt / 2.0,
     )
-    if plan is not None:
-        connection.fault_plan = plan
-    return TransportStack(connection=connection, link=link)
+    router.fault_plan = fault_plan
+    return router
 
 
-@BACKENDS.register(
+def _packet_connection(bottleneck, kernel, partially_reliable, tracer):
+    from repro.transport.packet_connection import PacketLevelConnection
+
+    return PacketLevelConnection(
+        bottleneck, kernel, partially_reliable, tracer
+    )
+
+
+BACKENDS.register(
     "packet",
     "event-driven per-packet backend (PacketRouter + "
     "PacketLevelConnection); slow, validates the round model",
-)
-def _build_packet(
-    config,
-    kernel,
-    trace,
-    cross_demand=None,
-    tracer=None,
-    link=None,
-    router=None,
-) -> TransportStack:
-    from repro.network.crosstraffic import cross_traffic_available
-    from repro.obs.tracer import NULL_TRACER
-    from repro.transport.packet_connection import PacketLevelConnection
-
-    plan = getattr(config, "fault_plan", None)
-    effective = trace
-    if cross_demand is not None:
-        effective = cross_traffic_available(trace.mean_mbps(), cross_demand)
-    if router is None:
-        if plan is not None:
-            from repro.faults.plan import FaultedTrace
-
-            effective = FaultedTrace(effective, plan)
-        queue = config.queue_packets
-        router = LINK_MODELS.get("packet-router")(
-            kernel,
-            effective,
-            queue_packets=queue if queue is not None else 32,
-            propagation_s=config.base_rtt / 2.0,
-        )
-        if plan is not None:
-            router.fault_plan = plan
-    connection = PacketLevelConnection(
-        router,
-        kernel,
-        partially_reliable=config.partially_reliable,
-        tracer=tracer if tracer is not None else NULL_TRACER,
-    )
-    if plan is not None:
-        connection.fault_plan = plan
-    return TransportStack(connection=connection)
+)(Backend(_packet_bottleneck, _packet_connection))
 
 
-def make_backend(name: str, **kwargs) -> TransportStack:
-    """Build the named transport stack.
+def make_backend(name: str) -> Backend:
+    """The named backend.
 
     Raises ``ValueError`` for unknown names (the session constructor's
     historical contract), with the registry catalog in the message.
     """
     try:
-        factory = BACKENDS.get(name)
+        return BACKENDS.get(name)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
-    return factory(**kwargs)
 
 
-__all__ = ["BACKENDS", "TransportStack", "make_backend"]
+__all__ = ["BACKENDS", "Backend", "make_backend"]

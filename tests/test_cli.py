@@ -343,15 +343,21 @@ class TestFleetCli:
         data = json.loads(capsys.readouterr().out)
         assert data["clients"] == 4
 
+    def test_packet_fleet_without_a_queue_runs(self, capsys):
+        # The packet bottleneck falls back to its 32-packet queue, as a
+        # solo packet session's does.
+        spec = json.dumps({
+            "backend": "packet", "queue_packets": None,
+            "clients": 2, "shards": 1, "trace": "constant:3",
+        })
+        assert main(["fleet", "--spec", spec]) == 0
+        assert "fleet hash" in capsys.readouterr().out
+
     def test_fleet_profile_prepares_before_the_profiler(
         self, monkeypatch, capsys
     ):
-        import importlib
-
+        import repro.prep.prepare as prepare_module
         from repro.obs import spans
-
-        # The package re-exports the function under the module's name.
-        prepare_module = importlib.import_module("repro.prep.prepare")
 
         bbb = prepare_module.get_prepared("bbb")
         profilers = []

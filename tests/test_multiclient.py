@@ -25,6 +25,9 @@ from repro.experiments.runner import run_trials
 from repro.network.traces import constant_trace
 from repro.obs import audit_events
 from repro.obs.tracer import Tracer
+from repro.prep.prepare import prepare
+from repro.video.content import ContentProfile
+from repro.video.encoder import encode_video
 
 
 def _specs(count, video, **network):
@@ -160,8 +163,8 @@ def test_shared_trace_resolves_kwargs_and_shift(tiny_prepared):
         specs, prepared_map={tiny_prepared.name: tiny_prepared}
     )
     expected = StackBuilder(specs[0]).resolve_trace()
-    assert shard.link.trace.shift_s == 7.0
-    assert (shard.link.trace.samples_mbps == expected.samples_mbps).all()
+    assert shard.bottleneck.trace.shift_s == 7.0
+    assert (shard.bottleneck.trace.samples_mbps == expected.samples_mbps).all()
     plain = StackBuilder(specs[0].with_(trace_kwargs={})).resolve_trace()
     assert not (plain.samples_mbps == expected.samples_mbps).all()
 
@@ -177,24 +180,26 @@ def test_multiclient_packet_backend_runs(tiny_prepared):
     assert 0.0 < result.jain_index <= 1.0
 
 
-_SOLO_FAULTS = {
+_SOLO_CASES = {
     "fault-free": {},
     "mixed": dict(faults=CHAOS_PROFILES["mixed"], request_timeout_s=3.0),
     "blackout": dict(
         faults={"events": [{"kind": "blackout", "at": 1.0, "duration": 1.0}]},
         request_timeout_s=2.0, retry_backoff_s=0.2,
     ),
+    # No queue size: each backend's bottleneck picks its own default.
+    "default-queue": dict(queue_packets=None),
 }
 
 
-@pytest.mark.parametrize("faults", list(_SOLO_FAULTS))
+@pytest.mark.parametrize("case", list(_SOLO_CASES))
 @pytest.mark.parametrize("backend", ("round", "packet"))
-def test_solo_session_is_a_one_client_shard(tiny_prepared, backend, faults):
+def test_solo_session_is_a_one_client_shard(tiny_prepared, backend, case):
     """A solo session runs on its own kernel exactly as a shard's client
     runs on the shard's: same metrics, summary and per-segment records."""
     spec = ScenarioSpec(
         video="tinytest", abr="abr_star", trace="verizon", seed=0,
-        buffer_segments=2, backend=backend, **_SOLO_FAULTS[faults],
+        buffer_segments=2, backend=backend, **_SOLO_CASES[case],
     )
     solo = stream_spec(spec, prepared=tiny_prepared).metrics
     shard = run_multiclient(
@@ -202,6 +207,54 @@ def test_solo_session_is_a_one_client_shard(tiny_prepared, backend, faults):
     ).clients[0].metrics
     assert solo.summary() == shard.summary()
     assert solo.records == shard.records
+
+
+@pytest.mark.parametrize("backend", ("round", "packet"))
+def test_every_client_rides_the_shard_bottleneck(tiny_prepared, backend):
+    shard = build_shard(
+        _specs(3, tiny_prepared.name, backend=backend),
+        constant_trace(12.0),
+        prepared_map={tiny_prepared.name: tiny_prepared},
+    )
+    attr = "link" if backend == "round" else "router"
+    for session in shard.sessions:
+        assert getattr(session.connection, attr) is shard.bottleneck
+    if backend == "round":
+        assert shard.bottleneck.flows == 3
+
+
+@pytest.fixture(scope="module")
+def short_prepared():
+    """A 3-segment video: half the tiny video's playing time."""
+    profile = ContentProfile(
+        name="tinyshort", title="Short Test Video", genre="Test",
+        segments=3, motion_mean=0.4, motion_spread=0.2, complexity=0.5,
+        scene_cut_rate=1.0, size_std_mbps=3.0, static_fraction=0.15,
+    )
+    return prepare(encode_video(profile))
+
+
+@pytest.mark.parametrize("backend", ("round", "packet"))
+def test_shard_faults_span_the_longest_playback(
+    tiny_prepared, short_prepared, backend
+):
+    """Count-placed faults spread over the longest client's playback,
+    whichever client comes first."""
+    prepared_map = {p.name: p for p in (short_prepared, tiny_prepared)}
+    faults = {"events": [{"kind": "blackout", "count": 3, "duration": 1.0}]}
+    specs = [
+        ScenarioSpec(video=name, trace="verizon", backend=backend,
+                     faults=faults)
+        for name in ("tinyshort", "tinytest")
+    ]
+    shard = build_shard(specs, prepared_map=prepared_map)
+    trace = StackBuilder(specs[0]).resolve_trace()
+    short, longest = (
+        StackBuilder(spec, prepared_map=prepared_map).fault_plan(trace)
+        for spec in specs
+    )
+    assert shard.bottleneck.fault_plan.windows == longest.windows
+    assert short.windows != longest.windows
 
 
 # ---------------------------------------------------------------------------

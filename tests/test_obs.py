@@ -379,6 +379,15 @@ class TestTracer:
         restored = read_jsonl(str(path))
         assert restored == tracer.events
 
+    def test_read_jsonl_names_the_bad_line(self):
+        tracer = Tracer()
+        tracer.emit(ev.STALL, duration=0.5, segment=2)
+        sink = io.StringIO()
+        tracer.write_jsonl(sink)
+        lines = io.StringIO(sink.getvalue() + "\n{not json\n")
+        with pytest.raises(SchemaError, match="line 3"):
+            read_jsonl(lines)
+
     def test_write_to_file_object(self):
         tracer = Tracer()
         tracer.emit(ev.STALL, duration=0.5, segment=2)

@@ -290,3 +290,11 @@ class TestPrepGoldens:
             prepared.manifest.serialize().encode("utf-8")
         ).hexdigest()
         assert (manifest, _curve_digest(prepared)) == self.GOLDENS[name]
+
+
+def test_prep_package_keeps_the_module_name():
+    import repro.prep.prepare as module
+
+    from repro.prep import get_prepared
+
+    assert module.get_prepared is get_prepared

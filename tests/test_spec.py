@@ -41,7 +41,6 @@ def test_spec_json_round_trip_identity():
         reliability="quic",
         buffer_segments=1,
         backend="packet",
-        metric="vmaf",
     )
     clone = ScenarioSpec.from_json(spec.to_json())
     assert clone == spec
@@ -110,6 +109,12 @@ def test_spec_hash_is_stable_across_processes():
         )
         hashes.add(out.stdout.strip())
     assert hashes == {spec.spec_hash()}
+
+
+def test_spec_rejects_a_metric_sessions_do_not_score():
+    assert ScenarioSpec(metric="SSIM").metric == "SSIM"
+    with pytest.raises(ValueError, match="abr_kwargs"):
+        ScenarioSpec(metric="vmaf")
 
 
 def test_spec_hash_ignores_dict_insertion_order():
@@ -208,3 +213,10 @@ def test_stream_explicit_trace_without_seed_ok(tiny_prepared):
 def test_stream_unexpected_kwarg_still_typeerror(tiny_prepared):
     with pytest.raises(TypeError, match="unexpected keyword"):
         stream(tiny_prepared, bogus=1)
+
+
+def test_stream_rejects_a_metric_sessions_do_not_score(tiny_prepared):
+    from repro.qoe.metrics import VMAF
+
+    with pytest.raises(ValueError, match="abr_kwargs"):
+        stream(tiny_prepared, metric=VMAF)
