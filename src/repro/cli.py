@@ -111,18 +111,17 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_faults(raw: Optional[str]) -> Optional[Dict]:
-    """Parse ``--faults``: inline JSON, or ``@path`` to a JSON file."""
-    if not raw:
-        return None
+def _read_json_arg(raw: str):
+    """Parse a ``JSON|@FILE`` flag: inline JSON, or ``@path`` to a file.
+
+    Raises ``OSError`` or ``ValueError``; each caller reports its own
+    one-line error.
+    """
     text = raw
     if raw.startswith("@"):
         with open(raw[1:], encoding="utf-8") as handle:
             text = handle.read()
-    spec = json.loads(text)
-    if not isinstance(spec, dict):
-        raise ValueError("fault spec must be a JSON object")
-    return spec
+    return json.loads(text)
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
@@ -150,7 +149,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         abr_kwargs["bandwidth_safety"] = args.bandwidth_safety
     resilience_kwargs: Dict = {}
     try:
-        faults = _load_faults(args.faults)
+        faults = _read_json_arg(args.faults) if args.faults else None
         if faults is not None:
             from repro.faults import FaultSpec, validate_fault_spec
 
@@ -423,6 +422,15 @@ def _degraded_cells_exit(rows: List[Dict]) -> int:
     return EXIT_DEGRADED
 
 
+def _profiled(args: argparse.Namespace):
+    """``spans.profiled()`` under ``--profile``, else a block yielding None."""
+    from contextlib import nullcontext
+
+    from repro.obs import spans
+
+    return spans.profiled() if args.profile else nullcontext()
+
+
 def _maybe_print_metrics(args: argparse.Namespace) -> None:
     """Print the registry dump when ``--metrics`` was requested."""
     if not getattr(args, "metrics", False):
@@ -585,7 +593,6 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
     from dataclasses import replace
     from time import perf_counter
 
@@ -596,15 +603,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         prewarm_catalog,
         run_fleet,
     )
-    from repro.obs import spans
 
     try:
         if args.spec:
-            text = args.spec
-            if text.startswith("@"):
-                with open(text[1:], encoding="utf-8") as handle:
-                    text = handle.read()
-            spec = FleetSpec.from_json(text)
+            spec = FleetSpec.from_dict(_read_json_arg(args.spec))
         else:
             groups = tuple(
                 replace(group, video=args.video, buffer_segments=args.buffer)
@@ -621,7 +623,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 sample_rate=args.sample,
                 sample_seed=args.sample_seed,
             )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: invalid fleet spec: {exc}", file=sys.stderr)
         return 2
 
@@ -629,7 +631,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     # --profile ledger cover the simulation, as `repro profile`'s do.
     prewarm_catalog(spec)
     start = perf_counter()
-    with (spans.profiled() if args.profile else nullcontext()) as profiler:
+    with _profiled(args) as profiler:
         try:
             result = run_fleet(
                 spec, workers=args.workers,
@@ -646,7 +648,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if result.resumed else ""
     print(
         f"{result.clients} clients / {spec.shards} shards in "
-        f"{wall_s:.1f}s ({result.clients / wall_s:.0f} clients/s, "
+        f"{wall_s:.1f}s ({result.clients / wall_s:.2f} clients/s, "
         f"workers={args.workers}{resumed})",
         file=sys.stderr,
     )
@@ -756,15 +758,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     if args.spec:
-        text = args.spec
         try:
-            if text.startswith("@"):
-                with open(text[1:], encoding="utf-8") as handle:
-                    text = handle.read()
-            fields = json.loads(text)
-            if not isinstance(fields, dict):
-                raise ValueError("scenario spec must be a JSON object")
-            spec = ScenarioSpec.from_dict(fields)
+            spec = ScenarioSpec.from_dict(_read_json_arg(args.spec))
         except (OSError, ValueError) as exc:
             print(f"error: cannot read scenario spec {args.spec!r}: {exc}",
                   file=sys.stderr)
@@ -906,14 +901,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.dry_run:
             rows = dry_run_rows(sweep)
         else:
-            rows = run_sweep(
-                sweep, workers=args.workers, rollup=args.rollup,
-                sample_rate=args.sample, sample_seed=args.sample_seed,
-                profile=args.profile,
-                policy=_exec_policy(args),
-                checkpoint_dir=args.resume,
-                strict=False,
-            )
+            with _profiled(args):
+                rows = run_sweep(
+                    sweep, workers=args.workers, rollup=args.rollup,
+                    sample_rate=args.sample, sample_seed=args.sample_seed,
+                    policy=_exec_policy(args),
+                    checkpoint_dir=args.resume,
+                    strict=False,
+                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -963,15 +958,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.retry_budget is not None:
         base["retry_budget"] = args.retry_budget
     try:
-        rows = run_chaos(
-            profiles=profiles, seeds=seeds, base=base,
-            workers=args.workers, rollup=args.rollup,
-            sample_rate=args.sample, sample_seed=args.sample_seed,
-            profile=args.profile,
-            policy=_exec_policy(args),
-            checkpoint_dir=args.resume,
-            strict=False,
-        )
+        with _profiled(args):
+            rows = run_chaos(
+                profiles=profiles, seeds=seeds, base=base,
+                workers=args.workers, rollup=args.rollup,
+                sample_rate=args.sample, sample_seed=args.sample_seed,
+                policy=_exec_policy(args),
+                checkpoint_dir=args.resume,
+                strict=False,
+            )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

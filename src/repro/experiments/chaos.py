@@ -131,7 +131,6 @@ def run_chaos(
     rollup: bool = False,
     sample_rate: float = 1.0,
     sample_seed: int = 0,
-    profile: bool = False,
     policy: Optional[ExecutionPolicy] = None,
     checkpoint_dir: Optional[str] = None,
     strict: bool = True,
@@ -158,8 +157,6 @@ def run_chaos(
             row content stays byte-identical).
         sample_rate: per-session head-sampling rate for the rollups.
         sample_seed: seed of the sampling hash.
-        profile: run every cell under a profiler; rows gain a
-            ``ledger`` key (same shape as sweep ledgers).
         policy: supervision knobs (per-cell deadline, retry budget,
             backoff) for the resilient pool.
         checkpoint_dir: crash-safe spool directory; completed cell rows
@@ -171,7 +168,9 @@ def run_chaos(
 
     Returns:
         One row per cell with the spec, its summary (including the
-        resilience counters), and the invariant audit verdict.
+        resilience counters), and the invariant audit verdict; under an
+        installed profiler, also a ``ledger`` (same shape as sweep
+        ledgers).
     """
     if profiles is None:
         profiles = sorted(CHAOS_PROFILES)
@@ -190,7 +189,7 @@ def run_chaos(
         ],
         labels=[f"cell {name}/seed{spec.seed}" for name, spec in cells],
         workers=workers, prepared_map=prepared_map, rollup=rollup,
-        sample_rate=sample_rate, sample_seed=sample_seed, profile=profile,
+        sample_rate=sample_rate, sample_seed=sample_seed,
         policy=policy, checkpoint_dir=checkpoint_dir, strict=strict,
     )
 

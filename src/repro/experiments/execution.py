@@ -17,9 +17,9 @@ from the fork's memory snapshot.  The layer provides:
   workers, bounded retry with exponential backoff, and poison-task
   quarantine once the attempt budget is exhausted.  Failures carry
   the task's *label* ("shard 3", "cell bbb/bola/…"), never a bare
-  ``BrokenProcessPool``.  Results fold in task order, and so does the
-  metrics registry each task records into, so ``workers=K`` stays
-  byte-identical to serial execution, ``--metrics`` included.
+  ``BrokenProcessPool``.  Results fold in task order, and so do each
+  task's metrics and profiler, so ``workers=K`` stays byte-identical
+  to serial execution, ``--metrics`` and span trees included.
 * :class:`CheckpointStore` — a crash-safe spool: each completed task's
   mergeable artifact is written atomically (temp file + ``os.replace``)
   under a content-derived ``run_key``, so an interrupted campaign
@@ -52,6 +52,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ioutil import atomic_write_json
+from repro.obs import spans
 from repro.obs.metrics import get_registry, scoped_registry
 
 #: Exit code of a CLI run that completed with quarantined (degraded)
@@ -328,8 +329,8 @@ def fault_injection_active() -> bool:
 # ---------------------------------------------------------------------------
 # Crash-safe checkpoint spool.
 # ---------------------------------------------------------------------------
-#: Version 2: a task file holds the task's result and its metrics state.
-CHECKPOINT_VERSION = 2
+#: Version 3: a task file holds the task's result, metrics and profiler state.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -343,20 +344,22 @@ class CheckpointStore:
     ``run_key`` (a content hash of everything that determines the task
     list and row shape) and task count; ``<root>/task-<i>.json`` holds
     task *i*'s JSON-serializable result (under :func:`execute`, the
-    pair of the task's result and its metrics state).  Every file is
+    task's result, metrics state and profiler state).  Every file is
     written via temp-file + ``os.replace``, so a file either exists
     whole or not at all — a crashed run leaves a valid spool.
 
     Opening an existing spool written by another
-    :data:`CHECKPOINT_VERSION`, or with a different ``run_key`` or task
-    count, raises :class:`CheckpointError`: resuming folds stored
-    artifacts into a new run, which is only sound when the runs are
-    identical.
+    :data:`CHECKPOINT_VERSION`, or with a different ``run_key``, task
+    count or profiling (the store appends ``:profile=<state version>``
+    to the key, 0 without a profiler), raises :class:`CheckpointError`:
+    resuming folds stored artifacts into a new run, which is only sound
+    when the runs are identical.
     """
 
     def __init__(self, root: str, run_key: str, tasks: int):
         self.root = os.path.abspath(root)
-        self.run_key = run_key
+        profile = spans.SPANS_VERSION if spans.current() is not None else 0
+        self.run_key = f"{run_key}:profile={profile}"
         self.tasks = tasks
         os.makedirs(self.root, exist_ok=True)
         manifest_path = os.path.join(self.root, "manifest.json")
@@ -378,7 +381,7 @@ class CheckpointStore:
                     f"directory"
                 )
             if (
-                manifest.get("run_key") != run_key
+                manifest.get("run_key") != self.run_key
                 or manifest.get("tasks") != tasks
             ):
                 raise CheckpointError(
@@ -386,13 +389,13 @@ class CheckpointStore:
                     f"different run (run_key "
                     f"{manifest.get('run_key')!r}, "
                     f"{manifest.get('tasks')!r} tasks; this run is "
-                    f"{run_key!r}, {tasks} tasks) — use a fresh "
+                    f"{self.run_key!r}, {tasks} tasks) — use a fresh "
                     f"directory"
                 )
         else:
             atomic_write_json(manifest_path, {
                 "checkpoint_version": CHECKPOINT_VERSION,
-                "run_key": run_key,
+                "run_key": self.run_key,
                 "tasks": tasks,
             })
 
@@ -761,19 +764,25 @@ def execute(
     the only mode where in-process observers can be fed directly.
     Anything else goes through :func:`supervised_map`.
 
-    Either way each task runs in its own metrics scope, whose state
-    travels with the task's result (and into the checkpoint spool).
-    After the map the states of completed tasks fold into the caller's
-    registry in task order — quarantined tasks fold nothing — and
-    ``results`` holds the bare results.  So the caller's registry ends
-    the same at any worker count, and after a resume.
+    Either way each task runs in its own metrics scope and, when the
+    caller has a profiler installed, under its own profiler; both
+    states travel with the task's result (and into the checkpoint
+    spool).  After the map they fold into the caller's registry and
+    profiler in task order — quarantined tasks fold nothing — and
+    ``results`` holds the bare results, so both end the same at any
+    worker count, and after a resume.
     """
     workers = validate_workers(workers)
+    profiler = spans.current()
 
     def scoped(task):
         with scoped_registry(merge=False) as registry:
-            result = worker(task)
-        return result, registry.state()
+            if profiler is None:
+                return worker(task), registry.state(), None
+            # A session captures the installed profiler when it is built.
+            with spans.profiled() as task_profiler:
+                result = worker(task)
+            return result, registry.state(), task_profiler.to_dict()
 
     if (
         workers == 1
@@ -804,8 +813,10 @@ def execute(
     registry = get_registry()
     for index, entry in enumerate(outcome.results):
         if entry is not None:  # None: a quarantined task
-            result, state = entry
+            result, state, profile = entry
             registry.merge_state(state)
+            if profiler is not None:
+                profiler.merge_dict(profile)
             outcome.results[index] = result
     return outcome
 

@@ -17,11 +17,10 @@ into a sharded fleet engine:
   and returns **mergeable artifacts only**: a serialized
   :class:`~repro.obs.rollup.TraceRollup`, a serialized
   :class:`~repro.obs.attribution.FleetAttributor`, Jain sufficient
-  statistics, per-group aggregate sums, and (under a profiler) a span
-  tree.  The parent folds them in shard order — never raw traces or
-  per-event history — so peak memory is O(shards), and the fold is
-  byte-identical at any worker count (``workers=1`` runs the exact
-  same worker function serially).
+  statistics and per-group aggregate sums.  The parent folds them in
+  shard order — never raw traces or per-event history — so peak
+  memory is O(shards), and the fold is byte-identical at any worker
+  count (``workers=1`` runs the exact same worker function serially).
 * :meth:`FleetResult.report` / :meth:`FleetResult.fleet_hash` — the
   deterministic fleet report (QoE distribution percentiles, stall
   tails from reservoir histograms, per-shard and fleet-wide Jain's
@@ -41,7 +40,6 @@ import functools
 import hashlib
 import json
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -53,7 +51,6 @@ from repro.experiments.execution import (
     execute,
 )
 from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
-from repro.obs import spans
 from repro.obs.attribution import FleetAttributor, format_attribution
 from repro.obs.rollup import TraceRollup, format_rollup
 from repro.prep.prepare import PreparedVideo, get_prepared
@@ -330,9 +327,9 @@ def fleet_session_id(spec: FleetSpec, index: int, group: ClientGroup) -> str:
 # ---------------------------------------------------------------------------
 def _run_shard(
     spec: FleetSpec,
-    shard: int,
     prepared_map: Optional[Dict[str, PreparedVideo]],
     keep_rows: bool,
+    shard: int,
 ) -> Dict:
     """Run one cell; return mergeable artifacts only (never traces)."""
     indices = shard_clients(spec, shard)
@@ -387,25 +384,6 @@ def _run_shard(
     }
     if keep_rows:
         out["rows"] = result.rows()
-    return out
-
-
-def _shard_worker(
-    spec: FleetSpec,
-    prepared_map: Optional[Dict[str, PreparedVideo]],
-    keep_rows: bool,
-    profile: bool,
-    shard: int,
-) -> Dict:
-    """Pool entry point for one shard (bound to its inputs by partial).
-
-    Under ``profile`` the shard records its own profiler state (span
-    tree and CPU samples), returned for the parent's in-order fold.
-    """
-    with (spans.profiled() if profile else nullcontext()) as prof:
-        out = _run_shard(spec, shard, prepared_map, keep_rows)
-    if profile:
-        out["spans"] = prof.to_dict()
     return out
 
 
@@ -538,34 +516,25 @@ def run_fleet(
             :attr:`FleetResult.degraded`, and the partial statistics
             remain valid for the shards that completed.
 
-    An ambient profiler (:func:`~repro.obs.spans.profiled`) means
-    "profile every shard": each shard records its own profiler and the
-    parent folds them in shard order; the span tree is byte-identical
-    at any worker count.
+    Under an installed profiler (:func:`~repro.obs.spans.profiled`)
+    :func:`~repro.experiments.execution.execute` runs every shard under
+    its own and folds them in shard order; the span tree is
+    byte-identical at any worker count.
     """
-    parent_prof = spans.current()
-    profile = parent_prof is not None
     prewarm_catalog(spec, prepared_map)
 
     checkpoint = None
     if checkpoint_dir is not None:
-        # keep_rows/profile change the artifact shape, so they are part
-        # of the spool identity: resuming a --profile run from a plain
-        # spool would silently fold span-less shards.  A profiled key
-        # names the profiler-state version, so no older state folds.
+        # keep_rows changes the artifact shape, so it is part of the
+        # spool identity (the spool adds whether the run is profiled).
         checkpoint = CheckpointStore(
             checkpoint_dir,
-            run_key=(
-                f"fleet:{spec.spec_hash()}:rows={int(keep_rows)}:"
-                f"profile={spans.SPANS_VERSION if profile else 0}"
-            ),
+            run_key=f"fleet:{spec.spec_hash()}:rows={int(keep_rows)}",
             tasks=spec.shards,
         )
 
     outcome = execute(
-        functools.partial(
-            _shard_worker, spec, prepared_map, keep_rows, profile
-        ),
+        functools.partial(_run_shard, spec, prepared_map, keep_rows),
         list(range(spec.shards)),
         workers=workers,
         policy=policy,
@@ -596,8 +565,6 @@ def run_fleet(
         else:
             rollup.merge(TraceRollup.from_dict(result["rollup"]))
         attribution.merge(FleetAttributor.from_dict(result["attribution"]))
-        if parent_prof is not None and "spans" in result:
-            parent_prof.merge_dict(result["spans"])
         shard_rows.append({
             "shard": result["shard"],
             "clients": result["clients"],

@@ -13,14 +13,14 @@ Repetitions are independent simulations, so :func:`run_trials` can fan
 them out over worker processes (``workers=K``) through
 :func:`~repro.experiments.execution.execute`.  Parallel execution is
 *deterministic*: ``execute`` runs each repetition inside its own
-metrics scope (in both modes) and folds the scopes back in repetition
-order, so aggregates, metrics dumps, and traces are byte-identical to a
-serial run.
+metrics scope, and under its own profiler when one is installed (in
+both modes), and folds them back in repetition order, so aggregates,
+metrics dumps, traces and span trees are byte-identical to a serial
+run.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +34,6 @@ from repro.experiments.execution import (
     validate_workers,
 )
 from repro.network.traces import NetworkTrace
-from repro.obs import spans
 from repro.obs.metrics import scoped_registry
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
@@ -125,33 +124,25 @@ def _rep_session(
     trace: NetworkTrace,
     collect_trace: bool,
     observers: Optional[Sequence] = None,
-    profile: bool = False,
-) -> Tuple[SessionMetrics, Optional[str], Optional[Dict]]:
+) -> Tuple[SessionMetrics, Optional[str]]:
     """Run one repetition.
 
-    Returns the session metrics, the JSONL trace if requested, and the
-    repetition's serialized profiler when ``profile`` is set (folded
-    by the parent in repetition order, so span trees — like metrics —
-    are identical at any worker count).  ``observers`` see every trace
-    event; without ``collect_trace`` they are served by a buffer-less
-    :class:`StreamingTracer`, so fleet rollups cost no per-event
-    history.
+    Returns the session metrics and the JSONL trace if requested.
+    ``observers`` see every trace event; without ``collect_trace`` they
+    are served by a buffer-less :class:`StreamingTracer`, so fleet
+    rollups cost no per-event history.
     """
-    # The profiler is installed before the session is built: the
-    # session captures it at construction.
-    with (spans.profiled() if profile else nullcontext()) as prof:
-        if collect_trace:
-            tracer = Tracer(observers=observers)
-        elif observers:
-            tracer = StreamingTracer(observers=observers)
-        else:
-            tracer = None
-        metrics = run_single(
-            spec, shift_s=shift_s, prepared=prepared, trace=trace,
-            tracer=tracer,
-        )
-    jsonl = tracer.to_jsonl() if collect_trace else None
-    return metrics, jsonl, (prof.to_dict() if profile else None)
+    if collect_trace:
+        tracer = Tracer(observers=observers)
+    elif observers:
+        tracer = StreamingTracer(observers=observers)
+    else:
+        tracer = None
+    metrics = run_single(
+        spec, shift_s=shift_s, prepared=prepared, trace=trace,
+        tracer=tracer,
+    )
+    return metrics, (tracer.to_jsonl() if collect_trace else None)
 
 
 def run_trials(
@@ -192,16 +183,9 @@ def run_trials(
     shift_step = trace.duration / reps
     shifts = [i * shift_step for i in range(reps)]
 
-    # An ambient profiler means "profile every repetition": each rep
-    # records into its own profiler (serial and parallel alike) and
-    # they fold back into the ambient one in repetition order, so the
-    # merged tree is byte-identical at any worker count.
-    parent_prof = spans.current()
-    profile = parent_prof is not None
-
     def repetition(shift: float):
         return _rep_session(spec, shift, prepared, trace, collect_traces,
-                            observers, profile)
+                            observers)
 
     # Each trial runs inside its own registry scope so its metrics dump
     # reflects only these sessions (execute folds the repetitions into
@@ -216,12 +200,10 @@ def run_trials(
             raise ExecutionError(outcome.failures, total=reps)
         sessions = []
         traces: List[str] = []
-        for metrics, jsonl, prof_state in outcome.results:
+        for metrics, jsonl in outcome.results:
             sessions.append(metrics)
             if jsonl is not None:
                 traces.append(jsonl)
-            if prof_state is not None:
-                parent_prof.merge_dict(prof_state)
         metrics_dump = registry.dump()
     return TrialSummary(
         config=spec,

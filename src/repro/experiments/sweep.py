@@ -7,10 +7,10 @@ value lists, plus explicit extra scenarios), :meth:`SweepSpec.expand`
 turns it into concrete :class:`~repro.core.spec.ScenarioSpec` cells
 (deduplicated by content hash), and :func:`run_sweep` executes every
 cell through the experiment runner.  :func:`_run_cells` is the cell
-engine underneath — validation, checkpoints, rollups, profiling and
-the fan-out over :func:`~repro.experiments.execution.execute` — shared
-with the chaos sweep, with results folded in grid order so any worker
-count produces byte-identical output.
+engine underneath — validation, checkpoints, rollups, ledgers and the
+fan-out over :func:`~repro.experiments.execution.execute` — shared
+with the chaos sweep and the figures, with results folded in grid
+order so any worker count produces byte-identical output.
 
 Each scenario yields one JSONL row keyed by the spec's stable content
 hash — the same hash the session stamps into its trace header
@@ -31,7 +31,6 @@ import hashlib
 import itertools
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -53,10 +52,11 @@ from repro.prep.prepare import PreparedVideo, get_prepared
 #: Keys a result row may carry.  ``summary`` is absent in --dry-run
 #: rows; ``rollup`` and ``attribution`` appear only when the sweep ran
 #: with streaming rollups enabled (``run_sweep(rollup=True)``), and
-#: ``ledger`` only under ``run_sweep(profile=True)``.  A cell that
-#: exhausted its retry budget in a non-strict run yields a ``degraded``
-#: row instead: same identity keys, a ``degraded`` block (attempts,
-#: causes) in place of ``summary``.
+#: ``ledger`` only when the sweep ran under an installed profiler
+#: (:func:`repro.obs.spans.profiled`).  A cell that exhausted its retry
+#: budget in a non-strict run yields a ``degraded`` row instead: same
+#: identity keys, a ``degraded`` block (attempts, causes) in place of
+#: ``summary``.
 ROW_KEYS = ("spec_hash", "label", "spec", "summary", "rollup",
             "attribution", "ledger", "degraded")
 
@@ -172,22 +172,20 @@ def sweep_run_key(
     rollup: bool = False,
     sample_rate: float = 1.0,
     sample_seed: int = 0,
-    profile: bool = False,
     kind: str = "sweep",
 ) -> str:
     """Checkpoint-spool identity of one cell list + row shape.
 
     Covers every input that determines the task list or the shape of a
-    row: the ordered cell hashes plus the rollup/sampling/profile
-    knobs.  A spool written under one key cannot be resumed under
-    another — that would fold rows from a different run.  A profiled
-    key names the profiler-state version, so no older ledger folds.
+    row: the ordered cell hashes plus the rollup/sampling knobs.  A
+    spool written under one key cannot be resumed under another — that
+    would fold rows from a different run.  The spool itself adds
+    whether the run is profiled (:class:`CheckpointStore`).
     """
-    profile_key = _spans.SPANS_VERSION if profile else 0
     digest = hashlib.sha256()
     digest.update(
         f"{kind}:rollup={int(rollup)}:rate={float(sample_rate)!r}:"
-        f"seed={int(sample_seed)}:profile={profile_key}".encode()
+        f"seed={int(sample_seed)}".encode()
     )
     for spec in specs:
         digest.update(b"|")
@@ -207,25 +205,26 @@ def _run_cells(
     rollup: bool = False,
     sample_rate: float = 1.0,
     sample_seed: int = 0,
-    profile: bool = False,
     policy: Optional[ExecutionPolicy] = None,
     checkpoint_dir: Optional[str] = None,
     strict: bool = True,
 ) -> List[Dict]:
-    """The cell engine under :func:`run_sweep` and the chaos sweep.
+    """The cell engine under :func:`run_sweep`, chaos sweeps and figures.
 
     Validates every cell and pre-warms the catalog videos, then runs
     ``body(spec, prepared, observers)`` per cell through
     :func:`~repro.experiments.execution.execute`, which folds each
-    cell's metrics into the caller's registry in cell order, so any
-    worker count computes identical rows and metrics.  A row is the
-    cell's ``identities`` entry plus the body's keys, plus ``rollup``
-    and ``attribution`` (a streaming rollup and causal attributor
-    handed to the body as ``observers``) under ``rollup`` and a
-    ``ledger`` under ``profile``.  ``kind`` names the checkpoint spool
-    (:func:`sweep_run_key`); ``labels`` name the cells in failures.
-    A cell that exhausts its retry budget raises under ``strict`` and
-    otherwise yields its identity plus a ``degraded`` block.
+    cell's metrics (and, under an installed profiler, its profiler)
+    into the caller's in cell order, so any worker count computes
+    identical rows, metrics and span trees.  A row is the cell's
+    ``identities`` entry plus the body's keys, plus ``rollup`` and
+    ``attribution`` (a streaming rollup and causal attributor handed
+    to the body as ``observers``) under ``rollup``, and a ``ledger`` of
+    the cell's own profiler when the caller has one installed.
+    ``kind`` names the checkpoint spool (:func:`sweep_run_key`);
+    ``labels`` name the cells in failures.  A cell that exhausts its
+    retry budget raises under ``strict`` and otherwise yields its
+    identity plus a ``degraded`` block.
     """
     specs = list(specs)
     for spec in specs:
@@ -241,7 +240,7 @@ def _run_cells(
             checkpoint_dir,
             run_key=sweep_run_key(
                 specs, rollup=rollup, sample_rate=sample_rate,
-                sample_seed=sample_seed, profile=profile, kind=kind,
+                sample_seed=sample_seed, kind=kind,
             ),
             tasks=len(specs),
         )
@@ -257,18 +256,17 @@ def _run_cells(
             fleet = FleetAttributor()
             observers = [trace_rollup.feed, fleet.feed]
         t0 = time.perf_counter()
-        # The cell profiler is installed before the body builds any
-        # session: a session captures the profiler at construction.
-        with (_spans.profiled() if profile else nullcontext()) as prof:
-            result = body(spec, prepared, observers)
+        result = body(spec, prepared, observers)
         wall_s = time.perf_counter() - t0
         row = dict(identities[index], **result)
         if rollup:
             row["rollup"] = trace_rollup.to_dict()
             row["attribution"] = fleet.combined().to_dict()
-        if profile:
+        # Under a profiler, execute() runs each cell under its own.
+        profiler = _spans.current()
+        if profiler is not None:
             row["ledger"] = build_ledger(
-                prof, wall_s, label=spec.label(),
+                profiler, wall_s, label=spec.label(),
                 spec_hash=spec.spec_hash(), meta=False,
             )
         return row
@@ -302,7 +300,6 @@ def run_sweep(
     rollup: bool = False,
     sample_rate: float = 1.0,
     sample_seed: int = 0,
-    profile: bool = False,
     policy: Optional[ExecutionPolicy] = None,
     checkpoint_dir: Optional[str] = None,
     strict: bool = True,
@@ -324,11 +321,6 @@ def run_sweep(
         sample_rate: per-session head-sampling rate for the rollups
             (hash-keyed, so the sampled set is worker-count invariant).
         sample_seed: seed of the sampling hash.
-        profile: run every cell under a profiler; rows gain a
-            ``ledger`` key (sampled CPU per subsystem, hotspots, span
-            tree — ``summary`` stays byte-identical to a plain run,
-            and the ledger's ``deterministic`` block is worker-count
-            invariant).
         policy: supervision knobs (per-cell deadline, retry budget,
             backoff) for the resilient pool.
         checkpoint_dir: crash-safe spool directory; completed cell rows
@@ -343,7 +335,12 @@ def run_sweep(
 
     Returns:
         One row per scenario, in expansion order, each keyed by the
-        spec's stable content hash.
+        spec's stable content hash.  Under an installed profiler
+        (:func:`repro.obs.spans.profiled`) every cell runs under its
+        own and its row gains a ``ledger`` key (sampled CPU per
+        subsystem, hotspots, span tree — ``summary`` stays
+        byte-identical to a plain run, and the ledger's
+        ``deterministic`` block is worker-count invariant).
     """
     specs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
     return _run_cells(
@@ -351,7 +348,7 @@ def run_sweep(
         identities=[_identity(spec) for spec in specs],
         labels=[f"cell {spec.label()}" for spec in specs],
         workers=workers, prepared_map=prepared_map, rollup=rollup,
-        sample_rate=sample_rate, sample_seed=sample_seed, profile=profile,
+        sample_rate=sample_rate, sample_seed=sample_seed,
         policy=policy, checkpoint_dir=checkpoint_dir, strict=strict,
     )
 

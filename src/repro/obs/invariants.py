@@ -118,8 +118,7 @@ class TraceAuditor:
     JSONL file audits identically to an inline run.
     """
 
-    def __init__(self, tolerance: float = FLOAT_TOLERANCE):
-        self.tolerance = tolerance
+    def __init__(self):
         self.violations: List[Violation] = []
         self._index = -1
         self._last_seq: Optional[int] = None
@@ -212,7 +211,7 @@ class TraceAuditor:
     def _on_session_end(self, event: TraceEvent) -> None:
         f = event.fields
         total = float(f["total_stall"])
-        if abs(total - self._stall_total) > self.tolerance:
+        if abs(total - self._stall_total) > FLOAT_TOLERANCE:
             self._flag(
                 "stall_accounting", event,
                 f"session_end reports {total:.6f}s of stall but the "
@@ -221,7 +220,7 @@ class TraceAuditor:
         if self._num_segments and self._segment_duration:
             media = self._num_segments * self._segment_duration
             expected_ratio = total / media
-            if abs(float(f["buf_ratio"]) - expected_ratio) > self.tolerance:
+            if abs(float(f["buf_ratio"]) - expected_ratio) > FLOAT_TOLERANCE:
                 self._flag(
                     "stall_accounting", event,
                     f"buf_ratio {float(f['buf_ratio']):.6f} != "
@@ -236,14 +235,14 @@ class TraceAuditor:
             )
         result = self._attributor.result()
         attributed = result.attributed_stall
-        if abs(attributed - self._stall_total) > self.tolerance:
+        if abs(attributed - self._stall_total) > FLOAT_TOLERANCE:
             self._flag(
                 "stall_attribution", event,
                 f"per-cause stall seconds sum to {attributed:.6f}s but "
                 f"the trace's stall events total "
                 f"{self._stall_total:.6f}s — the partition leaks",
             )
-        elif abs(attributed - total) > self.tolerance:
+        elif abs(attributed - total) > FLOAT_TOLERANCE:
             self._flag(
                 "stall_attribution", event,
                 f"per-cause stall seconds sum to {attributed:.6f}s but "
@@ -277,11 +276,11 @@ class TraceAuditor:
         level = float(f["level_s"])
         capacity = float(f["capacity_s"])
         self._sample_count += 1
-        if level < -self.tolerance:
+        if level < -FLOAT_TOLERANCE:
             self._flag("buffer_continuity", event,
                        f"buffer level {level:.6f}s is negative")
         seg_dur = self._segment_duration
-        if seg_dur is not None and level > capacity + seg_dur + self.tolerance:
+        if seg_dur is not None and level > capacity + seg_dur + FLOAT_TOLERANCE:
             self._flag(
                 "buffer_continuity", event,
                 f"buffer level {level:.6f}s exceeds capacity "
@@ -292,7 +291,7 @@ class TraceAuditor:
             elapsed = event.t - prev.t
             drained = elapsed - self._stall_since_sample
             expected = float(prev.fields["level_s"]) - drained + seg_dur
-            if abs(expected - level) > self.tolerance:
+            if abs(expected - level) > FLOAT_TOLERANCE:
                 self._flag(
                     "buffer_continuity", event,
                     f"buffer level {level:.6f}s breaks continuity: "
@@ -593,8 +592,7 @@ class MultiSessionAuditor:
       without a session sending them, nor vanish without being dropped.
     """
 
-    def __init__(self, tolerance: float = FLOAT_TOLERANCE):
-        self.tolerance = tolerance
+    def __init__(self):
         self.violations: List[Violation] = []
         self._index = -1
         self._last_seq: Optional[int] = None
@@ -615,7 +613,7 @@ class MultiSessionAuditor:
     def _session(self, key) -> TraceAuditor:
         auditor = self._sessions.get(key)
         if auditor is None:
-            auditor = TraceAuditor(tolerance=self.tolerance)
+            auditor = TraceAuditor()
             self._sessions[key] = auditor
             self._session_order.append(key)
         return auditor
@@ -689,9 +687,7 @@ class MultiSessionAuditor:
             )
 
 
-def audit_events(
-    events: Sequence[TraceEvent], tolerance: float = FLOAT_TOLERANCE
-) -> AuditReport:
+def audit_events(events: Sequence[TraceEvent]) -> AuditReport:
     """Audit a complete event stream post hoc.
 
     Single-session traces go through :class:`TraceAuditor`; traces
@@ -701,18 +697,13 @@ def audit_events(
     multi = any(
         e.type == ev.LINK_STATS or "session_id" in e.fields for e in events
     )
-    auditor = (
-        MultiSessionAuditor(tolerance=tolerance) if multi
-        else TraceAuditor(tolerance=tolerance)
-    )
+    auditor = MultiSessionAuditor() if multi else TraceAuditor()
     for event in events:
         auditor.feed(event)
     return auditor.finalize()
 
 
-def audit_stream(
-    events: Iterable[TraceEvent], tolerance: float = FLOAT_TOLERANCE
-) -> AuditReport:
+def audit_stream(events: Iterable[TraceEvent]) -> AuditReport:
     """Audit an event stream in one pass, without materializing it.
 
     Unlike :func:`audit_events` — which must scan the whole sequence to
@@ -721,7 +712,7 @@ def audit_stream(
     per-session audit keyed ``None``), so arbitrarily large JSONL
     traces audit in memory bounded by session count, not event count.
     """
-    auditor = MultiSessionAuditor(tolerance=tolerance)
+    auditor = MultiSessionAuditor()
     for event in events:
         auditor.feed(event)
     return auditor.finalize()

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.obs import events as ev
 from repro.obs.events import TraceEvent
 from repro.obs.events import iter_trace_events  # noqa: F401 - re-exported
-from repro.obs.metrics import HISTOGRAM_RESERVOIR, Histogram
+from repro.obs.metrics import Histogram
 
 ROLLUP_VERSION = 1
 
@@ -86,12 +86,7 @@ class TraceRollup:
     session (for Jain's index).
     """
 
-    def __init__(
-        self,
-        sample_rate: float = 1.0,
-        sample_seed: int = 0,
-        reservoir: int = HISTOGRAM_RESERVOIR,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0, sample_seed: int = 0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample rate {sample_rate} out of [0, 1]")
         self.sample_rate = float(sample_rate)
@@ -101,7 +96,7 @@ class TraceRollup:
         self.sessions_seen = 0
         self.sessions_sampled = 0
         self.event_counts: Dict[str, int] = {}
-        self._hists = {name: Histogram(reservoir) for name in DISTRIBUTIONS}
+        self._hists = {name: Histogram() for name in DISTRIBUTIONS}
         self._included: Dict[object, bool] = {}
         self._live: Dict[object, List[float]] = {}  # sid -> [start_t, bytes]
         self._rates: List[float] = []

@@ -20,12 +20,12 @@ A :class:`SpanProfiler` answers two questions, each on its own plane:
   cumulative time once to each subsystem on the stack.
 
 No layer below the player carries profiler code, so an unprofiled run
-pays nothing.  Install a profiler *before* building the stack (the
-experiment runner installs one per repetition): a session captures it
-at construction.  Samples differ from run to run and never enter the
-hashed tree.  The kernel rounds the timer up to its tick (4 ms at the
-common ``HZ=250``); a share ``p`` read from ``n`` samples is good to
-about ±√(p(1−p)/n).
+pays nothing.  Install a profiler *before* building the stack
+(:func:`~repro.experiments.execution.execute` installs one per task): a
+session captures it at construction.  Samples differ from run to run
+and never enter the hashed tree.  The kernel rounds the timer up to its
+tick (4 ms at the common ``HZ=250``); a share ``p`` read from ``n``
+samples is good to about ±√(p(1−p)/n).
 """
 
 from __future__ import annotations

@@ -3,8 +3,6 @@
 from repro.prep.analysis import (
     DropCurve,
     DropPoint,
-    OrderingChoice,
-    choose_best_ordering,
     compute_drop_curve,
     droppable_positions,
     reliable_bytes,
@@ -36,8 +34,6 @@ from repro.prep.ranking import (
 __all__ = [
     "DropCurve",
     "DropPoint",
-    "OrderingChoice",
-    "choose_best_ordering",
     "compute_drop_curve",
     "droppable_positions",
     "reliable_bytes",

@@ -9,8 +9,9 @@ the kept frames).  From the curves we derive:
   while keeping the score above a target (Fig. 1a-c, Fig. 19),
 * **droppable positions** — which display positions may be dropped at a
   target score (Fig. 2a),
-* **the best ordering** — the one needing the fewest bytes to beat the
-  score of the next-lower quality level (§4.1),
+* **byte costs** per ordering (:func:`bytes_needed`), from which
+  :func:`~repro.prep.prepare.prepare` picks the ordering needing the
+  fewest bytes to beat the score of the next-lower quality level (§4.1),
 * **virtual quality levels** — (score, frames, bytes) tuples written into
   the manifest's ``ssims`` attribute (Fig. 2c/d, Listing 1).
 """
@@ -254,46 +255,6 @@ def droppable_positions(
         for position, score in enumerate(singles, start=1)
         if score >= base - max_score_delta and score >= target_score
     ]
-
-
-@dataclass
-class OrderingChoice:
-    """Outcome of the best-ordering selection for one segment/quality."""
-
-    ordering: Ordering
-    curve: DropCurve
-    bytes_needed: int  # to beat the lower-bound score
-    lower_bound: float  # pristine score of the next-lower quality
-
-
-def choose_best_ordering(
-    segment: EncodedSegment,
-    lower_bound: float,
-    params: QoEParams = DEFAULT_PARAMS,
-    orderings: Sequence[Ordering] = tuple(Ordering),
-) -> OrderingChoice:
-    """Pick the ordering minimizing bytes to stay above ``lower_bound``.
-
-    Per §4.1: for quality Qn the pristine score of Qn-1 is the lower
-    bound — if drops push the score below it, the client would be better
-    off fetching Qn-1 outright.  The chosen ordering is the one that can
-    realize a score above the bound with the fewest bytes.
-    """
-    best: Optional[OrderingChoice] = None
-    for ordering in orderings:
-        curve = compute_drop_curve(segment, ordering, params=params)
-        needed = curve.bytes_for_score(lower_bound)
-        if needed is None:
-            # Even pristine misses the bound (rare; very low-quality rungs).
-            needed = curve.points[0].bytes_needed
-        choice = OrderingChoice(
-            ordering=ordering, curve=curve, bytes_needed=needed,
-            lower_bound=lower_bound,
-        )
-        if best is None or choice.bytes_needed < best.bytes_needed:
-            best = choice
-    assert best is not None
-    return best
 
 
 def virtual_levels(

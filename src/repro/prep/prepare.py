@@ -5,8 +5,7 @@ for every segment and quality level it
 
 1. takes the pristine score of the next-lower level as the *lower bound*,
 2. picks the frame ordering that needs the fewest bytes to beat that
-   bound (:func:`repro.prep.analysis.choose_best_ordering`, accelerated
-   here with a monotone binary search),
+   bound over every tail-drop count (:func:`_choose_curve`),
 3. evaluates the drop curve under the chosen ordering,
 4. distills it into manifest quality points (virtual quality levels), and
 5. emits the byte ranges for reliable (I-frame + headers) and unreliable

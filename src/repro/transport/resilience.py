@@ -36,6 +36,11 @@ from repro.transport.base import (
     merge_intervals,
 )
 
+#: Each retry waits this factor longer than the one before ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this cap, in seconds.
+BACKOFF_MAX_S = 8.0
+
 #: Resilience event callback supplied by the session:
 #: ``notify(kind, **fields)`` with kind in {"timeout", "reset", "retry"}.
 NotifyFn = Callable[..., None]
@@ -50,16 +55,14 @@ class RetryPolicy:
             (injected resets can still fail a download).
         retry_budget: retries allowed per segment (shared across the
             segment's requests); 0 means any failure degrades at once.
-        backoff_base_s: wait before the first retry.
-        backoff_factor: multiplier per additional retry.
-        backoff_max_s: backoff cap.
+        backoff_base_s: wait before the first retry; each further
+            retry waits :data:`BACKOFF_FACTOR` times longer, up to
+            :data:`BACKOFF_MAX_S`.
     """
 
     request_timeout_s: Optional[float] = None
     retry_budget: int = 3
     backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 8.0
 
     def backoff(self, failure_index: int) -> float:
         """Backoff before retry ``failure_index`` (1-based)."""
@@ -67,8 +70,8 @@ class RetryPolicy:
             return 0.0
         return min(
             self.backoff_base_s
-            * self.backoff_factor ** max(failure_index - 1, 0),
-            self.backoff_max_s,
+            * BACKOFF_FACTOR ** max(failure_index - 1, 0),
+            BACKOFF_MAX_S,
         )
 
 

@@ -343,15 +343,24 @@ class TestFleetCli:
         data = json.loads(capsys.readouterr().out)
         assert data["clients"] == 4
 
+    _PACKET_SPEC = json.dumps({
+        "backend": "packet", "queue_packets": None,
+        "clients": 2, "shards": 1, "trace": "constant:3",
+    })
+
     def test_packet_fleet_without_a_queue_runs(self, capsys):
         # The packet bottleneck falls back to its 32-packet queue, as a
         # solo packet session's does.
-        spec = json.dumps({
-            "backend": "packet", "queue_packets": None,
-            "clients": 2, "shards": 1, "trace": "constant:3",
-        })
-        assert main(["fleet", "--spec", spec]) == 0
+        assert main(["fleet", "--spec", self._PACKET_SPEC]) == 0
         assert "fleet hash" in capsys.readouterr().out
+
+    def test_a_slow_fleet_prints_a_nonzero_rate(self, monkeypatch, capsys):
+        import time
+
+        # The fleet's clock reads twice: a 10 s run of 2 clients.
+        monkeypatch.setattr(time, "perf_counter", iter((0.0, 10.0)).__next__)
+        assert main(["fleet", "--spec", self._PACKET_SPEC]) == 0
+        assert "(0.20 clients/s" in capsys.readouterr().err
 
     def test_fleet_profile_prepares_before_the_profiler(
         self, monkeypatch, capsys

@@ -38,6 +38,7 @@ from repro.experiments.chaos import run_chaos
 from repro.experiments.fleet import ClientGroup, FleetSpec, run_fleet
 from repro.experiments.runner import run_trials
 from repro.experiments.sweep import run_sweep
+from repro.obs import spans
 from repro.obs.metrics import get_registry, scoped_registry
 
 # Mirrors tests/test_fleet.py — an independent anchor for the claim
@@ -63,6 +64,26 @@ def _counted(x):
     get_registry().counter("probe", task=x).inc(x + 1)
     get_registry().gauge("last").set(x)
     return x
+
+
+class _Clock:
+    now = 0.0
+
+
+def _spanned(x):
+    """Open and close one span named for the task on its profiler."""
+    profiler = spans.current()
+    if profiler is not None:
+        clock = _Clock()
+        stack = profiler.stack(clock)
+        frame = stack.push(f"task{x}")
+        clock.now = x + 1.0
+        stack.pop(frame)
+    return x
+
+
+def _sees_a_profiler(x):
+    return spans.current() is not None
 
 
 @pytest.fixture
@@ -648,6 +669,73 @@ class TestMetricsFold:
             "experiments.sessions{abr=abr_star,trace=constant:40}",
             "experiments.sessions{abr=bola,trace=constant:40}",
         }
+
+
+# ---------------------------------------------------------------------------
+# execute() gives each task its own profiler and folds it like metrics.
+# ---------------------------------------------------------------------------
+class TestProfilerFold:
+    TREE = {
+        f"task{i}": {"count": 1, "sim_s": i + 1.0} for i in range(4)
+    }
+
+    @staticmethod
+    def _paths(profiler):
+        return [path for _, path in profiler._walk()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_fold_in_task_order(self, workers):
+        with spans.profiled() as profiler:
+            outcome = execute(_spanned, range(4), workers=workers)
+        assert outcome.results == [0, 1, 2, 3]
+        assert self._paths(profiler) == [(f"task{i}",) for i in range(4)]
+        assert profiler.tree_dict()["tree"]["children"] == self.TREE
+
+    def test_quarantined_task_folds_nothing(self, fault):
+        fault(mode="error", task=1, attempts=99)
+        with spans.profiled() as profiler:
+            outcome = execute(_spanned, range(4), workers=2, policy=FAST)
+        assert [f.index for f in outcome.failures] == [1]
+        assert self._paths(profiler) == [("task0",), ("task2",), ("task3",)]
+
+    def test_resumed_run_folds_the_same_tree(self, tmp_path):
+        root = str(tmp_path / "ckpt")
+        with spans.profiled() as first:
+            execute(
+                _spanned, range(4), workers=2,
+                checkpoint=CheckpointStore(root, "run-a", 4),
+            )
+        os.unlink(os.path.join(root, "task-00002.json"))
+        with spans.profiled() as resumed:
+            outcome = execute(
+                _spanned, range(4), workers=2,
+                checkpoint=CheckpointStore(root, "run-a", 4),
+            )
+        assert outcome.resumed == 3
+        assert self._paths(resumed) == self._paths(first)
+        assert resumed.tree_dict() == first.tree_dict()
+        assert first.tree_dict()["tree"]["children"] == self.TREE
+
+    def test_profiled_and_plain_spools_refuse_each_other(self, tmp_path):
+        plain = str(tmp_path / "plain")
+        execute(
+            _spanned, range(2), checkpoint=CheckpointStore(plain, "run-a", 2)
+        )
+        profiled = str(tmp_path / "profiled")
+        with spans.profiled():
+            execute(
+                _spanned, range(2),
+                checkpoint=CheckpointStore(profiled, "run-a", 2),
+            )
+            with pytest.raises(CheckpointError, match="different run"):
+                CheckpointStore(plain, "run-a", 2)
+        with pytest.raises(CheckpointError, match="different run"):
+            CheckpointStore(profiled, "run-a", 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unprofiled_tasks_run_without_a_profiler(self, workers):
+        outcome = execute(_sees_a_profiler, range(2), workers=workers)
+        assert outcome.results == [False, False]
 
 
 # ---------------------------------------------------------------------------

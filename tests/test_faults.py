@@ -23,6 +23,7 @@ from repro.faults import (
 from repro.obs import events as ev
 from repro.obs.invariants import TraceAuditor
 from repro.obs.tracer import Tracer
+from repro.transport.resilience import RetryPolicy
 
 # ---------------------------------------------------------------------------
 # Golden fingerprints of fault-free behaviour.  These are the exact
@@ -237,6 +238,14 @@ CHAOS_FAULTS = {"events": [
     {"kind": "server_stall", "at": 14.0, "duration": 4.0, "delay": 1.0},
     {"kind": "loss_burst", "at": 10.0, "duration": 3.0, "rate": 0.2},
 ]}
+
+
+class TestRetryPolicy:
+    def test_backoff_doubles_up_to_its_cap(self):
+        policy = RetryPolicy(backoff_base_s=0.5)
+        assert [policy.backoff(k) for k in range(1, 7)] == [
+            0.5, 1.0, 2.0, 4.0, 8.0, 8.0,
+        ]
 
 
 class TestResilientSession:

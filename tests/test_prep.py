@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from repro.prep.analysis import (
-    choose_best_ordering,
     compute_drop_curve,
     droppable_positions,
     reliable_bytes,
     virtual_levels,
 )
-from repro.prep.prepare import prepare
+from repro.prep.prepare import DEFAULT_ORDERINGS, _choose_curve, prepare
 from repro.prep.ranking import (
     Ordering,
     build_order,
@@ -145,18 +144,52 @@ class TestReliableBytes:
 
 
 class TestBestOrdering:
-    def test_choice_minimizes_bytes(self, segment):
-        lower_bound = 0.99
-        choice = choose_best_ordering(segment, lower_bound)
-        for ordering in Ordering:
-            curve = compute_drop_curve(segment, ordering)
-            other = curve.bytes_for_score(lower_bound)
-            if other is not None:
-                assert choice.bytes_needed <= other
+    """§4.1: each rung keeps the ordering that needs the fewest bytes to
+    beat the next-lower rung's pristine score."""
+
+    @staticmethod
+    def _tail_scores(segment, order):
+        """Scores with the last ``k`` frames of ``order`` dropped, every k."""
+        n = len(order)
+        masks = np.zeros((n + 1, len(segment.frames)), dtype=bool)
+        for k in range(1, n + 1):
+            masks[k, order[n - k:]] = True
+        return decode_segment(segment, dropped=masks).score.tolist()
+
+    def test_choice_minimizes_bytes(self, tiny_video, tiny_prepared):
+        # Every entry of quality >= 1 holds the ordering that a linear
+        # scan over every drop count finds cheapest; the first wins ties.
+        for quality in range(1, len(tiny_video.ladder)):
+            for index in range(tiny_video.num_segments):
+                segment = tiny_video.segment(quality, index)
+                bound = pristine_score(tiny_video.segment(quality - 1, index))
+                payloads = segment.frames.payload_sizes()
+                best = best_bytes = None
+                for ordering in DEFAULT_ORDERINGS:
+                    order = build_order(segment.frames, ordering)
+                    scores = self._tail_scores(segment, order)
+                    drops = 0
+                    while drops < len(order) and scores[drops + 1] >= bound:
+                        drops += 1
+                    kept = order[:len(order) - drops]
+                    needed = reliable_bytes(segment) + int(
+                        payloads[kept].sum()
+                    )
+                    if best_bytes is None or needed < best_bytes:
+                        best, best_bytes = ordering, needed
+                entry = tiny_prepared.manifest.entry(quality, index)
+                assert entry.ordering == best, (quality, index)
 
     def test_unreachable_bound_falls_back_to_full(self, segment):
-        choice = choose_best_ordering(segment, 1.5)
-        assert choice.bytes_needed == segment.total_bytes
+        orders = [
+            build_order(segment.frames, ordering)
+            for ordering in DEFAULT_ORDERINGS
+        ]
+        scores = [self._tail_scores(segment, order) for order in orders]
+        curve = _choose_curve(segment, 1.5, DEFAULT_ORDERINGS, orders, scores)
+        assert curve.ordering == DEFAULT_ORDERINGS[0]
+        assert curve.bytes_for_score(1.5) is None
+        assert curve.points[0].bytes_needed == segment.total_bytes
 
 
 class TestVirtualLevels:

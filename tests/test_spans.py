@@ -832,8 +832,7 @@ def test_profile_spool_of_the_probe_profiler_is_refused(
     def run():
         with spans.profiled():
             run_fleet(fleet, prepared_map=prepared, checkpoint_dir=fleet_dir)
-        run_sweep(sweep, prepared_map=prepared, profile=True,
-                  checkpoint_dir=sweep_dir)
+            run_sweep(sweep, prepared_map=prepared, checkpoint_dir=sweep_dir)
 
     # Version 1 writes the spools a --profile run wrote before the
     # sampler: the same run keys and version-1 profiler states.
@@ -845,8 +844,7 @@ def test_profile_spool_of_the_probe_profiler_is_refused(
             fleet, prepared_map=prepared, checkpoint_dir=fleet_dir
         ),
         lambda: run_sweep(
-            sweep, prepared_map=prepared, profile=True,
-            checkpoint_dir=sweep_dir,
+            sweep, prepared_map=prepared, checkpoint_dir=sweep_dir,
         ),
     ):
         with spans.profiled() as prof:
@@ -872,12 +870,9 @@ class TestSweepLedgers:
             grid={"abr": ["bola", "abr_star"]},
         )
         prepared_map = {tiny_prepared.name: tiny_prepared}
-        serial = run_sweep(
-            spec, workers=1, prepared_map=prepared_map, profile=True
-        )
-        forked = run_sweep(
-            spec, workers=2, prepared_map=prepared_map, profile=True
-        )
+        with spans.profiled():
+            serial = run_sweep(spec, workers=1, prepared_map=prepared_map)
+            forked = run_sweep(spec, workers=2, prepared_map=prepared_map)
         assert validate_rows(serial) == 2
         for row_s, row_f in zip(serial, forked):
             det_s = row_s["ledger"]["deterministic"]
@@ -885,3 +880,27 @@ class TestSweepLedgers:
             assert det_s["hash"] == det_f["hash"]
             assert det_s["tree"] == det_f["tree"]
             assert row_s["summary"] == row_f["summary"]
+
+    def test_chaos_rows_carry_worker_invariant_ledgers(self, tiny_prepared):
+        from repro.experiments.chaos import run_chaos
+
+        def chaos(workers):
+            return run_chaos(
+                profiles=["mixed"], seeds=[0],
+                base={"video": tiny_prepared.name}, workers=workers,
+                prepared_map={tiny_prepared.name: tiny_prepared},
+            )
+
+        plain = chaos(1)
+        with spans.profiled():
+            serial = chaos(1)
+            forked = chaos(2)
+        assert len(plain) == len(serial) == len(forked) == 1
+        for row_p, row_s, row_f in zip(plain, serial, forked):
+            assert "ledger" not in row_p
+            assert row_s["ledger"]["spans"] > 0
+            assert (
+                row_s["ledger"]["deterministic"]
+                == row_f["ledger"]["deterministic"]
+            )
+            assert row_s["summary"] == row_f["summary"] == row_p["summary"]
