@@ -11,9 +11,10 @@ import numpy as np
 
 from benchmarks.conftest import format_rows
 from repro.abr import make_abr
+from repro.core.spec import ScenarioSpec
 from repro.experiments.fairness import run_fairness
 from repro.network import constant_trace, get_trace
-from repro.player import SessionConfig, StreamingSession
+from repro.player import StreamingSession
 from repro.prep.prepare import get_prepared
 
 
@@ -26,13 +27,11 @@ def test_backend_agreement(benchmark):
         for trace_name in ("constant:10.5", "verizon"):
             for backend in ("round", "packet"):
                 abr = make_abr("bola", prepared=prepared)
-                config = SessionConfig(
-                    buffer_segments=2,
-                    partially_reliable=False,
-                    transport_backend=backend,
+                spec = ScenarioSpec(
+                    buffer_segments=2, reliability="quic", backend=backend,
                 )
                 metrics = StreamingSession(
-                    prepared, abr, get_trace(trace_name), config
+                    prepared, abr, get_trace(trace_name), spec
                 ).run()
                 rows.append({
                     "trace": trace_name,

@@ -10,23 +10,22 @@ which stream they prefer.
 
 import numpy as np
 
-from repro import prepare_video
+from repro import ScenarioSpec, prepare_video, reliability_mode
 from repro.abr import make_abr
 from repro.experiments.survey import DIMENSIONS, run_survey
 from repro.network import riiser_3g_corpus
-from repro.player import SessionConfig, StreamingSession
+from repro.player import StreamingSession
 
 
 def stream_corpus(prepared, abr_name, partially_reliable, corpus):
     sessions = []
     for trace in corpus:
         abr = make_abr(abr_name, prepared=prepared)
-        config = SessionConfig(
-            buffer_segments=1, partially_reliable=partially_reliable
+        spec = ScenarioSpec(
+            buffer_segments=1,
+            reliability=reliability_mode(partially_reliable),
         )
-        sessions.append(
-            StreamingSession(prepared, abr, trace, config).run()
-        )
+        sessions.append(StreamingSession(prepared, abr, trace, spec).run())
     return sessions
 
 

@@ -10,10 +10,10 @@ BOLA, BETA and VOXEL, mirroring Fig. 6d.
 
 import numpy as np
 
-from repro import prepare_video
+from repro import ScenarioSpec, prepare_video, reliability_mode
 from repro.abr import make_abr
 from repro.network import get_trace
-from repro.player import SessionConfig, StreamingSession
+from repro.player import StreamingSession
 
 
 def run_trials(prepared, abr_name, buffer_segments, partially_reliable,
@@ -22,13 +22,13 @@ def run_trials(prepared, abr_name, buffer_segments, partially_reliable,
     trace = get_trace("tmobile")
     for i in range(repetitions):
         abr = make_abr(abr_name, prepared=prepared, **(abr_kwargs or {}))
-        config = SessionConfig(
+        spec = ScenarioSpec(
             buffer_segments=buffer_segments,
-            partially_reliable=partially_reliable,
+            reliability=reliability_mode(partially_reliable),
         )
         session = StreamingSession(
             prepared, abr, trace.shifted(i * trace.duration / repetitions),
-            config,
+            spec,
         )
         results.append(session.run())
     return results

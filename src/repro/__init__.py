@@ -48,8 +48,7 @@ _API_NAMES = (
 )
 
 #: Scenario-spine names living in repro.core (not repro.core.api).
-_CORE_NAMES = ("ScenarioSpec", "StackBuilder", "build_session",
-               "reliability_mode")
+_CORE_NAMES = ("ScenarioSpec", "StackBuilder", "reliability_mode")
 
 
 def __getattr__(name):

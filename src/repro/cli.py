@@ -124,25 +124,61 @@ def _read_json_arg(raw: str):
     return json.loads(text)
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro import prepare_video, stream
+def _trace_recorder(args: argparse.Namespace, auditor_type):
+    """The (tracer, auditor) pair of ``--trace-out``/``--check-invariants``.
 
-    tracer = None
+    Both are None without either flag; the auditor is None without
+    ``--check-invariants``.
+    """
+    if not (args.trace_out or args.check_invariants):
+        return None, None
+    from repro.obs import Tracer
+
+    tracer = Tracer()
     auditor = None
-    if args.trace_out:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
     if args.check_invariants:
-        from repro.obs import TraceAuditor, Tracer
-
         # Inline audit: the auditor observes every event as it is
         # emitted, so even events later evicted from the ring buffer
         # are checked.
-        if tracer is None:
-            tracer = Tracer()
-        auditor = TraceAuditor()
+        auditor = auditor_type()
         tracer.add_observer(auditor.feed)
+    return tracer, auditor
+
+
+def _finish_trace(args: argparse.Namespace, tracer, auditor) -> int:
+    """Write ``--trace-out`` and print the audit report to stderr.
+
+    Returns the exit status so far: 2 when the trace cannot be written,
+    1 when the audit failed, else 0.
+    """
+    if args.trace_out:
+        from repro.ioutil import atomic_output
+
+        # Atomic: a previously recorded trace at this path survives
+        # until the new one is complete.
+        try:
+            with atomic_output(args.trace_out) as trace_sink:
+                written = tracer.write_jsonl(trace_sink)
+        except OSError as exc:
+            print(f"error: cannot write trace {args.trace_out!r}: {exc}",
+                  file=sys.stderr)
+            return 2
+        print(f"wrote {written} events to {args.trace_out}",
+              file=sys.stderr)
+    if auditor is None:
+        return 0
+    from repro.obs import format_report
+
+    report = auditor.finalize()
+    print(format_report(report), file=sys.stderr)
+    return 0 if report.ok else 1
+
+
+def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro import prepare_video, stream
+    from repro.obs import TraceAuditor
+
+    tracer, auditor = _trace_recorder(args, TraceAuditor)
     prepared = prepare_video(args.video)
     abr_kwargs: Dict = {}
     if args.bandwidth_safety is not None:
@@ -182,27 +218,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.trace_out:
-        from repro.ioutil import atomic_output
-
-        # Atomic: a previously recorded trace at this path survives
-        # until the new one is complete.
-        try:
-            with atomic_output(args.trace_out) as trace_sink:
-                written = tracer.write_jsonl(trace_sink)
-        except OSError as exc:
-            print(f"error: cannot write trace {args.trace_out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {written} events to {args.trace_out}",
-              file=sys.stderr)
-    audit_failed = False
-    if auditor is not None:
-        from repro.obs import format_report
-
-        report = auditor.finalize()
-        print(format_report(report), file=sys.stderr)
-        audit_failed = not report.ok
+    status = _finish_trace(args, tracer, auditor)
+    if status == 2:
+        return status
     summary = result.summary()
     if args.json:
         if getattr(args, "metrics", False):
@@ -210,7 +228,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
             summary = dict(summary, metrics=get_registry().dump())
         print(json.dumps(summary, indent=2))
-        return 1 if audit_failed else 0
+        return status
     metrics = result.metrics
     print(f"{args.video} / {args.abr} / {args.trace} / "
           f"{args.buffer}-segment buffer "
@@ -232,7 +250,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(f"  degraded segs  {int(summary['degraded_segments']):7d}")
         print(f"  backoff        {summary['backoff_s']:7.2f} s")
     _maybe_print_metrics(args)
-    return 1 if audit_failed else 0
+    return status
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -498,31 +516,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_multiclient(args: argparse.Namespace) -> int:
     from repro.experiments.multiclient import DEFAULT_SPECS, run_multiclient
+    from repro.obs import MultiSessionAuditor
 
-    # Mixed fleet: cycle the default ABR x transport-flavour mix so any
-    # --clients count exercises contention between heterogeneous
-    # sessions.
-    specs = [
-        DEFAULT_SPECS[i % len(DEFAULT_SPECS)].with_(
-            video=args.video,
-            buffer_segments=args.buffer,
-            trace=args.trace,
-            seed=args.seed,
-            queue_packets=args.queue,
-            backend=args.backend,
-        )
-        for i in range(args.clients)
-    ]
-
-    tracer = None
-    auditor = None
-    if args.trace_out or args.check_invariants:
-        from repro.obs import MultiSessionAuditor, Tracer
-
-        tracer = Tracer()
-        if args.check_invariants:
-            auditor = MultiSessionAuditor()
-            tracer.add_observer(auditor.feed)
+    tracer, auditor = _trace_recorder(args, MultiSessionAuditor)
     rollup = fleet = None
     observers = None
     if args.rollup:
@@ -535,30 +531,27 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
         observers = [rollup.feed, fleet.feed]
 
     try:
+        # Mixed fleet: cycle the default ABR x transport-flavour mix so
+        # any --clients count exercises contention between heterogeneous
+        # sessions.
+        specs = [
+            DEFAULT_SPECS[i % len(DEFAULT_SPECS)].with_(
+                video=args.video,
+                buffer_segments=args.buffer,
+                trace=args.trace,
+                seed=args.seed,
+                queue_packets=args.queue,
+                backend=args.backend,
+            )
+            for i in range(args.clients)
+        ]
         result = run_multiclient(specs, tracer=tracer, observers=observers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.trace_out:
-        from repro.ioutil import atomic_output
-
-        try:
-            with atomic_output(args.trace_out) as trace_sink:
-                written = tracer.write_jsonl(trace_sink)
-        except OSError as exc:
-            print(f"error: cannot write trace {args.trace_out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {written} events to {args.trace_out}",
-              file=sys.stderr)
-    audit_failed = False
-    if auditor is not None:
-        from repro.obs import format_report
-
-        report = auditor.finalize()
-        print(format_report(report), file=sys.stderr)
-        audit_failed = not report.ok
+    status = _finish_trace(args, tracer, auditor)
+    if status == 2:
+        return status
 
     rows = result.rows()
     if args.json:
@@ -571,7 +564,7 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
 
             payload["metrics"] = get_registry().dump()
         print(json.dumps(payload, indent=2))
-        return 1 if audit_failed else 0
+        return status
     print(f"{args.clients} clients on {args.trace} "
           f"({args.backend} backend, shared bottleneck)")
     print(f"{'client':>22s} {'SSIM':>7s} {'kbps':>7s} {'bufRatio%':>10s} "
@@ -589,7 +582,7 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
         print(format_rollup(rollup.summary()))
         print(format_attribution(fleet.combined()))
     _maybe_print_metrics(args)
-    return 1 if audit_failed else 0
+    return status
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:

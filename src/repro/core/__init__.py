@@ -27,7 +27,6 @@ _API_NAMES = {
     "ScenarioSpec": "repro.core.spec",
     "reliability_mode": "repro.core.spec",
     "StackBuilder": "repro.core.build",
-    "build_session": "repro.core.build",
 }
 
 

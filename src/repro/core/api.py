@@ -13,12 +13,11 @@
 curves, manifest enrichment); ``stream`` plays the prepared video through
 an ABR algorithm over an emulated network and returns the full metrics.
 
-Both ``stream()`` and :func:`stream_spec` assemble the stack through the
-scenario spine: the keyword surface maps onto a
-:class:`~repro.core.spec.ScenarioSpec` and the
-:class:`~repro.core.build.StackBuilder` wires the session, so the
-convenience API, the experiment runner, and ``repro sweep`` all build
-identical stacks from identical descriptions.
+:func:`stream_spec` is the one call that streams a
+:class:`~repro.core.spec.ScenarioSpec`; ``stream()``'s keyword arguments
+are spec fields.  The :class:`~repro.core.build.StackBuilder` wires the
+session, so the convenience API, the experiment runner, and ``repro
+sweep`` all build identical stacks from identical descriptions.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.network.traces import TRACE_NAMES, NetworkTrace
 from repro.player.metrics import SessionMetrics
-from repro.player.session import SessionConfig
 from repro.prep.prepare import PreparedVideo, get_prepared, prepare
-from repro.qoe.metrics import QoEMetric
 from repro.transport.backends import BACKENDS
 from repro.video.content import ALL_VIDEOS
 
@@ -44,7 +41,6 @@ class StreamResult:
 
     metrics: SessionMetrics
     prepared: PreparedVideo
-    config: SessionConfig
 
     @property
     def buf_ratio(self) -> float:
@@ -91,69 +87,6 @@ def prepare_video(name: str, cached: bool = True) -> PreparedVideo:
     return prepare(name)
 
 
-#: ``stream()`` session kwargs that map onto a spec field of the same
-#: name (the remaining SessionConfig knobs are handled explicitly).
-_PASSTHROUGH_SESSION_KWARGS = (
-    "server_voxel_aware",
-    "client_voxel_aware",
-    "selective_retransmission",
-    "retx_buffer_threshold",
-    "queue_packets",
-    "base_rtt",
-    "manifest_fetch",
-    "manifest_window_segments",
-    "trace_kwargs",
-    "faults",
-    "request_timeout_s",
-    "retry_budget",
-    "retry_backoff_s",
-)
-
-
-def _spec_from_stream_kwargs(
-    video: str,
-    abr: str,
-    trace: str,
-    buffer_segments: int,
-    partially_reliable: bool,
-    seed: int,
-    trace_shift_s: float,
-    abr_kwargs: Optional[Dict],
-    session_kwargs: Dict,
-) -> ScenarioSpec:
-    """Translate the ``stream()`` keyword surface into a ScenarioSpec."""
-    session_kwargs = dict(session_kwargs)
-    fields: Dict = {
-        "video": video,
-        "abr": abr,
-        "trace": trace,
-        "buffer_segments": buffer_segments,
-        "seed": seed,
-        "trace_shift_s": trace_shift_s,
-        "abr_kwargs": dict(abr_kwargs or {}),
-        "reliability": reliability_mode(
-            partially_reliable,
-            bool(session_kwargs.pop("force_reliable_payload", False)),
-        ),
-    }
-    if "transport_backend" in session_kwargs:
-        fields["backend"] = session_kwargs.pop("transport_backend")
-    if "metric" in session_kwargs:
-        metric = session_kwargs.pop("metric")
-        fields["metric"] = (
-            metric.name if isinstance(metric, QoEMetric) else metric
-        )
-    for key in _PASSTHROUGH_SESSION_KWARGS:
-        if key in session_kwargs:
-            fields[key] = session_kwargs.pop(key)
-    if session_kwargs:
-        unexpected = sorted(session_kwargs)[0]
-        raise TypeError(
-            f"stream() got an unexpected keyword argument {unexpected!r}"
-        )
-    return ScenarioSpec(**fields)
-
-
 def stream(
     prepared: PreparedVideo,
     abr: str = "abr_star",
@@ -184,11 +117,11 @@ def stream(
         network_trace: pass an explicit trace object instead of a name.
         tracer: an :class:`~repro.obs.Tracer` collecting structured
             session events (``None`` = tracing off, zero overhead).
-        **session_kwargs: forwarded to :class:`SessionConfig` (e.g.
-            ``queue_packets=750``, ``selective_retransmission=False``)
-            or the spec's resilience knobs (``faults={"events": [...]}``,
-            ``request_timeout_s``, ``retry_budget``, ``retry_backoff_s``,
-            ``trace_kwargs={"outage_prob": 0.1}``).
+        **session_kwargs: further :class:`~repro.core.spec.ScenarioSpec`
+            fields (e.g. ``queue_packets=750``,
+            ``selective_retransmission=False``, ``faults={"events":
+            [...]}``, ``request_timeout_s``, ``trace_kwargs={
+            "outage_prob": 0.1}``); an unknown name is a ``TypeError``.
     """
     if network_trace is not None and seed != 0:
         raise ValueError(
@@ -197,16 +130,16 @@ def stream(
             f"seed={seed}; seed the trace object itself (or drop one "
             "of the two)"
         )
-    spec = _spec_from_stream_kwargs(
+    spec = ScenarioSpec(
         video=prepared.video.name,
         abr=abr,
         trace=trace,
         buffer_segments=buffer_segments,
-        partially_reliable=partially_reliable,
+        reliability=reliability_mode(partially_reliable),
         seed=seed,
         trace_shift_s=trace_shift_s,
-        abr_kwargs=abr_kwargs,
-        session_kwargs=session_kwargs,
+        abr_kwargs=dict(abr_kwargs or {}),
+        **session_kwargs,
     )
     return stream_spec(
         spec,
@@ -227,15 +160,12 @@ def stream_spec(
 ) -> StreamResult:
     """Stream one :class:`ScenarioSpec` and return the session metrics.
 
-    The declarative twin of :func:`stream`: every knob comes from the
-    spec, the stack is assembled by the
+    Every knob comes from the spec, the stack is assembled by the
     :class:`~repro.core.build.StackBuilder`, and the trace header is
-    stamped with the spec's content hash.
+    stamped with the spec's content hash.  An explicit
+    ``network_trace`` (already shifted) replaces the spec's named trace.
     """
     builder = StackBuilder(spec, prepared=prepared)
     prepared = builder.prepared_video()
     session = builder.build(network_trace=network_trace, tracer=tracer)
-    metrics = session.run()
-    return StreamResult(
-        metrics=metrics, prepared=prepared, config=session.config
-    )
+    return StreamResult(metrics=session.run(), prepared=prepared)

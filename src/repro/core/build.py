@@ -1,12 +1,11 @@
 """`StackBuilder`: a :class:`ScenarioSpec` becomes a ready session.
 
-The builder is the single assembly point of the stack.  It resolves the
-spec's component names against the registries (ABRs, traces, transport
-backends), realizes the network (trace seed/shift, optional cross
-traffic), maps the spec onto a
-:class:`~repro.player.session.SessionConfig`, and wires a
-:class:`~repro.player.session.StreamingSession` — byte-identical to the
-historical ad-hoc wiring in ``stream()`` / the experiment runner.
+The builder is the single place that turns the spec's names into
+objects: it resolves the video, ABR and trace names against the catalog
+and registries, realizes the network (trace seed/shift, optional cross
+traffic) and the fault plan, and hands them with the spec itself to a
+:class:`~repro.player.session.StreamingSession`, which reads its player
+and transport knobs from the spec.
 
 Multi-client runs use the same builder with shared plumbing: pass the
 shard's ``kernel`` and its ``bottleneck`` (built by the spec's
@@ -27,7 +26,7 @@ from repro.network.crosstraffic import (
 )
 from repro.network.traces import TRACES, NetworkTrace, get_trace
 from repro.obs.metrics import get_registry
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 from repro.prep.prepare import PreparedVideo, get_prepared
 from repro.transport.backends import make_backend
 
@@ -160,30 +159,6 @@ class StackBuilder:
             spec, horizon=horizon, scenario_seed=self.spec.seed
         )
 
-    def session_config(
-        self, fault_plan: Optional[FaultPlan] = None
-    ) -> SessionConfig:
-        """Map the spec onto the session's knob set."""
-        spec = self.spec
-        return SessionConfig(
-            buffer_segments=spec.buffer_segments,
-            partially_reliable=spec.partially_reliable,
-            server_voxel_aware=spec.server_voxel_aware,
-            client_voxel_aware=spec.client_voxel_aware,
-            force_reliable_payload=spec.force_reliable_payload,
-            selective_retransmission=spec.selective_retransmission,
-            retx_buffer_threshold=spec.retx_buffer_threshold,
-            queue_packets=spec.queue_packets,
-            base_rtt=spec.base_rtt,
-            transport_backend=spec.backend,
-            manifest_fetch=spec.manifest_fetch,
-            manifest_window_segments=spec.manifest_window_segments,
-            request_timeout_s=spec.request_timeout_s,
-            retry_budget=spec.retry_budget,
-            retry_backoff_s=spec.retry_backoff_s,
-            fault_plan=fault_plan,
-        )
-
     # ------------------------------------------------------------------
     def build(
         self,
@@ -221,7 +196,8 @@ class StackBuilder:
             self.prepared_video(),
             self.make_abr(),
             trace,
-            self.session_config(fault_plan=self.fault_plan(trace)),
+            self.spec,
+            fault_plan=self.fault_plan(trace),
             cross_demand=self.cross_demand(trace),
             bottleneck=bottleneck,
             tracer=tracer,
@@ -231,13 +207,4 @@ class StackBuilder:
         )
 
 
-def build_session(
-    spec: ScenarioSpec,
-    prepared: Optional[PreparedVideo] = None,
-    **build_kwargs,
-) -> StreamingSession:
-    """One-call convenience: ``StackBuilder(spec, prepared).build(...)``."""
-    return StackBuilder(spec, prepared=prepared).build(**build_kwargs)
-
-
-__all__ = ["StackBuilder", "build_session"]
+__all__ = ["StackBuilder"]

@@ -26,7 +26,8 @@ It is the only scenario type: the runner, sweeps, chaos cells and
 multi-client shards all take specs.
 
 The :class:`~repro.core.build.StackBuilder` turns a spec into a ready
-:class:`~repro.player.session.StreamingSession`.
+:class:`~repro.player.session.StreamingSession`, which reads its player
+and transport knobs from the spec itself.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ from repro.qoe.metrics import METRICS, QoEMetric
 #: baseline; the "-rel" variants force the payload onto reliable streams
 #: (the "VOXEL rel" ablation of §D).
 RELIABILITY_MODES = ("quic*", "quic", "quic*-rel", "quic-rel")
+
+#: Manifest fetch at session start (§4.1): "free" ignores the manifest's
+#: cost (both systems of a pure-ABR comparison would pay it), "full"
+#: downloads the whole VOXEL-enriched manifest before playback, and
+#: "incremental" models DASH's MPD updates: only a window of metadata
+#: gates startup.
+MANIFEST_FETCH_MODES = ("free", "incremental", "full")
 
 
 def reliability_mode(
@@ -95,16 +103,17 @@ class ScenarioSpec:
     trace_kwargs: Dict = field(default_factory=dict)
     cross_traffic_mbps: Optional[float] = None
     link_mbps_under_cross: float = 20.0
-    # Transport flavour.
+    # Transport flavour: "round" is the fast per-RTT model, "packet"
+    # the event-driven per-packet backend that validates it.
     backend: str = "round"  # transport backend registry key
     reliability: str = "quic*"  # see RELIABILITY_MODES
-    # Player / session knobs (mirror SessionConfig).
+    # Player / session knobs, read by the session itself.
     buffer_segments: int = 3
     queue_packets: Optional[int] = 32
     base_rtt: float = 0.060
     selective_retransmission: bool = True
     retx_buffer_threshold: float = 0.5
-    manifest_fetch: str = "free"
+    manifest_fetch: str = "free"  # see MANIFEST_FETCH_MODES
     manifest_window_segments: int = 4
     # Kept for the canonical JSON (every spec hash includes it); only
     # "ssim" is accepted, since sessions score SSIM whatever ABR* optimizes.
@@ -128,13 +137,22 @@ class ScenarioSpec:
                 f"unknown reliability mode {self.reliability!r}; known: "
                 f"{', '.join(RELIABILITY_MODES)}"
             )
-        if self.metric.lower() != "ssim":
+        if not isinstance(self.metric, str) or self.metric.lower() != "ssim":
             raise ValueError(
                 f"sessions are scored on SSIM, not {self.metric!r}: choose "
                 "ABR*'s optimization metric with abr_kwargs={'metric': ...}"
             )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.buffer_segments < 1:
+            raise ValueError(
+                f"buffer_segments must be >= 1, got {self.buffer_segments}"
+            )
+        if self.manifest_fetch not in MANIFEST_FETCH_MODES:
+            raise ValueError(
+                f"unknown manifest_fetch mode {self.manifest_fetch!r}; "
+                f"known: {', '.join(MANIFEST_FETCH_MODES)}"
+            )
         if self.faults is not None:
             # Structural validation only; injector kinds are checked
             # against the FAULTS registry by StackBuilder.validate.

@@ -36,7 +36,6 @@ from repro.experiments.multiclient import (
 from repro.experiments.runner import (
     TrialSummary,
     compare,
-    run_single,
     run_trials,
 )
 from repro.experiments.survey import (
@@ -78,7 +77,6 @@ __all__ = [
     "format_fleet_report",
     "run_fleet",
     "run_multiclient",
-    "run_single",
     "run_trials",
     "SweepSpec",
     "dry_run_rows",

@@ -71,6 +71,14 @@ _HANG_S = 3600.0
 #: Grace period for reaping a child that already delivered its result.
 _REAP_S = 5.0
 
+#: Backoff before task retry *k* (1-based) is ``TASK_BACKOFF_BASE_S *
+#: 2**(k-1)``, capped at ``TASK_BACKOFF_MAX_S``.
+TASK_BACKOFF_BASE_S = 0.5
+TASK_BACKOFF_MAX_S = 30.0
+
+#: The supervisor's longest wait between checks of its workers.
+POLL_INTERVAL_S = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Policy, failures, outcome.
@@ -82,16 +90,11 @@ class ExecutionPolicy:
     ``task_timeout_s`` is a *wall-clock* deadline per attempt (None =
     no deadline; hung workers then only die with the run).
     ``max_attempts`` counts the first try plus retries; a task is
-    quarantined after its last attempt fails.  Backoff before retry
-    *k* (1-based) is ``backoff_base_s * 2**(k-1)`` capped at
-    ``backoff_max_s``.
+    quarantined after its last attempt fails.
     """
 
     task_timeout_s: Optional[float] = None
     max_attempts: int = 3
-    backoff_base_s: float = 0.5
-    backoff_max_s: float = 30.0
-    poll_interval_s: float = 0.05
 
     def __post_init__(self):
         if self.task_timeout_s is not None and not self.task_timeout_s > 0:
@@ -102,16 +105,12 @@ class ExecutionPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff must be >= 0")
-        if not self.poll_interval_s > 0:
-            raise ValueError("poll_interval_s must be > 0")
 
     def backoff_s(self, failures: int) -> float:
         """Sleep before the retry following the ``failures``-th failure."""
         return min(
-            self.backoff_base_s * (2.0 ** max(failures - 1, 0)),
-            self.backoff_max_s,
+            TASK_BACKOFF_BASE_S * (2.0 ** max(failures - 1, 0)),
+            TASK_BACKOFF_MAX_S,
         )
 
 
@@ -689,7 +688,7 @@ def supervised_map(
             # How long to wait: the nearest deadline, the nearest
             # backoff expiry (when a slot is free for it), or a poll
             # tick — whichever comes first.
-            waits = [policy.poll_interval_s]
+            waits = [POLL_INTERVAL_S]
             deadlines = [
                 child.deadline for child in active.values()
                 if child.deadline is not None

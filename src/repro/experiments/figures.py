@@ -16,8 +16,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.api import stream_spec
 from repro.core.spec import ScenarioSpec, reliability_mode
-from repro.experiments.runner import run_single, run_trials
+from repro.experiments.runner import run_trials
 from repro.experiments.sweep import _run_cells
 from repro.network.traces import riiser_3g_corpus
 from repro.prep.analysis import compute_drop_curve, droppable_positions
@@ -551,9 +552,9 @@ def fig10_components(
                 reliability=reliability_mode(partially_reliable),
                 repetitions=1, abr_kwargs=kwargs,
             )
-            sessions.append(
-                run_single(spec, prepared=prepared, trace=trace)
-            )
+            sessions.append(stream_spec(
+                spec, prepared=prepared, network_trace=trace
+            ).metrics)
         buf_ratios = [s.buf_ratio for s in sessions]
         ssims = [s.mean_ssim for s in sessions]
         out[label] = {

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.api import stream_spec
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
 from repro.experiments.execution import (
@@ -96,27 +97,6 @@ class TrialSummary:
         }
 
 
-def run_single(
-    spec: ScenarioSpec,
-    shift_s: float = 0.0,
-    prepared: Optional[PreparedVideo] = None,
-    trace: Optional[NetworkTrace] = None,
-    tracer=None,
-) -> SessionMetrics:
-    """Run one streaming session of ``spec``, its trace shifted by ``shift_s``.
-
-    The stack is assembled by the :class:`~repro.core.build.StackBuilder`;
-    an explicit ``trace`` replaces the spec's named one.
-    """
-    if shift_s:
-        spec = spec.with_(trace_shift_s=spec.trace_shift_s + shift_s)
-    if trace is not None:
-        trace = trace.shifted(shift_s)
-    return StackBuilder(spec, prepared=prepared).build(
-        network_trace=trace, tracer=tracer
-    ).run()
-
-
 def _rep_session(
     spec: ScenarioSpec,
     shift_s: float,
@@ -125,7 +105,7 @@ def _rep_session(
     collect_trace: bool,
     observers: Optional[Sequence] = None,
 ) -> Tuple[SessionMetrics, Optional[str]]:
-    """Run one repetition.
+    """Run one repetition, its trace shifted by ``shift_s``.
 
     Returns the session metrics and the JSONL trace if requested.
     ``observers`` see every trace event; without ``collect_trace`` they
@@ -138,10 +118,12 @@ def _rep_session(
         tracer = StreamingTracer(observers=observers)
     else:
         tracer = None
-    metrics = run_single(
-        spec, shift_s=shift_s, prepared=prepared, trace=trace,
+    if shift_s:
+        spec = spec.with_(trace_shift_s=spec.trace_shift_s + shift_s)
+    metrics = stream_spec(
+        spec, prepared=prepared, network_trace=trace.shifted(shift_s),
         tracer=tracer,
-    )
+    ).metrics
     return metrics, (tracer.to_jsonl() if collect_trace else None)
 
 

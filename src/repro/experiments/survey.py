@@ -161,31 +161,31 @@ def fig14_survey(
     throughput as low as 0.3 Mbps", §5.3), streamed once with VOXEL and
     once with BOLA over plain QUIC.
     """
+    from repro.core.api import stream_spec
     from repro.core.spec import ScenarioSpec
-    from repro.experiments.runner import run_single
     from repro.network.traces import riiser_3g_corpus
     from repro.prep.prepare import get_prepared
 
     prepared = get_prepared(video)
     traces = riiser_3g_corpus(count=clips, seed=seed)
     voxel_sessions = [
-        run_single(
+        stream_spec(
             ScenarioSpec(
                 video=video, abr="abr_star",
                 buffer_segments=buffer_segments, repetitions=1,
             ),
-            prepared=prepared, trace=trace,
-        )
+            prepared=prepared, network_trace=trace,
+        ).metrics
         for trace in traces
     ]
     bola_sessions = [
-        run_single(
+        stream_spec(
             ScenarioSpec(
                 video=video, abr="bola", reliability="quic",
                 buffer_segments=buffer_segments, repetitions=1,
             ),
-            prepared=prepared, trace=trace,
-        )
+            prepared=prepared, network_trace=trace,
+        ).metrics
         for trace in traces
     ]
     return run_survey(

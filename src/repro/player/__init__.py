@@ -8,7 +8,7 @@ from repro.player.metrics import (
     percentile_across,
     stderr_across,
 )
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 __all__ = [
     "PlaybackBuffer",
@@ -19,6 +19,5 @@ __all__ = [
     "SessionMetrics",
     "percentile_across",
     "stderr_across",
-    "SessionConfig",
     "StreamingSession",
 ]

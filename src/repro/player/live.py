@@ -24,8 +24,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.player.metrics import SegmentRecord, SessionMetrics
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
 @dataclass
@@ -129,7 +130,7 @@ def stream_live(
     buffer_segments: int = 1,
     encoder_delay: float = 1.0,
     partially_reliable: bool = True,
-    **config_kwargs,
+    **spec_kwargs,
 ) -> LiveMetrics:
     """Convenience wrapper: run one live session.
 
@@ -140,13 +141,15 @@ def stream_live(
         trace: the network trace.
         buffer_segments: client buffer (1 = lowest latency).
         encoder_delay: production pipeline delay in seconds.
+        **spec_kwargs: further :class:`~repro.core.spec.ScenarioSpec`
+            fields (e.g. ``backend="packet"``).
     """
-    config = SessionConfig(
+    spec = ScenarioSpec(
         buffer_segments=buffer_segments,
-        partially_reliable=partially_reliable,
-        **config_kwargs,
+        reliability=reliability_mode(partially_reliable),
+        **spec_kwargs,
     )
     session = LiveStreamingSession(
-        prepared, abr, trace, config, encoder_delay=encoder_delay
+        prepared, abr, trace, spec, encoder_delay=encoder_delay
     )
     return session.run_live()

@@ -17,7 +17,7 @@ paper's client behaviour:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.abr.base import (
@@ -28,6 +28,8 @@ from repro.abr.base import (
     DownloadProgress,
     safe_throughput,
 )
+from repro.core.spec import ScenarioSpec
+from repro.faults.plan import FaultPlan
 from repro.network.events import SimKernel
 from repro.network.traces import NetworkTrace
 from repro.obs import events as ev
@@ -48,46 +50,6 @@ from repro.transport.resilience import (
 )
 
 
-@dataclass
-class SessionConfig:
-    """Knobs of one streaming experiment configuration (§5)."""
-
-    buffer_segments: int = 3
-    partially_reliable: bool = True  # QUIC* (True) vs plain QUIC (False)
-    server_voxel_aware: bool = True
-    client_voxel_aware: bool = True
-    force_reliable_payload: bool = False  # the "VOXEL rel" ablation (§D)
-    selective_retransmission: bool = True
-    retx_buffer_threshold: float = 0.5  # min buffer fill to keep repairing
-    queue_packets: Optional[int] = 32
-    base_rtt: float = 0.060
-    # Transport simulation backend: "round" is the fast per-RTT model
-    # used for all sweeps; "packet" is the event-driven per-packet
-    # backend (orders of magnitude slower) used to validate it.
-    transport_backend: str = "round"  # "round" | "packet"
-    # Manifest fetch at session start (§4.1).  "full" downloads the whole
-    # (large, VOXEL-enriched) manifest before playback; "incremental"
-    # models DASH's MPD-update feature — only a small window of metadata
-    # gates startup, mitigating the enriched manifest's size; "free"
-    # ignores manifest cost (the default for pure-ABR comparisons, where
-    # both systems would pay the same).
-    manifest_fetch: str = "free"  # "free" | "incremental" | "full"
-    manifest_window_segments: int = 4
-    # Resilience.  ``fault_plan`` is a realized
-    # :class:`~repro.faults.plan.FaultPlan` (built by the StackBuilder
-    # from the scenario's FaultSpec); the retry knobs govern the client's
-    # deadline/backoff policy.  The resilience machinery activates only
-    # when a plan or a deadline is configured — otherwise the session
-    # takes the exact legacy code paths (byte-identical output).
-    request_timeout_s: Optional[float] = None
-    retry_budget: int = 3
-    retry_backoff_s: float = 0.5
-    fault_plan: Optional[object] = None
-
-    def buffer_capacity_s(self, segment_duration: float) -> float:
-        return self.buffer_segments * segment_duration
-
-
 @dataclass(slots=True)
 class _PendingRepair:
     record: SegmentRecord
@@ -97,14 +59,24 @@ class _PendingRepair:
 
 
 class StreamingSession:
-    """Streams one video once; :meth:`run` returns the session metrics."""
+    """Streams one video once; :meth:`run` returns the session metrics.
+
+    The player and transport knobs are read from ``spec`` (buffer size,
+    reliability mode, backend, repair, manifest and retry settings); its
+    video, ABR and trace names are not: ``prepared``, ``abr`` and
+    ``trace`` are passed as objects.  ``fault_plan`` is the spec's
+    realized fault schedule (None = no faults).  The resilience
+    machinery activates only under a fault plan or a request deadline;
+    otherwise the session takes its fault-free paths.
+    """
 
     def __init__(
         self,
         prepared: PreparedVideo,
         abr: ABRAlgorithm,
         trace: NetworkTrace,
-        config: Optional[SessionConfig] = None,
+        spec: Optional[ScenarioSpec] = None,
+        fault_plan: Optional[FaultPlan] = None,
         cross_demand: Optional[NetworkTrace] = None,
         bottleneck=None,
         tracer=None,
@@ -114,7 +86,8 @@ class StreamingSession:
     ):
         self.prepared = prepared
         self.abr = abr
-        self.config = config if config is not None else SessionConfig()
+        self.spec = spec = spec if spec is not None else ScenarioSpec()
+        self.fault_plan = fault_plan
         # The kernel is the session's one time authority: a shard hands
         # every client the shard's kernel, a solo session builds its own.
         self.kernel = kernel if kernel is not None else SimKernel()
@@ -137,25 +110,32 @@ class StreamingSession:
         # The transport substrate comes from the backend registry: a
         # shard hands every client its one bottleneck (on the shard's
         # kernel), a solo session builds its own the same way.
-        backend = make_backend(self.config.transport_backend)
+        backend = make_backend(spec.backend)
         if bottleneck is None:
             bottleneck = backend.bottleneck(
                 self.kernel,
                 trace,
-                self.config.queue_packets,
-                self.config.base_rtt,
-                fault_plan=self.config.fault_plan,
+                spec.queue_packets,
+                spec.base_rtt,
+                fault_plan=fault_plan,
                 cross_demand=cross_demand,
             )
         self.connection = backend.connection(
-            bottleneck, self.kernel, self.config.partially_reliable,
-            self.tracer,
+            bottleneck, self.kernel, spec.partially_reliable, self.tracer,
         )
-        self.connection.fault_plan = self.config.fault_plan
+        self.connection.fault_plan = fault_plan
         self.http = VoxelHttp(
             self.connection,
-            server_voxel_aware=self.config.server_voxel_aware,
-            client_voxel_aware=self.config.client_voxel_aware,
+            server_voxel_aware=spec.server_voxel_aware,
+            client_voxel_aware=spec.client_voxel_aware,
+        )
+        self._force_reliable = spec.force_reliable_payload
+        # Selective retransmission (§4.2) needs unreliable delivery end
+        # to end.
+        self._repairs = (
+            spec.selective_retransmission
+            and self.http.voxel_capable
+            and not self._force_reliable
         )
         manifest = prepared.manifest
         if not self.http.voxel_capable:
@@ -165,7 +145,11 @@ class StreamingSession:
         seg_dur = prepared.video.segment_duration
         self.segment_duration = seg_dur
         self.buffer = PlaybackBuffer(
-            capacity_s=self.config.buffer_capacity_s(seg_dur)
+            capacity_s=spec.buffer_segments * seg_dur
+        )
+        # Repairs stop once the buffer falls to this level.
+        self._repair_floor_s = (
+            spec.retx_buffer_threshold * self.buffer.capacity_s
         )
         self.abr.setup(self.manifest, self.buffer.capacity_s)
         self._throughput_samples: List[float] = []
@@ -175,17 +159,16 @@ class StreamingSession:
         self._tp_cache: Optional[float] = None
         self._pending_repairs: List[_PendingRepair] = []
         self._resilience = (
-            self.config.fault_plan is not None
-            or self.config.request_timeout_s is not None
+            fault_plan is not None or spec.request_timeout_s is not None
         )
         self._retry_policy: Optional[RetryPolicy] = None
         self._res_counts: Dict[str, float] = {}
         self._segment_retries: Dict[int, int] = {}
         if self._resilience:
             self._retry_policy = RetryPolicy(
-                request_timeout_s=self.config.request_timeout_s,
-                retry_budget=self.config.retry_budget,
-                backoff_base_s=self.config.retry_backoff_s,
+                request_timeout_s=spec.request_timeout_s,
+                retry_budget=spec.retry_budget,
+                backoff_base_s=spec.retry_backoff_s,
             )
             self._res_counts = {
                 "faults": 0, "timeouts": 0, "resets": 0,
@@ -289,12 +272,12 @@ class StreamingSession:
                 num_segments=video.num_segments,
                 segment_duration=self.segment_duration,
                 buffer_capacity_s=self.buffer.capacity_s,
-                backend=self.config.transport_backend,
-                partially_reliable=self.config.partially_reliable,
+                backend=self.spec.backend,
+                partially_reliable=self.spec.partially_reliable,
                 num_levels=self.manifest.num_levels,
                 **extra,
             )
-        plan = self.config.fault_plan
+        plan = self.fault_plan
         if plan is not None:
             # Announce the realized fault schedule up front: every window
             # the plan will apply is visible in the trace before any
@@ -368,7 +351,7 @@ class StreamingSession:
         average top-quality segment); downloading it in full delays
         startup, while DASH's MPD-update feature amortizes it.
         """
-        mode = self.config.manifest_fetch
+        mode = self.spec.manifest_fetch
         if mode == "free":
             return
         spans = self._spans
@@ -383,12 +366,10 @@ class StreamingSession:
         total = self.manifest.metadata_bytes()
         if mode == "incremental":
             window = min(
-                max(self.config.manifest_window_segments, 1),
+                max(self.spec.manifest_window_segments, 1),
                 self.manifest.num_segments,
             )
             total = int(total * window / self.manifest.num_segments)
-        elif mode != "full":
-            raise ValueError(f"unknown manifest_fetch mode {mode!r}")
         retry = self._make_retry(-1, context="manifest")
         try:
             result = yield from resilient_download_iter(
@@ -535,16 +516,9 @@ class StreamingSession:
         threshold as repair time — spending it never risks a stall
         because we cap the repair window by the spare buffer.
         """
-        if not (
-            self.config.selective_retransmission
-            and self.http.voxel_capable
-            and not self.config.force_reliable_payload
-            and self._pending_repairs
-        ):
+        if not (self._repairs and self._pending_repairs):
             return
-        margin = self.buffer.level_s - (
-            self.config.retx_buffer_threshold * self.buffer.capacity_s
-        )
+        margin = self.buffer.level_s - self._repair_floor_s
         if margin <= 0.25:
             return
         t0 = self.kernel.now
@@ -559,11 +533,7 @@ class StreamingSession:
         frame = spans.push("idle") if spans is not None else None
         t0 = self.kernel.now
         deadline = t0 + duration
-        if (
-            self.config.selective_retransmission
-            and self.http.voxel_capable
-            and not self.config.force_reliable_payload
-        ):
+        if self._repairs:
             yield from self._repair_losses(deadline)
         remaining = deadline - self.kernel.now
         if remaining > 0:
@@ -590,9 +560,7 @@ class StreamingSession:
             if self.kernel.now >= deadline:
                 break
             effective_buffer = self.buffer.level_s - (self.kernel.now - t0)
-            if effective_buffer <= (
-                self.config.retx_buffer_threshold * self.buffer.capacity_s
-            ):
+            if effective_buffer <= self._repair_floor_s:
                 # Conditions unfavorable: stop repairing (§4.2).
                 break
             media_start = pending.index * self.segment_duration
@@ -704,8 +672,7 @@ class StreamingSession:
                         target_bytes=decision.target_bytes,
                         progress=progress,
                         force_reliable=(
-                            self.config.force_reliable_payload
-                            or not decision.unreliable
+                            self._force_reliable or not decision.unreliable
                         ),
                         retry=retry,
                     )
@@ -745,11 +712,9 @@ class StreamingSession:
                     retry = self._make_retry(
                         index,
                         policy=RetryPolicy(
-                            request_timeout_s=(
-                                self.config.request_timeout_s
-                            ),
+                            request_timeout_s=self.spec.request_timeout_s,
                             retry_budget=0,
-                            backoff_base_s=self.config.retry_backoff_s,
+                            backoff_base_s=self.spec.retry_backoff_s,
                         ),
                     )
                     continue

@@ -207,6 +207,12 @@ class TestReport:
         assert "grp:" in text and "scalar: 3" in text and "top:" in text
 
 
+_ZERO_BUFFER_SWEEP = [
+    "sweep", "--videos", "bbb", "--abrs", "bola,tput",
+    "--traces", "constant:10.5", "--buffers", "0", "--reps", "1",
+]
+
+
 class TestObservabilityCli:
     def test_trace_out_and_inspect(self, tmp_path, capsys):
         path = tmp_path / "session.jsonl"
@@ -296,12 +302,34 @@ class TestObservabilityCli:
         ["profile", "bbb", "--reps", "0"],
         ["survey", "--clips", "0"],
         ["survey", "--participants", "0"],
+        # A spec value no session can run fails before any cell runs,
+        # whatever the worker count.
+        _ZERO_BUFFER_SWEEP + ["--dry-run"],
+        _ZERO_BUFFER_SWEEP + ["--workers", "2"],
+        ["multiclient", "bbb", "--clients", "2", "--buffer", "0"],
     ])
     def test_usage_error_exits_2_in_one_line(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [["--dry-run"], ["--workers", "2"]])
+    def test_sweep_spec_with_an_unknown_manifest_mode_exits_2(
+        self, tmp_path, capsys, mode
+    ):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "base": {"video": "bbb", "repetitions": 1,
+                     "trace": "constant:10.5", "manifest_fetch": "bogus"},
+            "grid": {"abr": ["bola", "tput"]},
+        }))
+        assert main(["sweep", "--spec", str(spec)] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "manifest_fetch" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_compare_rejects_zero_reps_in_one_line(self, capsys):

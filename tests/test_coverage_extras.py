@@ -186,15 +186,15 @@ class TestVideoAliases:
 
 class TestSurveyEdge:
     def test_more_participants_than_clips(self, tiny_prepared):
+        from repro.core.api import stream_spec
         from repro.core.spec import ScenarioSpec
-        from repro.experiments.runner import run_single
         from repro.experiments.survey import run_survey
 
         config = ScenarioSpec(
             video="tinytest", abr="bola", trace="verizon",
             buffer_segments=1, repetitions=1, reliability="quic",
         )
-        session = run_single(config, prepared=tiny_prepared)
+        session = stream_spec(config, prepared=tiny_prepared).metrics
         result = run_survey([session], [session], participants=30, seed=0)
         # Identical clips: preference is noise around 50 % plus ties
         # counted for VOXEL.

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.experiments import execution
 from repro.experiments.execution import (
     CheckpointError,
     CheckpointStore,
@@ -45,10 +46,16 @@ from repro.obs.metrics import get_registry, scoped_registry
 # that supervision, retry, and resume are invisible in clean output.
 GOLDEN_TINY_FLEET_HASH = "2c4fd532f1416772"
 
-#: Retries without sleeps: every recovery path, none of the waiting.
-FAST = ExecutionPolicy(
-    max_attempts=3, backoff_base_s=0.0, poll_interval_s=0.01
-)
+#: Supervised, with three attempts; under ``fast_supervision`` its
+#: retries do not sleep.
+FAST = ExecutionPolicy(max_attempts=3)
+
+
+@pytest.fixture
+def fast_supervision(monkeypatch):
+    """Retries without sleeps: every recovery path, none of the waiting."""
+    monkeypatch.setattr(execution, "TASK_BACKOFF_BASE_S", 0.0)
+    monkeypatch.setattr(execution, "POLL_INTERVAL_S", 0.01)
 
 
 def _square(x):
@@ -150,16 +157,14 @@ class TestValidateWorkers:
 
 class TestPolicy:
     def test_backoff_doubles_and_caps(self):
-        policy = ExecutionPolicy(backoff_base_s=0.5, backoff_max_s=1.6)
-        assert policy.backoff_s(1) == 0.5
-        assert policy.backoff_s(2) == 1.0
-        assert policy.backoff_s(3) == 1.6
+        policy = ExecutionPolicy()
+        assert [policy.backoff_s(k) for k in range(1, 9)] == [
+            0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0,
+        ]
 
     @pytest.mark.parametrize("kwargs", [
         {"task_timeout_s": 0},
         {"max_attempts": 0},
-        {"backoff_base_s": -1},
-        {"poll_interval_s": 0},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -169,6 +174,7 @@ class TestPolicy:
 # ---------------------------------------------------------------------------
 # Supervised map: plain operation and order.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestSupervisedMap:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_matches_serial_fold_order(self, workers):
@@ -194,6 +200,7 @@ class TestSupervisedMap:
 # ---------------------------------------------------------------------------
 # The injected fault matrix: every failure class, retried then healed.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestFaultMatrix:
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
@@ -205,7 +212,7 @@ class TestFaultMatrix:
         fault(mode=mode, task=2, attempts=1)
         policy = ExecutionPolicy(
             task_timeout_s=0.5 if mode == "hang" else None,
-            max_attempts=3, backoff_base_s=0.0, poll_interval_s=0.01,
+            max_attempts=3,
         )
         outcome = supervised_map(
             _square, range(6), workers=workers, policy=policy
@@ -233,10 +240,7 @@ class TestFaultMatrix:
 
     def test_hang_is_deadline_killed(self, fault):
         fault(mode="hang", task=0, attempts=99)
-        policy = ExecutionPolicy(
-            task_timeout_s=0.3, max_attempts=2, backoff_base_s=0.0,
-            poll_interval_s=0.01,
-        )
+        policy = ExecutionPolicy(task_timeout_s=0.3, max_attempts=2)
         t0 = time.monotonic()
         outcome = supervised_map(
             _square, range(3), workers=2, policy=policy
@@ -249,10 +253,7 @@ class TestFaultMatrix:
         fault(mode="corrupt", task=1, attempts=99)
         outcome = supervised_map(
             _square, range(3), workers=2,
-            policy=ExecutionPolicy(
-                max_attempts=1, backoff_base_s=0.0,
-                poll_interval_s=0.01,
-            ),
+            policy=ExecutionPolicy(max_attempts=1),
         )
         (failure,) = outcome.failures
         assert failure.causes[0].startswith("corrupt-result(")
@@ -265,10 +266,7 @@ class TestFaultMatrix:
 
         outcome = supervised_map(
             worker, range(4), workers=2,
-            policy=ExecutionPolicy(
-                max_attempts=1, backoff_base_s=0.0,
-                poll_interval_s=0.01,
-            ),
+            policy=ExecutionPolicy(max_attempts=1),
         )
         (failure,) = outcome.failures
         assert failure.causes == ["exception(ValueError: poison cell)"]
@@ -301,6 +299,7 @@ class TestFaultMatrix:
         assert outcome.degraded() is None
 
 
+@pytest.mark.usefixtures("fast_supervision")
 class TestExecutionError:
     def test_message_names_tasks_never_broken_pool(
         self, fault, tiny_prepared
@@ -462,6 +461,7 @@ class TestCheckpointStore:
         assert list(store.load_completed()[0]) == ["zebra", "alpha"]
 
 
+@pytest.mark.usefixtures("fast_supervision")
 class TestResume:
     def test_resume_skips_completed_work(self, tmp_path):
         root = str(tmp_path / "ckpt")
@@ -497,6 +497,7 @@ class TestResume:
 # ---------------------------------------------------------------------------
 # Interruption: pool teardown, honest resume hint, valid spool.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestInterrupt:
     def test_serial_interrupt_reports_progress(self):
         def worker(x):
@@ -545,6 +546,7 @@ class TestInterrupt:
 # ---------------------------------------------------------------------------
 # execute(): serial fast path vs supervised dispatch.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestExecuteDispatch:
     def test_serial_fast_path_runs_in_process(self):
         seen = []
@@ -599,6 +601,7 @@ class TestExecuteDispatch:
 # ---------------------------------------------------------------------------
 # execute() folds each task's metrics scope into the caller's registry.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestMetricsFold:
     EXPECTED = {
         "counters": {f"probe{{task={i}}}": float(i + 1) for i in range(4)},
@@ -643,7 +646,7 @@ class TestMetricsFold:
 
     def test_every_engine_counts_its_sessions(self, tiny_prepared):
         # StackBuilder.build counts each session it assembles, so the
-        # engines that never call run_single count theirs too.
+        # engines that never call stream_spec count theirs too.
         prepared = {tiny_prepared.name: tiny_prepared}
         with scoped_registry() as chaos:
             run_chaos(
@@ -674,6 +677,7 @@ class TestMetricsFold:
 # ---------------------------------------------------------------------------
 # execute() gives each task its own profiler and folds it like metrics.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestProfilerFold:
     TREE = {
         f"task{i}": {"count": 1, "sim_s": i + 1.0} for i in range(4)
@@ -741,6 +745,7 @@ class TestProfilerFold:
 # ---------------------------------------------------------------------------
 # Fleet-level goldens: the headline byte-identity guarantees.
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_supervision")
 class TestFleetResilience:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_sigkilled_worker_fleet_matches_golden(
@@ -768,10 +773,7 @@ class TestFleetResilience:
         fault(mode="error", task=1, attempts=99)
         broken = run_fleet(
             spec, workers=2, prepared_map=prepared,
-            policy=ExecutionPolicy(
-                max_attempts=2, backoff_base_s=0.0,
-                poll_interval_s=0.01,
-            ),
+            policy=ExecutionPolicy(max_attempts=2),
             checkpoint_dir=root, strict=False,
         )
         assert broken.degraded is not None

@@ -5,11 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.api import stream_spec
 from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.experiments.runner import (
     TrialSummary,
     compare,
-    run_single,
     run_trials,
 )
 from repro.experiments.survey import (
@@ -33,8 +33,8 @@ def tiny_config(tiny_prepared):
 
 
 class TestRunner:
-    def test_run_single(self, tiny_prepared, tiny_config):
-        metrics = run_single(tiny_config, prepared=tiny_prepared)
+    def test_stream_spec(self, tiny_prepared, tiny_config):
+        metrics = stream_spec(tiny_config, prepared=tiny_prepared).metrics
         assert len(metrics.records) == 6
         assert metrics.abr == "bola"
 
@@ -120,7 +120,7 @@ class TestRunner:
             repetitions=1, cross_traffic_mbps=15.0,
             reliability="quic",
         )
-        metrics = run_single(config, prepared=tiny_prepared)
+        metrics = stream_spec(config, prepared=tiny_prepared).metrics
         assert len(metrics.records) == 6
 
     def test_label(self, tiny_config):

@@ -11,24 +11,26 @@ import pytest
 
 from repro import prepare_video, stream
 from repro.abr import make_abr
+from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.network.traces import (
     NetworkTrace,
     constant_trace,
     riiser_3g_corpus,
     tmobile_trace,
 )
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
-def _run(prepared, abr_name, trace, buf=1, pr=True, n=4, **cfg):
+def _run(prepared, abr_name, trace, buf=1, pr=True, n=4, **spec_kwargs):
     sessions = []
     for i in range(n):
         abr = make_abr(abr_name, prepared=prepared)
-        config = SessionConfig(
-            buffer_segments=buf, partially_reliable=pr, **cfg
-        )
+        spec = ScenarioSpec(**{
+            "buffer_segments": buf, "reliability": reliability_mode(pr),
+            **spec_kwargs,
+        })
         session = StreamingSession(
-            prepared, abr, trace.shifted(i * trace.duration / n), config
+            prepared, abr, trace.shifted(i * trace.duration / n), spec
         )
         sessions.append(session.run())
     return sessions
@@ -68,8 +70,7 @@ class TestHeadlineResults:
         for trace in corpus[:5]:
             a = _run(bbb, "abr_star", trace, pr=True, n=1)[0]
             b = _run(
-                bbb, "abr_star", trace, pr=True, n=1,
-                force_reliable_payload=True,
+                bbb, "abr_star", trace, n=1, reliability="quic*-rel",
             )[0]
             with_pr.append(a.buf_ratio)
             without_pr.append(b.buf_ratio)
@@ -122,14 +123,14 @@ class TestBackwardCompatibility:
         self, tiny_prepared, server_aware, client_aware
     ):
         abr = make_abr("bola", prepared=tiny_prepared)
-        config = SessionConfig(
+        spec = ScenarioSpec(
             buffer_segments=2,
-            partially_reliable=True,
+            reliability="quic*",
             server_voxel_aware=server_aware,
             client_voxel_aware=client_aware,
         )
         session = StreamingSession(
-            tiny_prepared, abr, constant_trace(10.0), config
+            tiny_prepared, abr, constant_trace(10.0), spec
         )
         assert not session.http.voxel_capable
         metrics = session.run()
@@ -139,9 +140,9 @@ class TestBackwardCompatibility:
 
     def test_unaware_manifest_view_used(self, tiny_prepared):
         abr = make_abr("bola", prepared=tiny_prepared)
-        config = SessionConfig(client_voxel_aware=False)
+        spec = ScenarioSpec(client_voxel_aware=False)
         session = StreamingSession(
-            tiny_prepared, abr, constant_trace(10.0), config
+            tiny_prepared, abr, constant_trace(10.0), spec
         )
         entry = session.manifest.entry(5, 0)
         assert entry.frame_order == ()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.abr import make_abr
+from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.network.traces import get_trace
 from repro.obs import (
     INVARIANTS,
@@ -21,7 +22,7 @@ from repro.obs import (
 )
 from repro.obs import events as ev
 from repro.obs.events import TraceEvent
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
 def _event(seq: int, t: float, type_: str, **fields) -> TraceEvent:
@@ -376,13 +377,12 @@ class TestReporting:
 # Clean sessions: real traces audit green on both backends.
 # ---------------------------------------------------------------------------
 def _run_traced(prepared, backend: str, abr_name: str = "abr_star",
-                **config_kwargs):
+                **spec_kwargs):
     tracer = Tracer()
     abr = make_abr(abr_name, prepared=prepared)
-    config = SessionConfig(buffer_segments=2, transport_backend=backend,
-                           **config_kwargs)
+    spec = ScenarioSpec(buffer_segments=2, backend=backend, **spec_kwargs)
     session = StreamingSession(
-        prepared, abr, get_trace("verizon", seed=0), config, tracer=tracer,
+        prepared, abr, get_trace("verizon", seed=0), spec, tracer=tracer,
     )
     session.run()
     return tracer
@@ -401,7 +401,7 @@ def test_clean_session_audits_green(tiny_prepared, backend):
 ])
 def test_clean_session_other_abrs(tiny_prepared, abr_name, pr):
     tracer = _run_traced(tiny_prepared, "round", abr_name=abr_name,
-                         partially_reliable=pr)
+                         reliability=reliability_mode(pr))
     report = audit_events(list(tracer))
     assert report.ok, format_report(report)
 
@@ -414,7 +414,7 @@ def test_inline_observer_audits_despite_eviction(tiny_prepared):
     abr = make_abr("abr_star", prepared=tiny_prepared)
     session = StreamingSession(
         tiny_prepared, abr, get_trace("verizon", seed=0),
-        SessionConfig(buffer_segments=2), tracer=tracer,
+        ScenarioSpec(buffer_segments=2), tracer=tracer,
     )
     session.run()
     report = auditor.finalize()

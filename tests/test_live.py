@@ -5,13 +5,9 @@ import pytest
 
 from repro.abr import make_abr
 from repro.abr.panda import PandaABR
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import constant_trace, tmobile_trace
-from repro.player import (
-    LiveStreamingSession,
-    SessionConfig,
-    StreamingSession,
-    stream_live,
-)
+from repro.player import LiveStreamingSession, StreamingSession, stream_live
 
 
 class TestLiveSession:
@@ -62,7 +58,7 @@ class TestLiveSession:
                 tiny_prepared,
                 make_abr("bola", prepared=tiny_prepared),
                 constant_trace(10.0),
-                SessionConfig(buffer_segments=1),
+                ScenarioSpec(buffer_segments=1),
                 encoder_delay=-1.0,
             )
 
@@ -81,11 +77,11 @@ class TestLiveSession:
 class TestManifestFetchModes:
     def _run(self, prepared, mode):
         abr = make_abr("bola", prepared=prepared)
-        config = SessionConfig(
-            buffer_segments=2, partially_reliable=True, manifest_fetch=mode
+        spec = ScenarioSpec(
+            buffer_segments=2, reliability="quic*", manifest_fetch=mode
         )
         session = StreamingSession(
-            prepared, abr, constant_trace(10.0), config
+            prepared, abr, constant_trace(10.0), spec
         )
         return session.run()
 
@@ -148,9 +144,9 @@ class TestPanda:
 
     def test_end_to_end(self, tiny_prepared):
         abr = PandaABR()
-        config = SessionConfig(buffer_segments=3, partially_reliable=False)
+        spec = ScenarioSpec(buffer_segments=3, reliability="quic")
         metrics = StreamingSession(
-            tiny_prepared, abr, constant_trace(8.0), config
+            tiny_prepared, abr, constant_trace(8.0), spec
         ).run()
         assert len(metrics.records) == 6
         assert metrics.avg_bitrate_kbps > 500

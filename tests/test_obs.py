@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.abr import make_abr
+from repro.core.spec import ScenarioSpec
 from repro.obs import (
     EVENT_FIELDS,
     NULL_TRACER,
@@ -26,14 +27,14 @@ from repro.obs import (
 )
 from repro.obs import events as ev
 from repro.obs import inspect as trace_inspect
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
-def _run_traced(prepared, trace, abr_name="abr_star", **cfg_kwargs):
+def _run_traced(prepared, trace, abr_name="abr_star", **spec_kwargs):
     tracer = Tracer()
     abr = make_abr(abr_name, prepared=prepared)
-    config = SessionConfig(buffer_segments=2, **cfg_kwargs)
-    session = StreamingSession(prepared, abr, trace, config, tracer=tracer)
+    spec = ScenarioSpec(buffer_segments=2, **spec_kwargs)
+    session = StreamingSession(prepared, abr, trace, spec, tracer=tracer)
     metrics = session.run()
     return metrics, tracer
 
@@ -456,7 +457,7 @@ class TestSessionTracing:
     def test_disabled_by_default(self, tiny_prepared, verizon):
         abr = make_abr("abr_star", prepared=tiny_prepared)
         session = StreamingSession(
-            tiny_prepared, abr, verizon, SessionConfig(buffer_segments=2)
+            tiny_prepared, abr, verizon, ScenarioSpec(buffer_segments=2)
         )
         assert session.tracer is NULL_TRACER
         session.run()
@@ -466,7 +467,7 @@ class TestSessionTracing:
         traced, _ = _run_traced(tiny_prepared, verizon)
         abr = make_abr("abr_star", prepared=tiny_prepared)
         plain = StreamingSession(
-            tiny_prepared, abr, verizon, SessionConfig(buffer_segments=2)
+            tiny_prepared, abr, verizon, ScenarioSpec(buffer_segments=2)
         ).run()
         assert traced.summary() == plain.summary()
 
@@ -479,7 +480,7 @@ class TestSessionTracing:
         abr = make_abr("bola", prepared=prepared)
         session = StreamingSession(
             prepared, abr, get_trace("tmobile"),
-            SessionConfig(buffer_segments=2), tracer=tracer,
+            ScenarioSpec(buffer_segments=2), tracer=tracer,
         )
         metrics = session.run()
         stalls = tracer.select(ev.STALL)
@@ -490,7 +491,7 @@ class TestSessionTracing:
 
     def test_packet_backend_traces(self, tiny_prepared, verizon):
         _, tracer = _run_traced(
-            tiny_prepared, verizon, transport_backend="packet"
+            tiny_prepared, verizon, backend="packet"
         )
         assert tracer.select(ev.SESSION_END)
         times = [e.t for e in tracer.events]

@@ -10,7 +10,7 @@ from repro.experiments.fairness import FairnessResult, run_fairness
 from repro.network.events import EventScheduler, SimKernel
 from repro.network.packetlink import Packet, PacketRouter
 from repro.network.traces import constant_trace, tmobile_trace
-from repro.player import SessionConfig, StreamingSession
+from repro.player import StreamingSession
 from repro.transport.packet_connection import PacketLevelConnection
 
 
@@ -203,33 +203,30 @@ class TestPacketConnection:
 class TestSessionOnPacketBackend:
     def test_full_session_runs(self, tiny_prepared):
         abr = make_abr("abr_star", prepared=tiny_prepared)
-        config = SessionConfig(
-            buffer_segments=2, transport_backend="packet"
-        )
+        spec = ScenarioSpec(buffer_segments=2, backend="packet")
         metrics = StreamingSession(
-            tiny_prepared, abr, constant_trace(10.0), config
+            tiny_prepared, abr, constant_trace(10.0), spec
         ).run()
         assert len(metrics.records) == 6
         assert metrics.mean_ssim > 0.5
 
     def test_unknown_backend_rejected(self, tiny_prepared):
         abr = make_abr("bola", prepared=tiny_prepared)
-        config = SessionConfig(transport_backend="carrier-pigeon")
+        spec = ScenarioSpec(backend="carrier-pigeon")
         with pytest.raises(ValueError, match="backend"):
             StreamingSession(
-                tiny_prepared, abr, constant_trace(10.0), config
+                tiny_prepared, abr, constant_trace(10.0), spec
             )
 
     def test_backends_agree_on_stall_regime(self, tiny_prepared):
         results = {}
         for backend in ("round", "packet"):
             abr = make_abr("bola", prepared=tiny_prepared)
-            config = SessionConfig(
-                buffer_segments=2, partially_reliable=False,
-                transport_backend=backend,
+            spec = ScenarioSpec(
+                buffer_segments=2, reliability="quic", backend=backend,
             )
             metrics = StreamingSession(
-                tiny_prepared, abr, constant_trace(12.0), config
+                tiny_prepared, abr, constant_trace(12.0), spec
             ).run()
             results[backend] = metrics
         # Plenty of bandwidth: both backends stream stall-free.

@@ -19,8 +19,9 @@ from repro.abr.base import Decision
 from repro.abr.beta import BetaABR, BetaLevel
 from repro.abr.bola import Bola
 from repro.abr.mpc import RobustMPC
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import constant_trace, get_trace
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 from repro.prep.manifest import VoxelManifest
 from repro.prep.prepare import get_prepared, prepare
 from repro.qoe.model import QoEParams, decode_segment
@@ -105,7 +106,7 @@ class TestLossFreeScores:
         calls = _count_decodes(monkeypatch)
         metrics = StreamingSession(
             tiny_prepared, Bola(), get_trace("verizon", seed=2),
-            SessionConfig(partially_reliable=False),
+            ScenarioSpec(reliability="quic"),
         ).run()
         assert len(metrics.records) == tiny_prepared.video.num_segments
         assert calls == []
@@ -123,7 +124,7 @@ class TestBetaLevels:
         for abr in (first, second):
             StreamingSession(
                 tiny_prepared, abr, get_trace("tmobile", seed=4),
-                SessionConfig(buffer_segments=1),
+                ScenarioSpec(buffer_segments=1),
             ).run()
             for key in list(abr._table):
                 level = abr._level(*key)

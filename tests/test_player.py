@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abr import make_abr
+from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.network.traces import constant_trace, tmobile_trace
 from repro.player.buffer import PlaybackBuffer
 from repro.player.metrics import (
@@ -12,7 +13,7 @@ from repro.player.metrics import (
     percentile_across,
     stderr_across,
 )
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
 class TestBuffer:
@@ -133,15 +134,16 @@ class TestMetrics:
 
 class TestSession:
     def _run(self, prepared, abr_name="bola", trace=None, buf=2,
-             pr=True, **cfg_kwargs):
+             pr=True, **spec_kwargs):
         abr = make_abr(abr_name, prepared=prepared)
-        config = SessionConfig(
-            buffer_segments=buf, partially_reliable=pr, **cfg_kwargs
-        )
+        spec = ScenarioSpec(**{
+            "buffer_segments": buf, "reliability": reliability_mode(pr),
+            **spec_kwargs,
+        })
         session = StreamingSession(
             prepared, abr,
             trace if trace is not None else constant_trace(10.0),
-            config,
+            spec,
         )
         return session.run()
 
@@ -194,7 +196,7 @@ class TestSession:
     def test_voxel_rel_ablation_forces_reliability(self, tiny_prepared):
         metrics = self._run(
             tiny_prepared, abr_name="abr_star", trace=tmobile_trace(),
-            force_reliable_payload=True,
+            reliability="quic*-rel",
         )
         assert all(r.lost_bytes == 0 for r in metrics.records)
 
@@ -243,7 +245,7 @@ class TestSession:
             tiny_prepared,
             make_abr("bola", prepared=tiny_prepared),
             constant_trace(50.0),
-            SessionConfig(buffer_segments=1),
+            ScenarioSpec(buffer_segments=1),
         )
         metrics = session.run()
         # Level can briefly reach capacity + one in-flight segment.

@@ -36,15 +36,16 @@ def chaos_jsonl(tiny_prepared, tmp_path_factory):
 @pytest.fixture(scope="module")
 def trace_jsonl(tiny_prepared, tmp_path_factory):
     from repro.abr import make_abr
+    from repro.core.spec import ScenarioSpec
     from repro.network.traces import get_trace
-    from repro.player.session import SessionConfig, StreamingSession
+    from repro.player.session import StreamingSession
 
     tracer = Tracer()
     session = StreamingSession(
         tiny_prepared,
         make_abr("abr_star", prepared=tiny_prepared),
         get_trace("constant:4", seed=0),
-        SessionConfig(buffer_segments=2),
+        ScenarioSpec(buffer_segments=2),
         tracer=tracer,
     )
     session.run()

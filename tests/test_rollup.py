@@ -337,15 +337,16 @@ class TestStreamingTracer:
 
     def test_observers_see_what_a_buffering_tracer_sees(self, tiny_prepared):
         from repro.abr import make_abr
+        from repro.core.spec import ScenarioSpec
         from repro.network.traces import get_trace
-        from repro.player.session import SessionConfig, StreamingSession
+        from repro.player.session import StreamingSession
 
         def run(tracer):
             session = StreamingSession(
                 tiny_prepared,
                 make_abr("abr_star", prepared=tiny_prepared),
                 get_trace("constant:6", seed=0),
-                SessionConfig(buffer_segments=2),
+                ScenarioSpec(buffer_segments=2),
                 tracer=tracer,
             )
             session.run()

@@ -11,8 +11,9 @@ from repro.abr.base import (
     DecisionContext,
     DownloadProgress,
 )
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import NetworkTrace, constant_trace, tmobile_trace
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
 class FixedABR(ABRAlgorithm):
@@ -61,12 +62,12 @@ class TruncatingABR(FixedABR):
         return ControlAction.cont()
 
 
-def _session(prepared, abr, trace=None, **cfg):
-    config = SessionConfig(**{"buffer_segments": 2, **cfg})
+def _session(prepared, abr, trace=None, **spec_kwargs):
+    spec = ScenarioSpec(**{"buffer_segments": 2, **spec_kwargs})
     return StreamingSession(
         prepared, abr,
         trace if trace is not None else constant_trace(10.0),
-        config,
+        spec,
     )
 
 
@@ -133,7 +134,7 @@ class TestStallAccounting:
         abr = FixedABR(quality=12, unreliable=False)
         metrics = _session(
             tiny_prepared, abr, constant_trace(3.0), buffer_segments=1,
-            partially_reliable=False,
+            reliability="quic",
         ).run()
         assert metrics.total_stall > 0
         # Per-record stalls (excluding idle-time stalls, which are
@@ -176,9 +177,9 @@ class TestCrossTrafficSession:
     def test_session_with_cross_demand(self, tiny_prepared):
         demand = NetworkTrace("cross", np.full(400, 12.0))
         abr = make_abr("bola", prepared=tiny_prepared)
-        config = SessionConfig(buffer_segments=2, partially_reliable=False)
+        spec = ScenarioSpec(buffer_segments=2, reliability="quic")
         session = StreamingSession(
-            tiny_prepared, abr, constant_trace(20.0), config,
+            tiny_prepared, abr, constant_trace(20.0), spec,
             cross_demand=demand,
         )
         metrics = session.run()

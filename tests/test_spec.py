@@ -2,8 +2,8 @@
 
 The golden tests here are the refactor's safety net: a session built
 from a :class:`ScenarioSpec` through :class:`StackBuilder` must be
-byte-identical to the historical hand-wiring (make_abr + get_trace +
-SessionConfig + StreamingSession) for both transport backends.
+byte-identical to the same spec wired by hand (make_abr + get_trace +
+StreamingSession) for both transport backends.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.abr import make_abr
 from repro.core.api import stream
-from repro.core.build import StackBuilder, build_session
+from repro.core.build import StackBuilder
 from repro.core.spec import (
     RELIABILITY_MODES,
     ScenarioSpec,
@@ -24,7 +24,7 @@ from repro.core.spec import (
 )
 from repro.network.traces import constant_trace, get_trace
 from repro.obs.tracer import Tracer
-from repro.player.session import SessionConfig, StreamingSession
+from repro.player.session import StreamingSession
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,16 @@ def test_spec_rejects_a_metric_sessions_do_not_score():
         ScenarioSpec(metric="vmaf")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("buffer_segments", 0), ("manifest_fetch", "bogus"),
+])
+def test_spec_rejects_values_a_session_cannot_run(field, value):
+    # Rejected when the spec is built, so a sweep fails before any cell
+    # runs, whatever its worker count.
+    with pytest.raises(ValueError, match=field):
+        ScenarioSpec(**{field: value})
+
+
 def test_spec_hash_ignores_dict_insertion_order():
     a = ScenarioSpec.from_dict({"abr": "bola", "trace": "att"})
     b = ScenarioSpec.from_dict({"trace": "att", "abr": "bola"})
@@ -130,45 +140,51 @@ def test_spec_hash_distinguishes_fields():
 
 
 # ---------------------------------------------------------------------------
-# Golden: builder output == historical hand-wiring
+# Golden: builder output == the same spec wired by hand
 # ---------------------------------------------------------------------------
 GOLDEN_SCENARIOS = [
-    # (abr, reliability, backend) — the representative corners.
-    ("bola", "quic", "round"),
-    ("abr_star", "quic*", "round"),
-    ("abr_star", "quic*", "packet"),
+    # (abr, reliability, backend, knobs) — the representative corners.
+    ("bola", "quic", "round", {}),
+    ("abr_star", "quic*", "round", {}),
+    ("abr_star", "quic*", "packet", {}),
+    # Every session knob off its default (faults and cross traffic are
+    # the builder's to realize, so they stay off).
+    ("abr_star", "quic*", "round", {
+        "selective_retransmission": False,
+        "retx_buffer_threshold": 0.25,
+        "queue_packets": 64,
+        "base_rtt": 0.1,
+        "manifest_fetch": "incremental",
+        "manifest_window_segments": 2,
+        "server_voxel_aware": False,
+        "request_timeout_s": 4.0,
+    }),
 ]
 
 
-@pytest.mark.parametrize("abr,reliability,backend", GOLDEN_SCENARIOS)
+@pytest.mark.parametrize(
+    "abr,reliability,backend,knobs", GOLDEN_SCENARIOS,
+    ids=[f"{a}-{r}-{b}" + ("-knobs" if k else "")
+         for a, r, b, k in GOLDEN_SCENARIOS],
+)
 def test_builder_matches_legacy_wiring(tiny_prepared, abr, reliability,
-                                       backend):
+                                       backend, knobs):
     spec = ScenarioSpec(
         video="tinytest", abr=abr, trace="verizon", seed=0,
         reliability=reliability, backend=backend, buffer_segments=2,
+        **knobs,
     )
     built = StackBuilder(spec, prepared=tiny_prepared).build().run()
 
-    # The pre-refactor wiring, spelled out by hand.
-    legacy = StreamingSession(
+    # The same spec, wired by hand.
+    hand_wired = StreamingSession(
         tiny_prepared,
         make_abr(abr, prepared=tiny_prepared),
         get_trace("verizon", seed=0),
-        SessionConfig(
-            buffer_segments=2,
-            partially_reliable=reliability.startswith("quic*"),
-            transport_backend=backend,
-        ),
+        spec,
     ).run()
 
-    assert built == legacy
-
-
-def test_build_session_convenience(tiny_prepared):
-    spec = ScenarioSpec(video="tinytest", abr="bola", trace="verizon")
-    metrics = build_session(spec, prepared=tiny_prepared).run()
-    assert metrics.video == "tinytest"
-    assert len(metrics.records) == 6
+    assert built == hand_wired
 
 
 def test_builder_validate_rejects_unknowns(tiny_prepared):
@@ -191,7 +207,7 @@ def test_spec_hash_stamped_into_trace_header(tiny_prepared):
     spec = ScenarioSpec(video="tinytest", abr="bola", trace="verizon",
                         buffer_segments=1)
     tracer = Tracer()
-    build_session(spec, prepared=tiny_prepared, tracer=tracer).run()
+    StackBuilder(spec, prepared=tiny_prepared).build(tracer=tracer).run()
     starts = [e for e in tracer.events if e.type == "session_start"]
     assert len(starts) == 1
     assert starts[0].fields["spec_hash"] == spec.spec_hash()
@@ -211,8 +227,11 @@ def test_stream_explicit_trace_without_seed_ok(tiny_prepared):
 
 
 def test_stream_unexpected_kwarg_still_typeerror(tiny_prepared):
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        stream(tiny_prepared, bogus=1)
+    # Keywords are spec fields: the old session-config spellings
+    # (transport_backend, force_reliable_payload) are unknown names.
+    for name in ("bogus", "transport_backend", "force_reliable_payload"):
+        with pytest.raises(TypeError, match=f"unexpected keyword.*'{name}'"):
+            stream(tiny_prepared, **{name: True})
 
 
 def test_stream_rejects_a_metric_sessions_do_not_score(tiny_prepared):

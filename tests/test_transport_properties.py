@@ -107,15 +107,16 @@ class TestSessionProperties:
                                 buffer_segments, mbps):
         from repro.abr import make_abr
         from repro.network.traces import constant_trace
-        from repro.player.session import SessionConfig, StreamingSession
+        from repro.core.spec import ScenarioSpec, reliability_mode
+        from repro.player.session import StreamingSession
 
         abr = make_abr(abr_name, prepared=tiny_prepared)
-        config = SessionConfig(
+        spec = ScenarioSpec(
             buffer_segments=buffer_segments,
-            partially_reliable=abr_name in ("abr_star",),
+            reliability=reliability_mode(abr_name in ("abr_star",)),
         )
         metrics = StreamingSession(
-            tiny_prepared, abr, constant_trace(mbps), config
+            tiny_prepared, abr, constant_trace(mbps), spec
         ).run()
         # Every segment streamed exactly once, in order.
         assert [r.index for r in metrics.records] == list(range(6))
