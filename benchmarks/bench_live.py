@@ -25,9 +25,9 @@ def test_live_latency(benchmark):
         trace = get_trace("tmobile")
         rows = []
         for buffer_segments in (1, 2):
-            for label, abr_name, pr in (
-                ("BOLA", "bola", False),
-                ("VOXEL", "abr_star", True),
+            for label, abr_name, reliability in (
+                ("BOLA", "bola", "quic"),
+                ("VOXEL", "abr_star", "quic*"),
             ):
                 latencies, stalls = [], []
                 for i in range(4):
@@ -36,7 +36,7 @@ def test_live_latency(benchmark):
                         prepared, abr, trace.shifted(i * 80.0),
                         buffer_segments=buffer_segments,
                         encoder_delay=1.0,
-                        partially_reliable=pr,
+                        reliability=reliability,
                     )
                     latencies.append(live.mean_latency)
                     stalls.append(live.session.buf_ratio)

@@ -10,21 +10,18 @@ which stream they prefer.
 
 import numpy as np
 
-from repro import ScenarioSpec, prepare_video, reliability_mode
+from repro import ScenarioSpec, prepare_video
 from repro.abr import make_abr
 from repro.experiments.survey import DIMENSIONS, run_survey
 from repro.network import riiser_3g_corpus
 from repro.player import StreamingSession
 
 
-def stream_corpus(prepared, abr_name, partially_reliable, corpus):
+def stream_corpus(prepared, abr_name, reliability, corpus):
     sessions = []
     for trace in corpus:
         abr = make_abr(abr_name, prepared=prepared)
-        spec = ScenarioSpec(
-            buffer_segments=1,
-            reliability=reliability_mode(partially_reliable),
-        )
+        spec = ScenarioSpec(buffer_segments=1, reliability=reliability)
         sessions.append(StreamingSession(prepared, abr, trace, spec).run())
     return sessions
 
@@ -39,12 +36,12 @@ def main() -> None:
     )
 
     all_sessions = {}
-    for label, abr, pr in (
-        ("BOLA", "bola", False),
-        ("BOLA-SSIM", "bola_ssim", True),
-        ("VOXEL", "abr_star", True),
+    for label, abr, reliability in (
+        ("BOLA", "bola", "quic"),
+        ("BOLA-SSIM", "bola_ssim", "quic*"),
+        ("VOXEL", "abr_star", "quic*"),
     ):
-        sessions = stream_corpus(prepared, abr, pr, corpus)
+        sessions = stream_corpus(prepared, abr, reliability, corpus)
         all_sessions[label] = sessions
         print(
             f"  {label:10s} mean bufRatio "

@@ -10,21 +10,20 @@ BOLA, BETA and VOXEL, mirroring Fig. 6d.
 
 import numpy as np
 
-from repro import ScenarioSpec, prepare_video, reliability_mode
+from repro import ScenarioSpec, prepare_video
 from repro.abr import make_abr
 from repro.network import get_trace
 from repro.player import StreamingSession
 
 
-def run_trials(prepared, abr_name, buffer_segments, partially_reliable,
+def run_trials(prepared, abr_name, buffer_segments, reliability,
                repetitions=8, abr_kwargs=None):
     results = []
     trace = get_trace("tmobile")
     for i in range(repetitions):
         abr = make_abr(abr_name, prepared=prepared, **(abr_kwargs or {}))
         spec = ScenarioSpec(
-            buffer_segments=buffer_segments,
-            reliability=reliability_mode(partially_reliable),
+            buffer_segments=buffer_segments, reliability=reliability
         )
         session = StreamingSession(
             prepared, abr, trace.shifted(i * trace.duration / repetitions),
@@ -38,9 +37,9 @@ def main() -> None:
     prepared = prepare_video("bbb")
     systems = {
         # Fig. 6d uses the bandwidth-safety-tuned VOXEL on T-Mobile.
-        "BOLA": ("bola", False, None),
-        "BETA": ("beta", False, None),
-        "VOXEL": ("abr_star", True, {"bandwidth_safety": 0.9}),
+        "BOLA": ("bola", "quic", None),
+        "BETA": ("beta", "quic", None),
+        "VOXEL": ("abr_star", "quic*", {"bandwidth_safety": 0.9}),
     }
 
     print("90th-percentile bufRatio (%) on T-Mobile-like LTE; "
@@ -50,9 +49,10 @@ def main() -> None:
     for buffer_segments in (1, 2, 3, 7):
         row = f"{buffer_segments:>7d}s"
         voxel_ssim = 0.0
-        for name, (abr, pr, kwargs) in systems.items():
+        for name, (abr, reliability, kwargs) in systems.items():
             sessions = run_trials(
-                prepared, abr, buffer_segments, pr, abr_kwargs=kwargs
+                prepared, abr, buffer_segments, reliability,
+                abr_kwargs=kwargs,
             )
             p90 = np.percentile([s.buf_ratio for s in sessions], 90) * 100
             row += f"{p90:10.2f}"

@@ -28,9 +28,9 @@ def main() -> None:
         f"{'p95 lat s':>10s} {'bufRatio%':>10s} {'SSIM':>6s}"
     )
     for buffer_segments in (1, 2):
-        for label, abr_name, pr, kwargs in (
-            ("BOLA", "bola", False, {}),
-            ("VOXEL", "abr_star", True, {"bandwidth_safety": 0.9}),
+        for label, abr_name, reliability, kwargs in (
+            ("BOLA", "bola", "quic", {}),
+            ("VOXEL", "abr_star", "quic*", {"bandwidth_safety": 0.9}),
         ):
             latencies, stalls, ssims = [], [], []
             for i in range(6):
@@ -39,7 +39,7 @@ def main() -> None:
                     prepared, abr, trace.shifted(i * 53.0),
                     buffer_segments=buffer_segments,
                     encoder_delay=1.0,
-                    partially_reliable=pr,
+                    reliability=reliability,
                 )
                 latencies.append(live.mean_latency)
                 stalls.append(live.session.buf_ratio)

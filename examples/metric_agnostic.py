@@ -37,7 +37,7 @@ def main() -> None:
 
     bola = stream(
         prepared, abr="bola", trace="verizon", buffer_segments=1,
-        partially_reliable=False,
+        reliability="quic",
     )
     ssim = bola.metrics.mean_ssim
     print(

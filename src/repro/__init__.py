@@ -48,7 +48,7 @@ _API_NAMES = (
 )
 
 #: Scenario-spine names living in repro.core (not repro.core.api).
-_CORE_NAMES = ("ScenarioSpec", "StackBuilder", "reliability_mode")
+_CORE_NAMES = ("ScenarioSpec", "StackBuilder")
 
 
 def __getattr__(name):

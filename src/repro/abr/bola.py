@@ -80,11 +80,6 @@ _CANDIDATE_CACHE: "OrderedDict" = OrderedDict()
 _CANDIDATE_CACHE_MAX = 4096
 
 
-def clear_candidate_cache() -> None:
-    """Drop the shared candidate memo (tests and ad-hoc ladders)."""
-    _CANDIDATE_CACHE.clear()
-
-
 class Bola(ABRAlgorithm):
     """BOLA-E over full-segment candidates with bitrate utility.
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -179,42 +179,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.obs import TraceAuditor
 
     tracer, auditor = _trace_recorder(args, TraceAuditor)
-    prepared = prepare_video(args.video)
-    abr_kwargs: Dict = {}
-    if args.bandwidth_safety is not None:
-        abr_kwargs["bandwidth_safety"] = args.bandwidth_safety
-    resilience_kwargs: Dict = {}
+    fields = _scenario_fields(args)
+    prepared = prepare_video(fields.pop("video"))
     try:
-        faults = _read_json_arg(args.faults) if args.faults else None
-        if faults is not None:
-            from repro.faults import FaultSpec, validate_fault_spec
-
-            validate_fault_spec(FaultSpec.from_dict(faults))
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read fault spec {args.faults!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    if faults is not None:
-        resilience_kwargs["faults"] = faults
-    if args.timeout is not None:
-        resilience_kwargs["request_timeout_s"] = args.timeout
-    if args.retry_budget is not None:
-        resilience_kwargs["retry_budget"] = args.retry_budget
-    if args.retry_backoff is not None:
-        resilience_kwargs["retry_backoff_s"] = args.retry_backoff
-    try:
-        result = stream(
-            prepared,
-            abr=args.abr,
-            trace=args.trace,
-            buffer_segments=args.buffer,
-            partially_reliable=not args.plain_quic,
-            seed=args.seed,
-            trace_shift_s=args.shift,
-            abr_kwargs=abr_kwargs or None,
-            tracer=tracer,
-            **resilience_kwargs,
-        )
+        result = stream(prepared, tracer=tracer, **fields)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -377,6 +345,120 @@ class _UsageError(ValueError):
     """A bad flag value: ``main`` reports it in one line and exits 2."""
 
 
+def _fault_spec_arg(raw: str) -> Dict:
+    """``--faults JSON|@FILE`` as a fault spec whose kinds all exist."""
+    from repro.faults import FaultSpec, validate_fault_spec
+
+    try:
+        faults = _read_json_arg(raw)
+        validate_fault_spec(FaultSpec.from_dict(faults))
+    except (OSError, ValueError) as exc:
+        raise _UsageError(
+            f"cannot read fault spec {raw!r}: {exc}"
+        ) from None
+    return faults
+
+
+class _Flag(NamedTuple):
+    """One scenario flag: the ScenarioSpec field it sets, and how."""
+
+    field: str
+    type: Callable  # ``bool`` declares a store_true switch
+    help: str
+    metavar: Optional[str] = None
+    #: Parsed value -> field value (None: the value as parsed).
+    to_field: Optional[Callable] = None
+
+
+#: Every scenario flag, declared once, by its ``args`` name.  A command
+#: picks its flags and their defaults with :func:`_add_scenario_flags`
+#: and reads them back as spec fields with :func:`_scenario_fields`.
+#: The registries, not argparse, check names (videos, ABRs, traces,
+#: backends), so whatever is registered works with every command.
+_SCENARIO_FLAGS: Dict[str, _Flag] = {
+    "video": _Flag("video", str, "catalog video (see `repro list`)"),
+    "abr": _Flag("abr", str, "ABR algorithm (see `repro list`)"),
+    "trace": _Flag("trace", str, "network trace (see `repro list`)"),
+    "buffer": _Flag("buffer_segments", int, "playback buffer in segments"),
+    "plain_quic": _Flag(
+        "reliability", bool,
+        "disable partial reliability (reliability mode quic)",
+        to_field=lambda plain: "quic" if plain else "quic*",
+    ),
+    "seed": _Flag("seed", int, "trace seed"),
+    "shift": _Flag("trace_shift_s", float, "trace shift in seconds", "S"),
+    "bandwidth_safety": _Flag(
+        "abr_kwargs", float, "the ABR's bandwidth safety factor",
+        to_field=lambda safety: {"bandwidth_safety": safety},
+    ),
+    "backend": _Flag("backend", str, "transport backend (see `repro list`)"),
+    "queue": _Flag("queue_packets", int, "droptail queue in packets"),
+    "reps": _Flag("repetitions", int, "repetitions, each on a shifted trace"),
+    "faults": _Flag(
+        "faults", str,
+        "fault spec: inline JSON or @path to a JSON file "
+        '(e.g. \'{"events": [{"kind": "blackout", "at": 5, '
+        '"duration": 3}]}\')',
+        "JSON|@FILE", _fault_spec_arg,
+    ),
+    "timeout": _Flag(
+        "request_timeout_s", float,
+        "per-request deadline in seconds (enables the "
+        "retry/degradation path)", "S",
+    ),
+    "retry_budget": _Flag(
+        "retry_budget", int, "retries per segment before degrading"
+    ),
+    "retry_backoff": _Flag(
+        "retry_backoff_s", float, "exponential backoff base in seconds",
+        "S",
+    ),
+}
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Declare the named scenario flags, each with this command's default.
+
+    A default of None leaves the field to the spec or the chaos base.
+    """
+    for name, default in defaults.items():
+        flag = _SCENARIO_FLAGS[name]
+        option = "--" + name.replace("_", "-")
+        if flag.type is bool:
+            parser.add_argument(option, action="store_true", help=flag.help)
+        else:
+            parser.add_argument(
+                option, type=flag.type, default=default,
+                metavar=flag.metavar, help=flag.help,
+            )
+
+
+def _scenario_fields(args: argparse.Namespace) -> Dict:
+    """The ScenarioSpec fields the command's scenario flags set.
+
+    Reads every table name the command has (the positional ``video``
+    included) and skips values left at None.
+    """
+    fields: Dict = {}
+    for name, flag in _SCENARIO_FLAGS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            fields[flag.field] = (
+                value if flag.to_field is None else flag.to_field(value)
+            )
+    return fields
+
+
+def _scenario_spec(args: argparse.Namespace):
+    """The command's ScenarioSpec; a value it rejects is a usage error."""
+    from repro.core.spec import ScenarioSpec
+
+    try:
+        return ScenarioSpec(**_scenario_fields(args))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _comma_list(flag: str, raw: str, cast=str) -> List:
     """Parse a comma-separated flag value, casting each item."""
     try:
@@ -460,9 +542,9 @@ def _maybe_print_metrics(args: argparse.Namespace) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro import prepare_video
-    from repro.core.spec import ScenarioSpec
     from repro.experiments.runner import compare
 
+    base = _scenario_spec(args)
     prepared = prepare_video(args.video)
     variants = {
         "BOLA/QUIC": {"abr": "bola", "reliability": "quic"},
@@ -470,13 +552,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "VOXEL": {"abr": "abr_star", "reliability": "quic*"},
     }
     try:
-        base = ScenarioSpec(
-            video=args.video,
-            trace=args.trace,
-            buffer_segments=args.buffer,
-            repetitions=args.reps,
-            seed=args.seed,
-        )
         summaries = compare(
             base, variants, prepared=prepared, workers=args.workers
         )
@@ -530,19 +605,13 @@ def _cmd_multiclient(args: argparse.Namespace) -> int:
         fleet = FleetAttributor()
         observers = [rollup.feed, fleet.feed]
 
+    fields = _scenario_fields(args)
     try:
         # Mixed fleet: cycle the default ABR x transport-flavour mix so
         # any --clients count exercises contention between heterogeneous
         # sessions.
         specs = [
-            DEFAULT_SPECS[i % len(DEFAULT_SPECS)].with_(
-                video=args.video,
-                buffer_segments=args.buffer,
-                trace=args.trace,
-                seed=args.seed,
-                queue_packets=args.queue,
-                backend=args.backend,
-            )
+            DEFAULT_SPECS[i % len(DEFAULT_SPECS)].with_(**fields)
             for i in range(args.clients)
         ]
         result = run_multiclient(specs, tracer=tracer, observers=observers)
@@ -601,20 +670,23 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if args.spec:
             spec = FleetSpec.from_dict(_read_json_arg(args.spec))
         else:
-            groups = tuple(
-                replace(group, video=args.video, buffer_segments=args.buffer)
-                for group in DEFAULT_GROUPS
-            )
+            # The video and buffer go to every group's clients; the
+            # other flags (trace, seed, backend, queue) are FleetSpec
+            # fields of the same names.
+            fields = _scenario_fields(args)
+            client = {
+                name: fields.pop(name)
+                for name in ("video", "buffer_segments")
+            }
             spec = FleetSpec(
                 clients=args.clients,
                 shards=args.shards,
-                groups=groups,
-                trace=args.trace,
-                seed=args.seed,
-                backend=args.backend,
-                queue_packets=args.queue,
+                groups=tuple(
+                    replace(group, **client) for group in DEFAULT_GROUPS
+                ),
                 sample_rate=args.sample,
                 sample_seed=args.sample_seed,
+                **fields,
             )
     except (OSError, ValueError) as exc:
         print(f"error: invalid fleet spec: {exc}", file=sys.stderr)
@@ -757,26 +829,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"error: cannot read scenario spec {args.spec!r}: {exc}",
                   file=sys.stderr)
             return 2
+    elif not args.video:
+        print("error: provide a VIDEO or --spec JSON|@FILE",
+              file=sys.stderr)
+        return 2
     else:
-        if not args.video:
-            print("error: provide a VIDEO or --spec JSON|@FILE",
-                  file=sys.stderr)
-            return 2
-        fields: Dict = {
-            "video": args.video,
-            "abr": args.abr,
-            "trace": args.trace,
-            "buffer_segments": args.buffer,
-            "seed": args.seed,
-            "repetitions": args.reps,
-        }
-        if args.backend:
-            fields["backend"] = args.backend
-        try:
-            spec = ScenarioSpec.from_dict(fields)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec = _scenario_spec(args)
 
     try:
         profiler, _summary, wall_s = profile_trials(
@@ -888,7 +946,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   "(--videos/--abrs/--traces/--buffers/--reliability/"
                   "--backends/--seeds)", file=sys.stderr)
             return 2
-        sweep = SweepSpec(base={"repetitions": args.reps}, grid=grid)
+        sweep = SweepSpec(base=_scenario_fields(args), grid=grid)
 
     try:
         if args.dry_run:
@@ -939,21 +997,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.profiles:
         profiles = _comma_list("--profiles", args.profiles)
     seeds = _comma_list("--seeds", args.seeds, int)
-    base: Dict = {}
-    if args.video:
-        base["video"] = args.video
-    if args.trace:
-        base["trace"] = args.trace
-    if args.backend:
-        base["backend"] = args.backend
-    if args.timeout is not None:
-        base["request_timeout_s"] = args.timeout
-    if args.retry_budget is not None:
-        base["retry_budget"] = args.retry_budget
     try:
         with _profiled(args):
             rows = run_chaos(
-                profiles=profiles, seeds=seeds, base=base,
+                profiles=profiles, seeds=seeds,
+                base=_scenario_fields(args),
                 workers=args.workers, rollup=args.rollup,
                 sample_rate=args.sample, sample_seed=args.sample_seed,
                 policy=_exec_policy(args),
@@ -1099,16 +1147,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stream = sub.add_parser("stream", help="stream one session")
     p_stream.add_argument("video")
-    p_stream.add_argument("--abr", default="abr_star")
-    p_stream.add_argument("--trace", default="verizon")
-    p_stream.add_argument("--buffer", type=int, default=2,
-                          help="playback buffer in segments")
-    p_stream.add_argument("--plain-quic", action="store_true",
-                          help="disable partial reliability")
-    p_stream.add_argument("--seed", type=int, default=0)
-    p_stream.add_argument("--shift", type=float, default=0.0,
-                          help="trace shift in seconds")
-    p_stream.add_argument("--bandwidth-safety", type=float, default=None)
+    _add_scenario_flags(
+        p_stream, abr="abr_star", trace="verizon", buffer=2,
+        plain_quic=False, seed=0, shift=0.0, bandwidth_safety=None,
+        faults=None, timeout=None, retry_budget=None, retry_backoff=None,
+    )
     p_stream.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="record a structured session trace to this JSONL file",
@@ -1118,25 +1161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-invariants", action="store_true",
         help="audit trace invariants inline during the session; "
         "exit 1 on any violation",
-    )
-    p_stream.add_argument(
-        "--faults", default=None, metavar="JSON|@FILE",
-        help="fault spec: inline JSON or @path to a JSON file "
-        '(e.g. \'{"events": [{"kind": "blackout", "at": 5, '
-        '"duration": 3}]}\')',
-    )
-    p_stream.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-request deadline in seconds (enables the "
-        "retry/degradation path)",
-    )
-    p_stream.add_argument(
-        "--retry-budget", type=int, default=None,
-        help="retries per segment before degrading (default 3)",
-    )
-    p_stream.add_argument(
-        "--retry-backoff", type=float, default=None, metavar="S",
-        help="exponential backoff base in seconds (default 0.5)",
     )
 
     p_trace = sub.add_parser(
@@ -1196,15 +1220,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="full ScenarioSpec as inline JSON or @path (overrides the "
         "positional/flag form)",
     )
-    p_profile.add_argument("--abr", default="abr_star")
-    p_profile.add_argument("--trace", default="verizon")
-    p_profile.add_argument("--buffer", type=int, default=2,
-                           help="playback buffer in segments")
-    p_profile.add_argument("--backend", default=None,
-                           choices=("round", "packet"))
-    p_profile.add_argument("--seed", type=int, default=0)
-    p_profile.add_argument("--reps", type=int, default=1,
-                           help="repetitions to profile (default 1)")
+    _add_scenario_flags(
+        p_profile, abr="abr_star", trace="verizon", buffer=2, backend=None,
+        seed=0, reps=1,
+    )
     p_profile.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the repetitions (the ledger's "
@@ -1237,10 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="BOLA vs BETA vs VOXEL on one scenario"
     )
     p_compare.add_argument("video")
-    p_compare.add_argument("--trace", default="verizon")
-    p_compare.add_argument("--buffer", type=int, default=1)
-    p_compare.add_argument("--reps", type=int, default=5)
-    p_compare.add_argument("--seed", type=int, default=0)
+    _add_scenario_flags(p_compare, trace="verizon", buffer=1, reps=5, seed=0)
     p_compare.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the repetitions (results are "
@@ -1255,14 +1271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("video", nargs="?", default="bbb")
     p_mc.add_argument("--clients", type=int, default=4,
                       help="number of concurrent sessions")
-    p_mc.add_argument("--trace", default="verizon")
-    p_mc.add_argument("--buffer", type=int, default=3,
-                      help="playback buffer in segments (per client)")
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--queue", type=int, default=32,
-                      help="shared droptail queue in packets")
-    p_mc.add_argument("--backend", choices=("round", "packet"),
-                      default="round")
+    _add_scenario_flags(
+        p_mc, trace="verizon", buffer=3, seed=0, queue=32, backend="round"
+    )
     p_mc.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="record the interleaved multi-session trace to this "
@@ -1278,8 +1289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fleet = sub.add_parser(
         "fleet",
-        help="fleet-scale sharded simulation: 1k+ clients across cells, "
-        "deterministic cross-shard merge",
+        help="fleet-scale sharded simulation: 1k+ clients across cells "
+        "(shard i draws the trace at seed+i), deterministic cross-shard "
+        "merge",
     )
     p_fleet.add_argument("video", nargs="?", default="bbb",
                          help="video every population group streams")
@@ -1288,16 +1300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--shards", type=int, default=8,
                          help="cells; each gets its own kernel, "
                          "bottleneck, and trace weather")
-    p_fleet.add_argument("--trace", default="verizon",
-                         help="per-shard bottleneck trace (seeded "
-                         "seed+shard)")
-    p_fleet.add_argument("--buffer", type=int, default=3,
-                         help="playback buffer in segments (per client)")
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument("--queue", type=int, default=32,
-                         help="shared droptail queue in packets")
-    p_fleet.add_argument("--backend", choices=("round", "packet"),
-                         default="round")
+    _add_scenario_flags(
+        p_fleet, trace="verizon", buffer=3, seed=0, queue=32,
+        backend="round",
+    )
     p_fleet.add_argument(
         "--spec", default=None, metavar="JSON|@FILE",
         help="full FleetSpec JSON (weighted groups, faults, ...); "
@@ -1352,8 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated transport backends")
     p_sweep.add_argument("--seeds", default=None,
                          help="comma-separated trace seeds")
-    p_sweep.add_argument("--reps", type=int, default=3,
-                         help="repetitions per cell (grid-flag mode)")
+    _add_scenario_flags(p_sweep, reps=3)
     p_sweep.add_argument("--out", default=None, metavar="PATH",
                          help="write JSONL rows to this file")
     p_sweep.add_argument(
@@ -1381,18 +1386,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_faults.add_argument("--seeds", default="0,1,2",
                           help="comma-separated scenario seeds")
-    p_faults.add_argument("--video", default=None,
-                          help="video for every cell (default bbb)")
-    p_faults.add_argument("--trace", default=None,
-                          help="capacity trace (default verizon)")
-    p_faults.add_argument("--backend", default=None,
-                          choices=("round", "packet"),
-                          help="transport backend (default round)")
-    p_faults.add_argument("--timeout", type=float, default=None,
-                          metavar="S",
-                          help="per-request deadline (default 3.0)")
-    p_faults.add_argument("--retry-budget", type=int, default=None,
-                          help="retries per segment (default 3)")
+    # Unset flags keep the chaos base (chaos.DEFAULT_BASE).
+    _add_scenario_flags(
+        p_faults, video=None, trace=None, backend=None, timeout=None,
+        retry_budget=None,
+    )
     p_faults.add_argument("--out", default=None, metavar="PATH",
                           help="write JSONL rows to this file")
     p_faults.add_argument(

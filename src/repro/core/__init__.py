@@ -25,7 +25,6 @@ _API_NAMES = {
     "stream": "repro.core.api",
     "stream_spec": "repro.core.api",
     "ScenarioSpec": "repro.core.spec",
-    "reliability_mode": "repro.core.spec",
     "StackBuilder": "repro.core.build",
 }
 

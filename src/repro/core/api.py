@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.abr import ABR_NAMES
 from repro.core.build import StackBuilder
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import TRACE_NAMES, NetworkTrace
 from repro.player.metrics import SessionMetrics
 from repro.prep.prepare import PreparedVideo, get_prepared, prepare
@@ -89,63 +89,44 @@ def prepare_video(name: str, cached: bool = True) -> PreparedVideo:
 
 def stream(
     prepared: PreparedVideo,
-    abr: str = "abr_star",
-    trace: str = "verizon",
-    buffer_segments: int = 3,
-    partially_reliable: bool = True,
-    seed: int = 0,
-    trace_shift_s: float = 0.0,
-    abr_kwargs: Optional[Dict] = None,
     network_trace: Optional[NetworkTrace] = None,
     tracer=None,
-    **session_kwargs,
+    **spec_fields,
 ) -> StreamResult:
     """Stream a prepared video once and return the session metrics.
 
+    Every other keyword is a :class:`~repro.core.spec.ScenarioSpec`
+    field, at the spec's default when omitted (``abr``, ``trace``,
+    ``buffer_segments``, ``seed``, ``trace_shift_s``, ``abr_kwargs``,
+    ``faults``, ...); an unknown name is a ``TypeError``.  Reliability
+    is the spec's mode string: ``reliability="quic"`` streams plain
+    QUIC, ``"quic*-rel"`` the "VOXEL rel" ablation (see
+    :data:`~repro.core.spec.RELIABILITY_MODES`).  The video is
+    ``prepared``'s.
+
     Args:
         prepared: output of :func:`prepare_video`.
-        abr: algorithm name ("tput", "bola", "mpc", "beta",
-            "bola_ssim", "abr_star"/"voxel").
-        trace: network trace name (see :func:`available_traces`).
-        buffer_segments: playback buffer size in segments.
-        partially_reliable: QUIC* (True) or plain QUIC (False).
-        seed: trace generator seed.  Only meaningful for named traces —
-            combining it with an explicit ``network_trace`` raises
-            ``ValueError`` rather than silently ignoring the seed.
-        trace_shift_s: linear trace shift (repetition protocol of §5).
-        abr_kwargs: extra keyword arguments for the ABR constructor.
-        network_trace: pass an explicit trace object instead of a name.
+        network_trace: an explicit trace object instead of the spec's
+            named trace; shifted by ``trace_shift_s``.  The spec's
+            ``seed`` only applies to named traces, so combining a
+            nonzero seed with it raises ``ValueError`` rather than
+            silently ignoring the seed.
         tracer: an :class:`~repro.obs.Tracer` collecting structured
             session events (``None`` = tracing off, zero overhead).
-        **session_kwargs: further :class:`~repro.core.spec.ScenarioSpec`
-            fields (e.g. ``queue_packets=750``,
-            ``selective_retransmission=False``, ``faults={"events":
-            [...]}``, ``request_timeout_s``, ``trace_kwargs={
-            "outage_prob": 0.1}``); an unknown name is a ``TypeError``.
     """
-    if network_trace is not None and seed != 0:
+    spec = ScenarioSpec(video=prepared.video.name, **spec_fields)
+    if network_trace is not None and spec.seed != 0:
         raise ValueError(
             "conflicting arguments: seed only applies to named traces, "
             "but an explicit network_trace was passed alongside "
-            f"seed={seed}; seed the trace object itself (or drop one "
-            "of the two)"
+            f"seed={spec.seed}; seed the trace object itself (or drop "
+            "one of the two)"
         )
-    spec = ScenarioSpec(
-        video=prepared.video.name,
-        abr=abr,
-        trace=trace,
-        buffer_segments=buffer_segments,
-        reliability=reliability_mode(partially_reliable),
-        seed=seed,
-        trace_shift_s=trace_shift_s,
-        abr_kwargs=dict(abr_kwargs or {}),
-        **session_kwargs,
-    )
     return stream_spec(
         spec,
         prepared=prepared,
         network_trace=(
-            network_trace.shifted(trace_shift_s)
+            network_trace.shifted(spec.trace_shift_s)
             if network_trace is not None else None
         ),
         tracer=tracer,

@@ -54,14 +54,6 @@ RELIABILITY_MODES = ("quic*", "quic", "quic*-rel", "quic-rel")
 MANIFEST_FETCH_MODES = ("free", "incremental", "full")
 
 
-def reliability_mode(
-    partially_reliable: bool, force_reliable_payload: bool = False
-) -> str:
-    """The mode string for a (partially_reliable, force_reliable) pair."""
-    base = "quic*" if partially_reliable else "quic"
-    return base + ("-rel" if force_reliable_payload else "")
-
-
 def _encode_value(value):
     """JSON-encode one spec value (QoE metric objects go by name)."""
     if isinstance(value, QoEMetric):

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.api import stream_spec
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.experiments.runner import run_trials
 from repro.experiments.sweep import _run_cells
 from repro.network.traces import riiser_3g_corpus
@@ -313,6 +313,9 @@ _BOLA_VS_VOXEL = {
 # Fig. 3/4/5: vanilla ABR algorithms over QUIC vs QUIC*.
 # ----------------------------------------------------------------------
 
+#: Row label and reliability mode of the two transports, QUIC first.
+_TRANSPORTS = (("Q", "quic"), ("Q*", "quic*"))
+
 def fig3_fig4_vanilla_quicstar(
     videos: Sequence[str] = CANONICAL,
     abrs: Sequence[str] = ("mpc", "bola"),
@@ -324,12 +327,11 @@ def fig3_fig4_vanilla_quicstar(
     return _rows([
         (
             {"video": video, "abr": abr, "trace": trace,
-             "buffer": buffer_segments,
-             "transport": "Q*" if partially_reliable else "Q"},
+             "buffer": buffer_segments, "transport": transport},
             ScenarioSpec(
                 video=video, abr=abr, trace=trace,
                 buffer_segments=buffer_segments,
-                reliability=reliability_mode(partially_reliable),
+                reliability=reliability,
                 repetitions=repetitions,
             ),
         )
@@ -337,7 +339,7 @@ def fig3_fig4_vanilla_quicstar(
         for abr in abrs
         for trace in traces
         for buffer_segments in buffers
-        for partially_reliable in (False, True)
+        for transport, reliability in _TRANSPORTS
     ])
 
 
@@ -352,12 +354,11 @@ def fig5_cross_traffic_vanilla(
     return _rows([
         (
             {"video": video, "abr": abr, "buffer": buffer_segments,
-             "cross_mbps": cross_mbps,
-             "transport": "Q*" if partially_reliable else "Q"},
+             "cross_mbps": cross_mbps, "transport": transport},
             ScenarioSpec(
                 video=video, abr=abr, trace="constant:20",
                 buffer_segments=buffer_segments,
-                reliability=reliability_mode(partially_reliable),
+                reliability=reliability,
                 repetitions=repetitions,
                 cross_traffic_mbps=cross_mbps,
             ),
@@ -365,7 +366,7 @@ def fig5_cross_traffic_vanilla(
         for video in videos
         for abr in abrs
         for buffer_segments in buffers
-        for partially_reliable in (False, True)
+        for transport, reliability in _TRANSPORTS
     ])
 
 
@@ -538,18 +539,18 @@ def fig10_components(
     prepared = get_prepared(video)
     corpus = riiser_3g_corpus(count=trace_count)
     systems = {
-        "BOLA": ("bola", False, {}),
-        "BOLA-SSIM": ("bola_ssim", True, {}),
-        "VOXEL": ("abr_star", True, {}),
+        "BOLA": ("bola", "quic", {}),
+        "BOLA-SSIM": ("bola_ssim", "quic*", {}),
+        "VOXEL": ("abr_star", "quic*", {}),
     }
     out: Dict[str, Dict] = {}
-    for label, (abr, partially_reliable, kwargs) in systems.items():
+    for label, (abr, reliability, kwargs) in systems.items():
         sessions = []
         for trace in corpus:
             spec = ScenarioSpec(
                 video=video, abr=abr,
                 buffer_segments=buffer_segments,
-                reliability=reliability_mode(partially_reliable),
+                reliability=reliability,
                 repetitions=1, abr_kwargs=kwargs,
             )
             sessions.append(stream_spec(
@@ -694,8 +695,8 @@ def fig18cd_reliability_ablation(
 ) -> List[Dict]:
     """Fig. 18c/d: VOXEL with unreliable streams disabled ("VOXEL rel")."""
     systems = {
-        "VOXEL": {"reliability": reliability_mode(True)},
-        "VOXEL rel": {"reliability": reliability_mode(True, True)},
+        "VOXEL": {"reliability": "quic*"},
+        "VOXEL rel": {"reliability": "quic*-rel"},
     }
     return _system_rows(
         traces, videos, buffers, lambda trace: systems,

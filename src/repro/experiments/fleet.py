@@ -43,7 +43,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.build import StackBuilder
+from repro.core.spec import ScenarioSpec
 from repro.experiments.execution import (
     CheckpointStore,
     ExecutionError,
@@ -67,7 +68,10 @@ class ClientGroup:
     client *i* of the fleet draws its group from the weight
     distribution at the point ``sha256(seed, i)`` lands, so the
     realized mix approximates the weights and is a pure function of
-    the spec.
+    the spec.  :class:`FleetSpec` checks the client fields through
+    :class:`~repro.core.spec.ScenarioSpec`.  ``partially_reliable``
+    picks the ``"quic*"`` or ``"quic"`` mode; it stays a bool because
+    fleet hashes serialize the group field by field.
     """
 
     abr: str = "bola"
@@ -81,8 +85,6 @@ class ClientGroup:
             raise ValueError(
                 f"group weight must be > 0, got {self.weight}"
             )
-        if self.buffer_segments < 1:
-            raise ValueError("buffer_segments must be >= 1")
 
     def label(self) -> str:
         flavour = "Q*" if self.partially_reliable else "Q"
@@ -93,7 +95,7 @@ class ClientGroup:
         return network.with_(
             abr=self.abr,
             video=self.video,
-            reliability=reliability_mode(self.partially_reliable),
+            reliability="quic*" if self.partially_reliable else "quic",
             buffer_segments=self.buffer_segments,
         )
 
@@ -169,6 +171,13 @@ class FleetSpec:
             raise ValueError(
                 f"sample rate {self.sample_rate} out of [0, 1]"
             )
+        # ScenarioSpec checks every group's client fields.
+        self.group_scenarios()
+
+    def group_scenarios(self) -> List[ScenarioSpec]:
+        """Each group's client on shard 0's network, in group order."""
+        network = shard_network(self, 0)
+        return [group.to_scenario(network) for group in self.groups]
 
     # ------------------------------------------------------------------
     #: Fields omitted from the canonical JSON (and the hash) at their
@@ -486,6 +495,12 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet: shards fan out over workers, artifacts fold back.
 
+    Before any shard runs, each group's client goes through
+    :meth:`~repro.core.build.StackBuilder.validate`, so an unknown
+    video, ABR, trace, backend or fault kind raises ``KeyError`` or
+    ``ValueError`` here, at any worker count, instead of failing every
+    shard.
+
     Args:
         spec: the frozen fleet description.
         workers: worker processes; shards are the unit of work.  Any K
@@ -521,6 +536,8 @@ def run_fleet(
     its own and folds them in shard order; the span tree is
     byte-identical at any worker count.
     """
+    for client in spec.group_scenarios():
+        StackBuilder(client, prepared_map=prepared_map).validate()
     prewarm_catalog(spec, prepared_map)
 
     checkpoint = None

@@ -38,7 +38,7 @@ from repro.network.traces import NetworkTrace
 from repro.obs.metrics import scoped_registry
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
-from repro.prep.prepare import PreparedVideo, get_prepared
+from repro.prep.prepare import PreparedVideo
 
 
 @dataclass
@@ -151,6 +151,11 @@ def run_trials(
             ``workers=1``: observer state lives in this process.  A
             sweep fans out across cells instead, each cell's
             repetitions feeding its own observers.
+
+    The spec goes through :meth:`~repro.core.build.StackBuilder.validate`
+    before any repetition runs, so an unknown ABR, trace, backend or
+    fault kind raises ``KeyError`` or ``ValueError`` at any worker
+    count.
     """
     workers = validate_workers(workers)
     if observers and workers > 1:
@@ -158,9 +163,10 @@ def run_trials(
             "trace observers require workers=1 (observer state lives "
             "in this process; forked repetitions cannot feed it)"
         )
-    if prepared is None:
-        prepared = get_prepared(spec.video)
-    trace = StackBuilder(spec).resolve_trace()
+    builder = StackBuilder(spec, prepared=prepared)
+    builder.validate()
+    prepared = builder.prepared_video()
+    trace = builder.resolve_trace()
     reps = spec.repetitions
     shift_step = trace.duration / reps
     shifts = [i * shift_step for i in range(reps)]

@@ -133,10 +133,6 @@ class BottleneckLink:
         if self.flows >= 2:
             self._shared = True
 
-    def release(self) -> None:
-        """Deregister a flow.  Shared accounting stays latched."""
-        self.flows = max(self.flows - 1, 0)
-
     @property
     def shared(self) -> bool:
         return self._shared

@@ -36,6 +36,7 @@ from repro.obs.rollup import (
     DISTRIBUTIONS,
     TraceRollup,
     _distribution,
+    merge_rollups,
 )
 
 REPORT_VERSION = 1
@@ -207,9 +208,11 @@ def _rows_report(rows: List[Dict], path: str) -> Dict[str, object]:
             ],
         }
 
-    merged_rollup = _merge_row_rollups(rows)
-    if merged_rollup is not None:
-        report["rollup"] = merged_rollup.summary()
+    rollups = [
+        row["rollup"] for row in rows if row.get("rollup") is not None
+    ]
+    if rollups:
+        report["rollup"] = merge_rollups(rollups).summary()
     merged_attr = _merge_row_attributions(rows)
     if merged_attr is not None:
         report["attribution"] = {"combined": merged_attr.to_dict()}
@@ -230,20 +233,6 @@ def _rows_report(rows: List[Dict], path: str) -> Dict[str, object]:
         ],
     }
     return report
-
-
-def _merge_row_rollups(rows: List[Dict]) -> Optional[TraceRollup]:
-    merged: Optional[TraceRollup] = None
-    for row in rows:
-        data = row.get("rollup")
-        if data is None:
-            continue
-        rollup = TraceRollup.from_dict(data)
-        if merged is None:
-            merged = rollup
-        else:
-            merged.merge(rollup)
-    return merged
 
 
 def _merge_row_attributions(

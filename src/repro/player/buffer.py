@@ -29,10 +29,6 @@ class PlaybackBuffer:
         if self.capacity_s <= 0:
             raise ValueError("buffer capacity must be positive")
 
-    @property
-    def free_s(self) -> float:
-        return max(self.capacity_s - self.level_s, 0.0)
-
     def room_for(self, duration_s: float) -> bool:
         """Whether a segment of ``duration_s`` fits right now."""
         return self.level_s + duration_s <= self.capacity_s + 1e-9

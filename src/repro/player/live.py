@@ -19,12 +19,12 @@ partial-segment machinery is what makes tiny-buffer streaming viable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.player.metrics import SegmentRecord, SessionMetrics
 from repro.player.session import StreamingSession
 
@@ -129,8 +129,7 @@ def stream_live(
     trace,
     buffer_segments: int = 1,
     encoder_delay: float = 1.0,
-    partially_reliable: bool = True,
-    **spec_kwargs,
+    **spec_fields,
 ) -> LiveMetrics:
     """Convenience wrapper: run one live session.
 
@@ -141,14 +140,11 @@ def stream_live(
         trace: the network trace.
         buffer_segments: client buffer (1 = lowest latency).
         encoder_delay: production pipeline delay in seconds.
-        **spec_kwargs: further :class:`~repro.core.spec.ScenarioSpec`
-            fields (e.g. ``backend="packet"``).
+        **spec_fields: further :class:`~repro.core.spec.ScenarioSpec`
+            fields, e.g. ``reliability="quic"`` for plain QUIC or
+            ``backend="packet"``.
     """
-    spec = ScenarioSpec(
-        buffer_segments=buffer_segments,
-        reliability=reliability_mode(partially_reliable),
-        **spec_kwargs,
-    )
+    spec = ScenarioSpec(buffer_segments=buffer_segments, **spec_fields)
     session = LiveStreamingSession(
         prepared, abr, trace, spec, encoder_delay=encoder_delay
     )

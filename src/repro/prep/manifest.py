@@ -22,7 +22,7 @@ the paper (:meth:`SegmentEntry.basic_view`).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.prep.ranking import Ordering
@@ -241,9 +241,6 @@ class VoxelManifest:
             row = [rep.segments[index] for rep in self.representations]
             self._entry_rows[index] = row
         return row
-
-    def bitrates_bps(self) -> List[float]:
-        return [rep.avg_bitrate_bps for rep in self.representations]
 
     def segment_sizes(self, quality: int) -> List[int]:
         return [e.total_bytes for e in self.representations[quality].segments]

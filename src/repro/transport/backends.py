@@ -20,7 +20,9 @@ its own through it, and
 :func:`~repro.experiments.multiclient.build_shard` builds one through
 the same call and hands it to every client.  A custom transport plugs
 in with one registration and is immediately usable from
-``ScenarioSpec(backend=...)``, ``stream()``, and ``repro sweep`` grids.
+``ScenarioSpec(backend=...)``, ``stream()``, ``repro sweep`` grids and
+every CLI ``--backend``: the registry, not the argument parser, checks
+the name.
 
 Factory contract::
 

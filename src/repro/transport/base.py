@@ -51,13 +51,6 @@ class DownloadResult:
     def complete(self) -> bool:
         return self.truncated_at is None and not self.lost
 
-    @property
-    def loss_fraction(self) -> float:
-        if self.requested == 0:
-            return 0.0
-        lost = sum(end - start for start, end in self.lost)
-        return lost / self.requested
-
 
 # Progress callback: (elapsed_seconds, bytes_sent_so_far) -> new byte limit
 # for the request, or None to continue unchanged.

@@ -229,9 +229,6 @@ class SegmentFrames:
     def i_frame(self) -> Frame:
         return self._frame(0)
 
-    def frames_of_type(self, ftype: FrameType) -> List[Frame]:
-        return [frame for frame in self if frame.ftype is ftype]
-
     def frame_offsets(self) -> List[Tuple[int, int]]:
         """Byte range ``(start, end)`` of each frame, end exclusive."""
         ranges = []

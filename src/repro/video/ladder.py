@@ -31,10 +31,6 @@ class QualityLevel:
     def height(self) -> int:
         return self.resolution[1]
 
-    @property
-    def pixels(self) -> int:
-        return self.resolution[0] * self.resolution[1]
-
     def avg_segment_bytes(self, segment_duration: float) -> float:
         """Average coded segment size at this level."""
         return self.avg_bitrate_bps * segment_duration / 8.0

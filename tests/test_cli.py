@@ -31,6 +31,30 @@ class TestParser:
         assert args.name == "fig6"
         assert args.light
 
+    def test_every_scenario_flag_names_a_spec_field(self):
+        from dataclasses import fields
+
+        from repro.cli import _SCENARIO_FLAGS
+        from repro.core.spec import ScenarioSpec
+
+        names = {field.name for field in fields(ScenarioSpec)}
+        for flag, entry in _SCENARIO_FLAGS.items():
+            assert entry.field in names, flag
+
+    def test_stream_flags_read_back_as_spec_fields(self):
+        from repro.cli import _scenario_fields
+
+        args = build_parser().parse_args([
+            "stream", "bbb", "--plain-quic", "--bandwidth-safety", "0.9",
+            "--timeout", "3",
+        ])
+        assert _scenario_fields(args) == {
+            "video": "bbb", "abr": "abr_star", "trace": "verizon",
+            "buffer_segments": 2, "reliability": "quic", "seed": 0,
+            "trace_shift_s": 0.0, "abr_kwargs": {"bandwidth_safety": 0.9},
+            "request_timeout_s": 3.0,
+        }
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -307,6 +331,16 @@ class TestObservabilityCli:
         _ZERO_BUFFER_SWEEP + ["--dry-run"],
         _ZERO_BUFFER_SWEEP + ["--workers", "2"],
         ["multiclient", "bbb", "--clients", "2", "--buffer", "0"],
+        # Fleets and repetitions check their scenario before forking.
+        ["fleet", "bbb", "--clients", "4", "--shards", "2",
+         "--trace", "nosuchtrace", "--workers", "2"],
+        ["fleet", "--spec", '{"clients": 4, "shards": 2, "retry_budget": -1}',
+         "--workers", "2"],
+        ["profile", "--spec",
+         '{"video": "bbb", "backend": "nosuch", "repetitions": 2}',
+         "--workers", "2"],
+        # The backend registry, not argparse, checks the name.
+        ["faults", "--backend", "nosuch", "--seeds", "0"],
     ])
     def test_usage_error_exits_2_in_one_line(self, argv, capsys):
         assert main(argv) == 2

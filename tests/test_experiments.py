@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import stream_spec
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.experiments.runner import (
     TrialSummary,
     compare,
@@ -183,7 +183,7 @@ class TestSurvey:
     def _sessions(self, tiny_prepared, abr, pr, n=3):
         config = ScenarioSpec(
             video="tinytest", abr=abr, trace="tmobile",
-            reliability=reliability_mode(pr), buffer_segments=1,
+            reliability="quic*" if pr else "quic", buffer_segments=1,
             repetitions=n,
         )
         return run_trials(config, prepared=tiny_prepared).sessions

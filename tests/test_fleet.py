@@ -74,6 +74,7 @@ class TestFleetSpec:
         {"clients": 4, "shards": 8},          # more shards than clients
         {"groups": ()},
         {"sample_rate": 1.5},
+        {"retry_budget": -1},                 # checked by ScenarioSpec
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -82,8 +83,9 @@ class TestFleetSpec:
     def test_group_validation(self):
         with pytest.raises(ValueError, match="weight"):
             ClientGroup(weight=0.0)
+        # A group's client fields are checked by the spec it becomes.
         with pytest.raises(ValueError, match="buffer_segments"):
-            ClientGroup(buffer_segments=0)
+            FleetSpec(groups=(ClientGroup(buffer_segments=0),))
 
     def test_hash_neutral_defaults(self):
         # Fields at their defaults are omitted from the canonical JSON,

@@ -11,7 +11,7 @@ import pytest
 
 from repro import prepare_video, stream
 from repro.abr import make_abr
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import (
     NetworkTrace,
     constant_trace,
@@ -26,7 +26,7 @@ def _run(prepared, abr_name, trace, buf=1, pr=True, n=4, **spec_kwargs):
     for i in range(n):
         abr = make_abr(abr_name, prepared=prepared)
         spec = ScenarioSpec(**{
-            "buffer_segments": buf, "reliability": reliability_mode(pr),
+            "buffer_segments": buf, "reliability": "quic*" if pr else "quic",
             **spec_kwargs,
         })
         session = StreamingSession(

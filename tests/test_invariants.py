@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.abr import make_abr
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import get_trace
 from repro.obs import (
     INVARIANTS,
@@ -401,7 +401,7 @@ def test_clean_session_audits_green(tiny_prepared, backend):
 ])
 def test_clean_session_other_abrs(tiny_prepared, abr_name, pr):
     tracer = _run_traced(tiny_prepared, "round", abr_name=abr_name,
-                         reliability=reliability_mode(pr))
+                         reliability="quic*" if pr else "quic")
     report = audit_events(list(tracer))
     assert report.ok, format_report(report)
 

@@ -19,7 +19,7 @@ class TestLiveSession:
             trace if trace is not None else constant_trace(20.0),
             buffer_segments=buf,
             encoder_delay=encoder_delay,
-            partially_reliable=pr,
+            reliability="quic*" if pr else "quic",
         )
 
     def test_availability_gates_downloads(self, tiny_prepared):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abr import make_abr
-from repro.core.spec import ScenarioSpec, reliability_mode
+from repro.core.spec import ScenarioSpec
 from repro.network.traces import constant_trace, tmobile_trace
 from repro.player.buffer import PlaybackBuffer
 from repro.player.metrics import (
@@ -137,7 +137,7 @@ class TestSession:
              pr=True, **spec_kwargs):
         abr = make_abr(abr_name, prepared=prepared)
         spec = ScenarioSpec(**{
-            "buffer_segments": buf, "reliability": reliability_mode(pr),
+            "buffer_segments": buf, "reliability": "quic*" if pr else "quic",
             **spec_kwargs,
         })
         session = StreamingSession(

@@ -15,13 +15,9 @@ import sys
 import pytest
 
 from repro.abr import make_abr
-from repro.core.api import stream
+from repro.core.api import stream, stream_spec
 from repro.core.build import StackBuilder
-from repro.core.spec import (
-    RELIABILITY_MODES,
-    ScenarioSpec,
-    reliability_mode,
-)
+from repro.core.spec import RELIABILITY_MODES, ScenarioSpec
 from repro.network.traces import constant_trace, get_trace
 from repro.obs.tracer import Tracer
 from repro.player.session import StreamingSession
@@ -74,9 +70,6 @@ def test_with_override():
 
 
 def test_reliability_modes():
-    assert reliability_mode(True) == "quic*"
-    assert reliability_mode(False) == "quic"
-    assert reliability_mode(True, force_reliable_payload=True) == "quic*-rel"
     for mode in RELIABILITY_MODES:
         spec = ScenarioSpec(reliability=mode)
         assert spec.partially_reliable == mode.startswith("quic*")
@@ -232,6 +225,18 @@ def test_stream_unexpected_kwarg_still_typeerror(tiny_prepared):
     for name in ("bogus", "transport_backend", "force_reliable_payload"):
         with pytest.raises(TypeError, match=f"unexpected keyword.*'{name}'"):
             stream(tiny_prepared, **{name: True})
+
+
+def test_stream_takes_any_reliability_mode(tiny_prepared):
+    # reliability is a spec field like the rest, -rel modes included.
+    fields = {"reliability": "quic*-rel", "trace": "constant:10.5"}
+    result = stream(tiny_prepared, **fields)
+    expected = stream_spec(
+        ScenarioSpec(video=tiny_prepared.video.name, **fields),
+        prepared=tiny_prepared,
+    )
+    assert result.metrics.summary() == expected.metrics.summary()
+    assert result.metrics.scores.tolist() == expected.metrics.scores.tolist()
 
 
 def test_stream_rejects_a_metric_sessions_do_not_score(tiny_prepared):

@@ -107,13 +107,13 @@ class TestSessionProperties:
                                 buffer_segments, mbps):
         from repro.abr import make_abr
         from repro.network.traces import constant_trace
-        from repro.core.spec import ScenarioSpec, reliability_mode
+        from repro.core.spec import ScenarioSpec
         from repro.player.session import StreamingSession
 
         abr = make_abr(abr_name, prepared=tiny_prepared)
         spec = ScenarioSpec(
             buffer_segments=buffer_segments,
-            reliability=reliability_mode(abr_name in ("abr_star",)),
+            reliability="quic*" if abr_name == "abr_star" else "quic",
         )
         metrics = StreamingSession(
             tiny_prepared, abr, constant_trace(mbps), spec
