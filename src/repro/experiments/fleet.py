@@ -470,13 +470,18 @@ def prewarm_catalog(
     spec: FleetSpec,
     prepared_map: Optional[Dict[str, PreparedVideo]] = None,
 ) -> None:
-    """Prepare every catalog video the population of ``spec`` streams.
+    """Check every group's client, then prepare every catalog video the
+    population of ``spec`` streams.
 
-    Forked workers inherit the process cache, and the serial path skips
-    repeated prepares.  ``repro fleet`` calls this before it starts its
-    clock and profiler, so a ``--profile`` ledger covers the same work
-    as a ``repro profile`` one: the simulation, not the offline prep.
+    :meth:`~repro.core.build.StackBuilder.validate` runs before any
+    prep, so an unknown name fails at once.  Forked workers inherit the
+    process cache, and the serial path skips repeated prepares.
+    ``repro fleet`` calls this before it starts its clock and profiler,
+    so a ``--profile`` ledger covers the same work as a ``repro
+    profile`` one: the simulation, not the offline prep.
     """
+    for client in spec.group_scenarios():
+        StackBuilder(client, prepared_map=prepared_map).validate()
     names = {group.video for group in spec.groups}
     if prepared_map:
         names -= set(prepared_map)
@@ -495,11 +500,10 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet: shards fan out over workers, artifacts fold back.
 
-    Before any shard runs, each group's client goes through
-    :meth:`~repro.core.build.StackBuilder.validate`, so an unknown
-    video, ABR, trace, backend or fault kind raises ``KeyError`` or
-    ``ValueError`` here, at any worker count, instead of failing every
-    shard.
+    Before any shard runs, :func:`prewarm_catalog` checks each group's
+    client, so an unknown video, ABR, trace, backend or fault kind
+    raises ``KeyError`` or ``ValueError`` here, at any worker count,
+    instead of failing every shard.
 
     Args:
         spec: the frozen fleet description.
@@ -536,8 +540,6 @@ def run_fleet(
     its own and folds them in shard order; the span tree is
     byte-identical at any worker count.
     """
-    for client in spec.group_scenarios():
-        StackBuilder(client, prepared_map=prepared_map).validate()
     prewarm_catalog(spec, prepared_map)
 
     checkpoint = None

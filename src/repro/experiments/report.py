@@ -46,28 +46,13 @@ def summarize_cdf(cdf: Dict[str, np.ndarray]) -> str:
     )
 
 
-def ascii_cdf(cdf: Dict[str, np.ndarray], width: int = 50,
-              label: str = "") -> str:
-    """Render a CDF as a crude ASCII plot (one row per decile)."""
-    x = np.asarray(cdf["x"], dtype=float)
-    if len(x) == 0:
-        return f"{label}: (empty)"
-    lines = [f"{label}"] if label else []
-    lo, hi = float(x.min()), float(x.max())
-    span = max(hi - lo, 1e-12)
-    for decile in range(0, 101, 10):
-        value = float(np.percentile(x, decile))
-        bar = int((value - lo) / span * width)
-        lines.append(f"  {decile:3d}% |{'#' * bar:<{width}s}| {value:.4g}")
-    return "\n".join(lines)
-
-
 def _is_cdf(value) -> bool:
     return isinstance(value, dict) and set(value) == {"x", "y"}
 
 
 def render(name: str, result) -> str:
-    """Render any figure-function output by structural dispatch."""
+    """Render a figure-function output (a row list or a dict) by
+    structural dispatch."""
     lines: List[str] = [f"### {name} ###"]
 
     if isinstance(result, list) and result and isinstance(result[0], dict):
@@ -75,43 +60,37 @@ def render(name: str, result) -> str:
         lines.append(format_table(result, columns))
         return "\n".join(lines)
 
-    if isinstance(result, dict):
-        # {"rows": [...], "cdfs": {...}} composites.
-        if "rows" in result:
-            rows = result["rows"]
-            if rows:
-                lines.append(format_table(rows, list(rows[0].keys())))
-            for label, cdf in result.get("cdfs", {}).items():
-                lines.append(f"{label}: {summarize_cdf(cdf)}")
-            return "\n".join(lines)
-        # Nested dicts of CDFs / scalars / arrays.
-        for key, value in result.items():
-            if _is_cdf(value):
-                lines.append(f"{key}: {summarize_cdf(value)}")
-            elif isinstance(value, dict):
-                parts = []
-                for sub_key, sub_value in value.items():
-                    if _is_cdf(sub_value):
-                        parts.append(
-                            f"    {sub_key}: {summarize_cdf(sub_value)}"
-                        )
-                    elif isinstance(sub_value, (int, float)):
-                        parts.append(f"    {sub_key}: {sub_value:.4g}")
-                    elif isinstance(sub_value, np.ndarray):
-                        parts.append(
-                            f"    {sub_key}: mean={sub_value.mean():.4g} "
-                            f"(n={len(sub_value)})"
-                        )
-                lines.append(f"{key}:")
-                lines.extend(parts)
-            elif isinstance(value, np.ndarray):
-                lines.append(
-                    f"{key}: mean={value.mean():.4g} "
-                    f"min={value.min():.4g} max={value.max():.4g}"
-                )
-            else:
-                lines.append(f"{key}: {value}")
+    # {"rows": [...], "cdfs": {...}} composites.
+    if "rows" in result:
+        rows = result["rows"]
+        if rows:
+            lines.append(format_table(rows, list(rows[0].keys())))
+        for label, cdf in result.get("cdfs", {}).items():
+            lines.append(f"{label}: {summarize_cdf(cdf)}")
         return "\n".join(lines)
-
-    # Survey results and other dataclasses with a usable repr.
-    return "\n".join(lines + [repr(result)])
+    # Nested dicts of CDFs / scalars / arrays.
+    for key, value in result.items():
+        if _is_cdf(value):
+            lines.append(f"{key}: {summarize_cdf(value)}")
+        elif isinstance(value, dict):
+            parts = []
+            for sub_key, sub_value in value.items():
+                if _is_cdf(sub_value):
+                    parts.append(f"    {sub_key}: {summarize_cdf(sub_value)}")
+                elif isinstance(sub_value, (int, float)):
+                    parts.append(f"    {sub_key}: {sub_value:.4g}")
+                elif isinstance(sub_value, np.ndarray):
+                    parts.append(
+                        f"    {sub_key}: mean={sub_value.mean():.4g} "
+                        f"(n={len(sub_value)})"
+                    )
+            lines.append(f"{key}:")
+            lines.extend(parts)
+        elif isinstance(value, np.ndarray):
+            lines.append(
+                f"{key}: mean={value.mean():.4g} "
+                f"min={value.min():.4g} max={value.max():.4g}"
+            )
+        else:
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines)

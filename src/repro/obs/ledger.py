@@ -80,15 +80,17 @@ def profile_trials(
     Returns ``(profiler, summary, wall_s)`` — the folded profiler (rep
     profilers merged in repetition order by the runner), the
     :class:`~repro.experiments.runner.TrialSummary`, and the run's wall
-    time.  The video is prepared before the profiler starts, so the
-    ledger measures simulation, not one-time offline analysis.
+    time.  The spec's names are checked first
+    (:meth:`~repro.core.build.StackBuilder.validate`), then the video is
+    prepared before the profiler starts, so the ledger measures
+    simulation, not one-time offline analysis.
     """
+    from repro.core.build import StackBuilder
     from repro.experiments.runner import run_trials
 
-    if prepared is None:
-        from repro.prep.prepare import get_prepared
-
-        prepared = get_prepared(spec.video)
+    builder = StackBuilder(spec, prepared=prepared)
+    builder.validate()
+    prepared = builder.prepared_video()
     with spans.profiled() as profiler:
         t0 = time.perf_counter()
         summary = run_trials(spec, prepared=prepared, workers=workers)

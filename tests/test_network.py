@@ -113,6 +113,31 @@ class TestTraceCatalog:
         assert all(0.3 < m < 6.0 for m in means)  # low-bandwidth commutes
         assert len(set(np.round(means, 3))) > 5  # traces differ
 
+    def test_corpus_trace_by_name(self):
+        # Trace i of the corpus is the registered ``3g-corpus`` trace at
+        # index i, seeded by the trace seed, whatever the corpus size;
+        # the digest was recorded before the corpus became a trace.
+        import hashlib
+
+        corpus = riiser_3g_corpus(count=4, seed=3)
+        digest = hashlib.sha256(
+            b"".join(trace.samples_mbps.tobytes() for trace in corpus)
+        )
+        assert digest.hexdigest() == (
+            "fbb49d4a6977c6d8b53a875ddddd76aaa9e0c90e3f25b649a5c4faaf4f73c336"
+        )
+        for index, trace in enumerate(corpus):
+            named = get_trace("3g-corpus", seed=3, index=index)
+            assert named.name == trace.name == f"3g-{index:02d}"
+            assert np.array_equal(named.samples_mbps, trace.samples_mbps)
+        assert np.array_equal(
+            riiser_3g_corpus(count=2, seed=3)[1].samples_mbps,
+            corpus[1].samples_mbps,
+        )
+        # A negative index would silently pick a trace from the end.
+        with pytest.raises(ValueError, match="index must be >= 0"):
+            get_trace("3g-corpus", index=-1)
+
 
 class TestLink:
     def test_delivers_within_capacity(self):

@@ -778,11 +778,19 @@ class TestCLI:
 
         from repro.cli import main
 
+        # The CLI checks the name against the catalog, then prepares
+        # through the process cache: both know the fixture video here.
         # repro.prep re-exports the prepare() function over the
         # submodule attribute; import_module reaches the real module.
         prepare_mod = importlib.import_module("repro.prep.prepare")
+        monkeypatch.setitem(
+            prepare_mod._PREPARED_CACHE,
+            (tiny_prepared.name, prepare_mod.DEFAULT_PARAMS), tiny_prepared,
+        )
+        content_mod = importlib.import_module("repro.video.content")
         monkeypatch.setattr(
-            prepare_mod, "get_prepared", lambda name: tiny_prepared
+            content_mod, "get_profile",
+            lambda name: tiny_prepared.video.profile,
         )
         out = tmp_path / "ledger.json"
         folded = tmp_path / "prof.folded"
