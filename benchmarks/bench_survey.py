@@ -1,7 +1,8 @@
 """Benchmark for §5.3 / Fig. 14: the simulated user survey."""
 
 from benchmarks.conftest import format_rows
-from repro.experiments.survey import DIMENSIONS, fig14_survey
+from repro.experiments.figures import fig14_survey
+from repro.experiments.survey import DIMENSIONS
 
 
 def test_fig14_survey(benchmark):

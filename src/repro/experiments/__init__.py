@@ -38,12 +38,7 @@ from repro.experiments.runner import (
     compare,
     run_trials,
 )
-from repro.experiments.survey import (
-    DIMENSIONS,
-    SurveyResult,
-    fig14_survey,
-    run_survey,
-)
+from repro.experiments.survey import DIMENSIONS, SurveyResult, run_survey
 from repro.experiments.sweep import (
     SweepSpec,
     dry_run_rows,
@@ -51,6 +46,7 @@ from repro.experiments.sweep import (
     validate_rows,
 )
 from repro.experiments import figures
+from repro.experiments.figures import fig14_survey
 
 __all__ = [
     "EXIT_DEGRADED",
