@@ -80,7 +80,11 @@ class Decision:
 
 @dataclass(slots=True)
 class DownloadProgress:
-    """Live state handed to :meth:`ABRAlgorithm.control`."""
+    """Live state handed to :meth:`ABRAlgorithm.control`.
+
+    The session updates one instance per request each round: read it
+    during the call, do not keep it.
+    """
 
     segment_index: int
     quality: int

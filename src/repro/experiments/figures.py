@@ -18,7 +18,9 @@ import numpy as np
 
 from repro.core.spec import ScenarioSpec
 from repro.experiments.runner import run_trials
-from repro.experiments.survey import DIMENSIONS, SurveyResult, run_survey
+from repro.experiments.survey import (
+    DIMENSIONS, SurveyResult, check_participants, run_survey,
+)
 from repro.experiments.sweep import _run_cells
 from repro.prep.analysis import compute_drop_curve, droppable_positions
 from repro.prep.prepare import PreparedVideo
@@ -721,6 +723,7 @@ def fig14_survey(
     and once with BOLA over plain QUIC.  The sessions feed the survey
     model, :func:`~repro.experiments.survey.run_survey`.
     """
+    check_participants(participants)  # before any clip streams
     results = _corpus_cells(
         video,
         {

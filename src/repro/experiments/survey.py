@@ -80,6 +80,12 @@ def _session_opinion(session: SessionMetrics) -> Dict[str, float]:
 DIMENSIONS = ("clarity", "glitches", "fluidity", "experience")
 
 
+def check_participants(participants: int) -> None:
+    """Raise ``ValueError`` unless at least one participant takes part."""
+    if participants < 1:
+        raise ValueError(f"participants must be >= 1, got {participants}")
+
+
 def run_survey(
     voxel_sessions: Sequence[SessionMetrics],
     bola_sessions: Sequence[SessionMetrics],
@@ -95,8 +101,7 @@ def run_survey(
     """
     if not voxel_sessions or not bola_sessions:
         raise ValueError("need at least one session per system")
-    if participants < 1:
-        raise ValueError(f"participants must be >= 1, got {participants}")
+    check_participants(participants)
     rng = np.random.default_rng(seed)
 
     totals = {

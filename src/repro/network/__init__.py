@@ -5,7 +5,7 @@ from repro.network.crosstraffic import (
     cross_traffic_available,
     generate_cross_demand,
 )
-from repro.network.link import BASE_RTT, MTU, BottleneckLink, RoundOutcome
+from repro.network.link import BASE_RTT, MTU, BottleneckLink
 from repro.network.traces import (
     TRACE_NAMES,
     TRACES,
@@ -29,7 +29,6 @@ __all__ = [
     "BASE_RTT",
     "MTU",
     "BottleneckLink",
-    "RoundOutcome",
     "TRACE_NAMES",
     "TRACES",
     "NetworkTrace",

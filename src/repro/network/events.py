@@ -25,6 +25,9 @@ The yield protocol is deliberately tiny::
         result = yield from connection.download_iter(nbytes)  # Waiters
         yield 0.250                                           # sleep
         return result       # surfaced via the spawn()-returned Waiter
+
+A sleep that no pending event precedes may run inline instead, through
+:meth:`SimKernel.advance`.
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ class EventScheduler:
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self._cancelled: set = set()
+        # Dispatches left to the running drain loop: every step, and
+        # every sleep that SimKernel.advance runs inline, spends one.
+        self._budget: float = _INF
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run ``delay`` seconds from now.
@@ -160,6 +166,12 @@ class EventScheduler:
             if cancelled and event_id in cancelled:
                 cancelled.discard(event_id)
                 continue
+            budget = self._budget
+            if budget <= 0:
+                # Leave the entry pending: the error drops no event.
+                heapq.heappush(heap, (etime, event_id, callback))
+                raise RuntimeError("event budget exhausted (livelock?)")
+            self._budget = budget - 1
             now = self.now
             if etime > now:
                 self.now = etime
@@ -174,14 +186,19 @@ class EventScheduler:
 
     def run_until(self, predicate: Callable[[], bool],
                   max_events: int = 50_000_000) -> None:
-        """Process events until ``predicate()`` holds or the heap drains."""
-        events = 0
-        while not predicate():
-            if not self.step():
-                return
-            events += 1
-            if events > max_events:
-                raise RuntimeError("event budget exhausted (livelock?)")
+        """Process events until ``predicate()`` holds or the heap drains.
+
+        More than ``max_events`` dispatches (steps and inline sleeps)
+        raise ``RuntimeError``.  A drain nested in a callback spends
+        its own budget, not the caller's.
+        """
+        outer, self._budget = self._budget, max_events
+        try:
+            while not predicate():
+                if not self.step():
+                    return
+        finally:
+            self._budget = outer
 
     def run_until_all(self, waiters: Sequence["Waiter"],
                       max_events: int = 50_000_000) -> None:
@@ -203,14 +220,7 @@ class EventScheduler:
 
         for waiter in pending:
             waiter.on_wake(_one_done)
-        step = self.step
-        events = 0
-        while counter[0] > 0:
-            if not step():
-                return
-            events += 1
-            if events > max_events:
-                raise RuntimeError("event budget exhausted (livelock?)")
+        self.run_until(lambda: counter[0] <= 0, max_events=max_events)
 
 
 class SimKernel(EventScheduler):
@@ -251,6 +261,30 @@ class SimKernel(EventScheduler):
                 self.schedule(item, resume)
 
         return done, resume
+
+    def advance(self, delay: float) -> bool:
+        """Sleep ``delay`` seconds inline if no pending event comes first.
+
+        A process calls ``if not kernel.advance(dt): yield dt``.  When
+        no heap entry is due at or before ``now + delay``, the yield's
+        wake would be the next event popped, so this moves :attr:`now`
+        to that same float, spends one dispatch of the drain loop's
+        budget and returns True; skipping the wake's sequence id keeps
+        every other event's order.  Otherwise (also for a delay that is
+        not positive and finite, or a spent budget) it changes nothing
+        and returns False.  Only a process the heap resumed may use it:
+        one woken inside another callback (:meth:`Waiter.wake`) must
+        yield, or that callback would see the clock move.
+        """
+        at = self.now + delay
+        heap = self._heap
+        budget = self._budget
+        if (heap and heap[0][0] <= at) or not 0.0 < delay < _INF \
+                or budget <= 0:
+            return False
+        self._budget = budget - 1
+        self.now = at
+        return True
 
     def spawn(self, process: Process, delay: float = 0.0) -> Waiter:
         """Run a generator process on the kernel.

@@ -28,24 +28,13 @@ Both modes run one round body, :meth:`BottleneckLink.offer_round`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.network.traces import NetworkTrace
 from repro.obs.metrics import get_registry
 
 MTU = 1500  # bytes
 BASE_RTT = 0.060  # 30 ms each way (§5)
-
-
-@dataclass(slots=True)
-class RoundOutcome:
-    """Result of offering one round's burst to the link."""
-
-    delivered_packets: int
-    dropped_packets: int
-    rtt: float  # round-trip time experienced by this round's packets
-    bandwidth_bps: float  # service rate that applied during the round
 
 
 class BottleneckLink:
@@ -177,12 +166,13 @@ class BottleneckLink:
         service = self.available_bps(t)
         return self._rtt_base(t) + self.queue_bytes * 8.0 / service
 
-    def offer_round(self, t: float, packets: int) -> RoundOutcome:
+    def offer_round(self, t: float, packets: int
+                    ) -> Tuple[int, int, float]:
         """Send a burst of ``packets`` through the link over one RTT.
 
-        Returns how many packets survived, how many were tail-dropped,
-        and the RTT the round experienced.  Advancing the clock is the
-        caller's job (by ``rtt``).
+        Returns ``(delivered, dropped, rtt)``: how many packets survived,
+        how many were dropped, and the RTT the round experienced.
+        Advancing the clock is the caller's job (by ``rtt``).
 
         The two modes differ only in the queue ahead of the burst: a
         single flow is served over its own round (the queue plus the
@@ -243,12 +233,7 @@ class BottleneckLink:
         if dropped:
             self._ctr_dropped.inc(dropped)
         self._gauge_queue.set(self.queue_bytes)
-        return RoundOutcome(
-            delivered_packets=delivered,
-            dropped_packets=dropped,
-            rtt=rtt,
-            bandwidth_bps=service,
-        )
+        return delivered, dropped, rtt
 
     def drain(self, t: float, dt: float) -> None:
         """Let the queue drain while the sender is idle for ``dt``.

@@ -405,12 +405,18 @@ def trace_generator(name: str) -> Callable[..., NetworkTrace]:
     """The generator a trace name resolves to: ``generator(seed=, **kw)``.
 
     ``constant:<mbps>`` binds its rate; every other name is a registry
-    key.  An unknown name raises ``KeyError`` with the catalog, so
+    key.  An unknown name raises ``KeyError`` with the catalog, and a
+    constant rate that is negative or not finite ``ValueError``, so
     :meth:`~repro.core.build.StackBuilder.validate` checks names here.
     """
     key = name.lower()
     if key.startswith("constant"):
         mbps = float(key.split(":", 1)[1]) if ":" in key else 10.5
+        if not 0.0 <= mbps < math.inf:
+            raise ValueError(
+                f"trace {name!r}: the rate must be a finite number of "
+                f"Mbps >= 0"
+            )
         return functools.partial(TRACES.get("constant"), mbps=mbps)
     if key in TRACES:
         return TRACES.get(key)

@@ -6,7 +6,7 @@ style but zero-dependency::
 
     registry = get_registry()
     drops = registry.counter("link.dropped_packets", trace="verizon")
-    drops.inc(outcome.dropped_packets)
+    drops.inc(dropped)
 
 Metric objects are cheap to hold, so instrumented classes look them up
 once at construction and call ``inc``/``set``/``observe`` (a single

@@ -890,11 +890,22 @@ class StreamingSession:
         total_wire: int,
         restart_to: List[int],
     ):
-        """Build the transport progress callback bridging to ABR control."""
+        """Build the transport progress callback bridging to ABR control.
+
+        None when the ABR keeps the base class's control, which always
+        continues: the connection then calls nothing per round.
+        """
+        abr = self.abr
+        if type(abr).control is ABRAlgorithm.control:
+            return None
         session = self
         kernel = self.kernel
-        abr_control = self.abr.control
-        min_elapsed = self.abr.control_min_elapsed_s
+        abr_control = abr.control
+        min_elapsed = abr.control_min_elapsed_s
+        # One snapshot per request; each round updates its moving fields.
+        state = DownloadProgress(
+            index, quality, 0.0, 0, total_wire, 0.0, 0.0,
+        )
 
         def progress(request_elapsed: float, request_sent: int) -> Optional[int]:
             elapsed_total = kernel.now - t_start
@@ -917,10 +928,10 @@ class StreamingSession:
                     instantaneous if throughput <= 0
                     else 0.7 * instantaneous + 0.3 * throughput
                 )
-            state = DownloadProgress(
-                index, quality, elapsed_total, request_sent,
-                total_wire, buffer_now, throughput,
-            )
+            state.elapsed = elapsed_total
+            state.bytes_sent = request_sent
+            state.buffer_level_s = buffer_now
+            state.throughput_bps = throughput
             action = abr_control(state)
             if action.verb is ControlVerb.CONTINUE:
                 return None

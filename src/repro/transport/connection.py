@@ -11,8 +11,8 @@ stream flavours exist:
   re-request them selectively (§4.2) via ordinary range requests.
 
 Downloads run round-by-round: each round offers ``cwnd`` packets to the
-link, learns what was tail-dropped, updates CUBIC, and yields the
-experienced RTT to the connection's
+link, learns what was tail-dropped, updates CUBIC, and sleeps the
+experienced RTT on the connection's
 :class:`~repro.network.events.SimKernel`, which may interleave many
 sessions on one shared link (:meth:`QuicConnection.download_iter`);
 :meth:`QuicConnection.download` runs the same process to completion on
@@ -134,10 +134,11 @@ class QuicConnection:
         partial byte accounting.  Faults are detected at round
         boundaries (the round model cannot interrupt a burst in flight).
 
-        This is a kernel process: every ``yield dt`` suspends for ``dt``
-        simulated seconds (one request round trip or one congestion
-        round); the kernel's time has advanced by ``dt`` when it
-        resumes.
+        This is a kernel process: it sleeps ``dt`` simulated seconds per
+        request round trip and per congestion round, inline through
+        :meth:`~repro.network.events.SimKernel.advance` when no other
+        event is due first, else by ``yield dt``; either way the
+        kernel's time has advanced by ``dt`` when it goes on.
         """
         if nbytes < 0:
             raise ValueError(f"cannot download {nbytes} bytes")
@@ -206,7 +207,8 @@ class QuicConnection:
             # gives up at the deadline with nothing transferred.
             yield deadline_s
             raise _fail("timeout")
-        yield latency
+        if not kernel.advance(latency):
+            yield latency
 
         while sent_new < limit or retx_queue > 0:
             if guarded:
@@ -244,8 +246,7 @@ class QuicConnection:
                 new_packets = 1 if new_budget > 0 else 0
                 retx_packets = burst - new_packets
 
-            outcome = link.offer_round(kernel.now, burst)
-            rtt = outcome.rtt
+            _, dropped, rtt = link.offer_round(kernel.now, burst)
             rounds += 1
             if deadline_s is not None:
                 elapsed_now = kernel.now - start_time
@@ -263,25 +264,25 @@ class QuicConnection:
                         tracer.emit(
                             ev.TRANSPORT_ROUND,
                             round=rounds,
-                            rtt=outcome.rtt,
+                            rtt=rtt,
                             offered=burst,
-                            dropped=outcome.dropped_packets,
+                            dropped=dropped,
                             cwnd=float(cc.cwnd),
                             inflight=burst,
                         )
-                        if outcome.dropped_packets:
+                        if dropped:
                             tracer.emit(
                                 ev.PACKET_LOSS,
-                                dropped_packets=outcome.dropped_packets,
+                                dropped_packets=dropped,
                                 lost_bytes=0,
                                 reliable=reliable,
                             )
                     raise _fail("timeout")
-            yield rtt
+            if not kernel.advance(rtt):
+                yield rtt
 
             # Retransmissions ride at the front of the burst (they are
             # oldest data); tail drops therefore hit new data first.
-            dropped = outcome.dropped_packets
             if dropped:
                 new_dropped = dropped if dropped < new_packets else new_packets
                 retx_dropped = dropped - new_dropped
@@ -394,11 +395,12 @@ class QuicConnection:
         self.kernel.run_process(self.idle_iter(dt))
 
     def idle_iter(self, dt: float):
-        """Kernel process form of :meth:`idle` (yields the idle time)."""
+        """Kernel process form of :meth:`idle` (sleeps the idle time)."""
         if dt <= 0:
             return None
         self.link.drain(self.kernel.now, dt)
-        yield dt
+        if not self.kernel.advance(dt):
+            yield dt
         return None
 
     # ------------------------------------------------------------------

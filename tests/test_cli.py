@@ -412,6 +412,11 @@ class TestObservabilityCli:
         ["stream", "bbb", "--faults",
          '{"events": [{"kind": "loss_burst", "bogus": 1}]}'],
         ["stream", "bbb", "--trace", "constant:-1"],
+        # A constant rate is checked with the trace name, before any run.
+        ["stream", "bbb", "--trace", "constant:nan"],
+        ["stream", "bbb", "--trace", "constant:inf"],
+        ["sweep", "--videos", "bbb", "--abrs", "bola", "--traces",
+         "constant:-1", "--buffers", "1", "--dry-run"],
     ])
     def test_usage_error_exits_2_in_one_line(self, argv, capsys):
         assert main(argv) == 2

@@ -226,6 +226,16 @@ class TestSurvey:
         with pytest.raises(ValueError, match="participants must be >= 1"):
             run_survey(sessions, sessions, participants=0)
 
+    def test_survey_checks_participants_before_streaming(self, monkeypatch):
+        import repro.experiments.figures as figures
+
+        def _run_figure(cells, body=None):
+            raise AssertionError("a survey clip streamed before the check")
+
+        monkeypatch.setattr(figures, "_run_figure", _run_figure)
+        with pytest.raises(ValueError, match="participants must be >= 1"):
+            figures.fig14_survey(participants=0)
+
     def test_stall_free_beats_stally(self, tiny_prepared):
         good = self._sessions(tiny_prepared, "abr_star", True, n=2)
         # Fabricate a terrible comparison stream by inflating stalls.

@@ -337,6 +337,133 @@ def test_run_until_all_event_budget_guard():
 
 
 # ---------------------------------------------------------------------------
+# advance(): a sleep that no pending event precedes runs inline.
+# ---------------------------------------------------------------------------
+def _ticker(kernel, log, label, delays, inline):
+    """A process sleeping through ``delays``, logging each wake.
+
+    ``inline`` picks how it sleeps: through ``kernel.advance`` with the
+    yield as fallback, or always by yielding.
+    """
+    for delay in delays:
+        log.append((kernel.now, label))
+        if not (inline and kernel.advance(delay)):
+            yield delay
+    log.append((kernel.now, label))
+
+
+def test_advance_runs_a_sleep_inline_when_nothing_is_due_first():
+    kernel = SimKernel(1.0)
+    kernel.schedule(0.5, lambda: None)
+    assert kernel.advance(0.25)
+    assert kernel.now == 1.25
+    # The entry due at 1.5 is next now: a longer sleep must wait for it.
+    assert not kernel.advance(0.5)
+    assert kernel.now == 1.25
+
+
+def test_advance_yields_to_an_entry_due_at_the_same_time():
+    for inline in (True, False):
+        kernel, log = SimKernel(), []
+        kernel.schedule(1.0, lambda: log.append((kernel.now, "timer")))
+        kernel.run_process(_ticker(kernel, log, "p", [1.0], inline))
+        # The older entry runs first, as when the process yields.
+        assert log == [(0.0, "p"), (1.0, "timer"), (1.0, "p")]
+
+
+def test_advance_never_skips_past_a_cancelled_head_entry():
+    kernel = SimKernel()
+    kernel.cancel(kernel.schedule(0.5, lambda: None))
+    live = []
+    kernel.schedule(0.75, lambda: live.append(kernel.now))
+    # The cancelled entry heads the heap and the live one sits behind
+    # it: declining is the safe answer, and the yield finds the order.
+    assert not kernel.advance(1.0)
+    log = []
+    kernel.run_process(_ticker(kernel, log, "p", [1.0], inline=True))
+    assert live == [0.75]
+    assert log == [(0.0, "p"), (1.0, "p")]
+    # A cancelled entry due after the wake does not hold it back.
+    kernel.cancel(kernel.schedule(5.0, lambda: None))
+    assert kernel.advance(1.0)
+    assert kernel.now == 2.0
+
+
+@pytest.mark.parametrize("delay", [0.0, -0.5, math.nan, math.inf])
+def test_advance_declines_a_delay_that_is_not_positive_and_finite(delay):
+    kernel = SimKernel(3.0)
+    # An empty heap, yet a zero delay still yields: the process goes
+    # back through the heap, and a bad delay meets its usual error there.
+    assert not kernel.advance(delay)
+    assert kernel.now == 3.0
+
+
+def test_inline_sleeps_give_the_shared_kernel_log_of_yields():
+    script = {
+        "a": [0.5, 0.25, 0.25, 1.0, 0.0, 0.3],
+        "b": [1.0, 0.5, 0.5, 0.25],
+        "c": [0.1] * 12 + [2.0],
+        "d": [0.0, 0.0, 0.75, 0.75],
+    }
+
+    def run(inline):
+        kernel, log = SimKernel(), []
+        for at in (0.5, 1.0, 1.6, 2.95):
+            kernel.schedule(at, lambda at=at: log.append((kernel.now, at)))
+        kernel.cancel(kernel.schedule(0.2, lambda: log.append("cancelled")))
+        waiters = [
+            kernel.spawn(_ticker(kernel, log, label, delays, inline),
+                         delay=0.1 * i)
+            for i, (label, delays) in enumerate(script.items())
+        ]
+        kernel.run_until_all(waiters)
+        return log, kernel.now
+
+    assert run(inline=True) == run(inline=False)
+
+
+def test_inline_sleeps_spend_the_event_budget():
+    kernel = SimKernel()
+    sleeps = []
+
+    def livelock():
+        # Never yields once inline; the bound turns a missed budget
+        # check into a failure instead of a hang.
+        while len(sleeps) < 10_000:
+            sleeps.append(kernel.now)
+            if not kernel.advance(0.1):
+                yield 0.1
+
+    kernel.spawn(livelock())
+    with pytest.raises(RuntimeError, match="event budget exhausted"):
+        kernel.run_until_all([Waiter()], max_events=100)
+    assert len(sleeps) == 100
+    # The error leaves the process's wake pending instead of dropping it.
+    assert not kernel.empty()
+
+
+def test_event_budget_stops_a_download_that_never_finishes():
+    from repro.faults.plan import FaultPlan, FaultWindow
+    from repro.network.link import BottleneckLink
+    from repro.network.traces import constant_trace
+    from repro.transport.connection import QuicConnection
+
+    # Every packet is lost, so a reliable stream retransmits forever.
+    link = BottleneckLink(constant_trace(10.0))
+    link.fault_plan = FaultPlan(
+        [FaultWindow("loss_burst", 0.0, 1e9, 1.0, "loss")]
+    )
+    kernel = SimKernel()
+    connection = QuicConnection(link, kernel)
+    done = kernel.spawn(connection.download_iter(100_000, reliable=True))
+    with pytest.raises(RuntimeError, match="event budget exhausted"):
+        kernel.run_until_all([done], max_events=1000)
+    assert not done.fired
+    # About 1,000 rounds of one 60 ms RTT each.
+    assert 59.0 < kernel.now < 61.0
+
+
+# ---------------------------------------------------------------------------
 # run_process(): one process run to completion, blocking.
 # ---------------------------------------------------------------------------
 def test_run_process_returns_value_after_float_sleeps():

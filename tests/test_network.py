@@ -142,20 +142,20 @@ class TestTraceCatalog:
 class TestLink:
     def test_delivers_within_capacity(self):
         link = BottleneckLink(constant_trace(10.0), queue_packets=32)
-        outcome = link.offer_round(0.0, packets=10)
-        assert outcome.delivered_packets == 10
-        assert outcome.dropped_packets == 0
+        delivered, dropped, _ = link.offer_round(0.0, packets=10)
+        assert delivered == 10
+        assert dropped == 0
 
     def test_conservation(self):
         link = BottleneckLink(constant_trace(1.0), queue_packets=8)
         for burst in (5, 50, 500):
-            outcome = link.offer_round(0.0, burst)
-            assert outcome.delivered_packets + outcome.dropped_packets == burst
+            delivered, dropped, _ = link.offer_round(0.0, burst)
+            assert delivered + dropped == burst
 
     def test_overflow_tail_drops(self):
         link = BottleneckLink(constant_trace(1.0), queue_packets=4)
-        outcome = link.offer_round(0.0, packets=200)
-        assert outcome.dropped_packets > 0
+        _, dropped, _ = link.offer_round(0.0, packets=200)
+        assert dropped > 0
 
     def test_queue_bounded(self):
         link = BottleneckLink(constant_trace(1.0), queue_packets=4)

@@ -88,7 +88,6 @@ class TestTraceMemo:
 # (or any base) grows a per-instance __dict__ back.
 HOT_SLOTTED_CLASSES = [
     ("repro.obs.events", "TraceEvent"),
-    ("repro.network.link", "RoundOutcome"),
     ("repro.network.events", "Waiter"),
     ("repro.transport.base", "DownloadResult"),
     ("repro.transport.http", "SegmentDelivery"),

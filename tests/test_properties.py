@@ -82,11 +82,11 @@ class TestLinkProperties:
         link = BottleneckLink(constant_trace(mbps), queue_packets=queue)
         t = 0.0
         for burst in bursts:
-            outcome = link.offer_round(t, burst)
-            assert outcome.delivered_packets + outcome.dropped_packets == burst
+            delivered, dropped, rtt = link.offer_round(t, burst)
+            assert delivered + dropped == burst
             assert 0 <= link.queue_bytes <= queue * link.mtu + 1e-6
-            assert outcome.rtt >= link.base_rtt
-            t += outcome.rtt
+            assert rtt >= link.base_rtt
+            t += rtt
 
 
 class TestBufferProperties:
